@@ -6,7 +6,8 @@ norm tables), ``corot`` (corotational norm tables), ``moments`` (exact
 sphere monomial moments).
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 bad
-configuration, 3 enumeration budget exceeded.  stdout carries only the
+configuration, 3 enumeration budget exceeded, 4 numerical failure (a
+quadrature that cannot meet its tolerance).  stdout carries only the
 report; diagnostics go to stderr.
 """
 
@@ -25,17 +26,18 @@ import numpy as np
 from . import derivcalc, norms, profile
 from .derivcalc import BudgetExceededError, gram_matrix, recover_Dn
 from .indexpoly import enumerate_multi
-from .profile import RadialField, d_op, to_squared, whitney_derivative
-from .quad import sphere_area, sphere_monomial_moment
+from .profile import RadialField, d_op, rational_to_json, to_squared, whitney_derivative
+from .quad import QuadratureConvergenceError, sphere_area, sphere_monomial_moment
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
 _EXIT_BAD_CONFIG = 2
 _EXIT_BUDGET = 3
+_EXIT_NUMERICAL = 4
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -45,15 +47,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rat(x: Fraction):
-    return x.numerator if x.denominator == 1 else str(x)
-
-
 def _parse_radius(value: str) -> float:
     if value.strip().lower() in ("inf", "infinity"):
         return math.inf
     r = float(value)
-    if r <= 0:
+    if not math.isfinite(r) or r <= 0:
         raise argparse.ArgumentTypeError("radius must be positive or 'inf'")
     return r
 
@@ -95,9 +93,13 @@ class RunConfig:
             raise ValueError(f"dimension must be >= 2, got {self.dim}")
         if self.order < 0 or self.k < 0:
             raise ValueError("orders must be >= 0")
+        for name in ("p", "tol", "s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.p < 1:
             raise ValueError(f"need p >= 1, got {self.p}")
-        if not math.isinf(self.radius) and self.radius <= 0:
+        if math.isnan(self.radius) or self.radius <= 0:
             raise ValueError("radius must be positive or inf")
         if self.method not in ("exact-angular", "monte-carlo"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -148,8 +150,8 @@ def _cmd_gram(args) -> int:
     doc = {
         "d": gram.d,
         "n": gram.n,
-        "gamma": [[_rat(v) for v in row] for row in gram.entries],
-        "gamma_inv": [[_rat(v) for v in row] for row in gram.inverse],
+        "gamma": [[rational_to_json(v) for v in row] for row in gram.entries],
+        "gamma_inv": [[rational_to_json(v) for v in row] for row in gram.inverse],
     }
     _emit(_json_dumps(doc), args.out)
     return _EXIT_OK
@@ -426,10 +428,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        RunConfig.from_args(args)  # validates the shared parameters of every command
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_CONFIG

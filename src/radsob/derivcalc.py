@@ -1,7 +1,9 @@
 """Partial derivatives of radial fields and the exact recovery machinery.
 
 The forward direction expands any partial derivative of f(|x|) into a finite
-sum of polynomial factors times powers of the radial derivation applied to f.
+sum of polynomial factors times powers of the radial derivation applied to f;
+summed over all derivatives of one order, the squared factors integrate over
+the sphere to an exact rational angular matrix of the p = 2 norm.
 The backward direction inverts that expansion: an exact rational Gram matrix
 built over all coordinate tuples of a given length yields recovery
 coefficients q_alpha with
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ from .indexpoly import (
     multi_factorial,
 )
 from .profile import RadialField, d_op
+from .quad import sphere_area, sphere_moment_ratio
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -77,6 +80,24 @@ def forward_terms(d: int, alpha: MultiIndex) -> tuple[tuple[int, MonomialPoly], 
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _corot_forward_terms(d: int, alpha: MultiIndex, i: int) -> tuple[tuple[int, MonomialPoly], ...]:
+    """Expansion data for d^alpha of the component F_i(x) = x_i f(|x|) of a corotational map.
+
+    By the product rule d^alpha F_i = x_i d^alpha f(|x|) + alpha_i d^(alpha - e_i) f(|x|),
+    so the pairs (j, Q_j) with Q_j = x_i P_j^alpha + alpha_i P_j^(alpha - e_i)
+    satisfy d^alpha F_i = sum_j Q_j(x) * (D^j f)(|x|).  Each Q_j is
+    homogeneous of degree 2j - n + 1; zero polynomials are dropped.
+    """
+    polys = {j: MonomialPoly.variable(d, i) * poly for j, poly in forward_terms(d, alpha)}
+    ai = alpha[i - 1]
+    if ai:
+        beta = tuple(a - 1 if idx == i - 1 else a for idx, a in enumerate(alpha))
+        for j, poly in forward_terms(d, beta):
+            polys[j] = polys.get(j, MonomialPoly.zero(d)) + ai * poly
+    return tuple((j, poly) for j, poly in sorted(polys.items()) if not poly.is_zero)
+
+
 def partial_derivative(field: RadialField, alpha: MultiIndex, x: Sequence[float]) -> float:
     """Value of d^alpha applied to the radial field at x (x = 0 allowed)."""
     pt = np.asarray(x, dtype=float)
@@ -111,6 +132,82 @@ def profile_derivative_from_partials(field: RadialField, j: int, x: Sequence[flo
         mono = float(np.prod(pt ** np.asarray(alpha)))
         total += partial_derivative(field, alpha, pt) * (jfact / multi_factorial(alpha)) * mono
     return total / rho**j
+
+
+# ---------------------------------------------------------------------------
+# Angular matrices of the p = 2 quadratic form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AngularMatrix:
+    """Angular factor of the squared L^2 norm of all derivatives of one order.
+
+    For expansions d^alpha u = sum_j P_j(x) (D^j f)(|x|) with P_j homogeneous
+    of degree ``degrees[a]`` for j = ``js[a]``, ``entries[a][b]`` is the sum
+    over the derivatives of the integral over the unit sphere of
+    P_js[a] * P_js[b], divided by |S^(d-1)|, which makes it rational.  Then
+
+        sum over the derivatives of int_{|x| < r} |d^alpha u|^2
+            = sum_{a,b} as_float[a][b] * int_0^r rho^(d-1+degrees[a]+degrees[b])
+                                          (D^js[a] f)(rho) (D^js[b] f)(rho) d rho.
+    """
+
+    d: int
+    n: int
+    js: tuple[int, ...]
+    degrees: tuple[int, ...]
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def as_float(self) -> tuple[tuple[float, ...], ...]:
+        """The entries times |S^(d-1)|, in floating point."""
+        area = sphere_area(self.d)
+        return tuple(tuple(area * float(v) for v in row) for row in self.entries)
+
+
+def _angular_form(d: int, n: int, shift: int, expansions) -> AngularMatrix:
+    """Sum of the sphere averages of P_j * P_j' over expansions [(j, P_j), ...].
+
+    Every P_j of the expansions is homogeneous of degree 2j - n + shift.
+    """
+    js = sorted({j for expansion in expansions for j, _ in expansion})
+    pos = {j: a for a, j in enumerate(js)}
+    acc = [[Fraction(0)] * len(js) for _ in js]
+    for expansion in expansions:
+        for idx, (j, poly) in enumerate(expansion):
+            for j2, poly2 in expansion[idx:]:
+                acc[pos[j]][pos[j2]] += sum(
+                    (c * sphere_moment_ratio(d, beta) for beta, c in (poly * poly2).coeffs.items()),
+                    Fraction(0),
+                )
+    for a in range(len(js)):
+        for b in range(a):
+            acc[a][b] = acc[b][a]
+    return AngularMatrix(
+        d, n, tuple(js), tuple(2 * j - n + shift for j in js), tuple(tuple(row) for row in acc)
+    )
+
+
+@lru_cache(maxsize=None)
+def angular_matrix(d: int, n: int) -> AngularMatrix:
+    """Angular matrix A(d, n) of the derivatives d^alpha f(|x|), |alpha| = n, of a radial field."""
+    return _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in enumerate_multi(d, n)])
+
+
+@lru_cache(maxsize=None)
+def corot_angular_matrix(d: int, n: int) -> AngularMatrix:
+    """Angular matrix B(d, n) of the derivatives d^alpha F_i, |alpha| = n, i = 1..d,
+    of the corotational map F(x) = x f(|x|)."""
+    return _angular_form(
+        d,
+        n,
+        1,
+        [
+            _corot_forward_terms(d, alpha, i)
+            for alpha in enumerate_multi(d, n)
+            for i in range(1, d + 1)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Routes implemented for a radial field f(|x|) on the ball of radius r (or on
 all of space, with decaying profiles):
 
 * ``def``      -- the d-dimensional definition, summing L^p norms of all
-                  partial derivatives up to order k.  For p = 2 the angular
-                  integrals reduce to exact sphere monomial moments; for
+                  partial derivatives up to order k.  For p = 2 the sum
+                  over the derivatives of one order is a quadratic form in
+                  the radial derivations D^j f: an exact angular matrix
+                  per (d, n) times closed-form radial moments.  For
                   general p a seeded Monte Carlo sphere average is used.
 * ``D``        -- weighted 1D norms of powers of the radial derivation
                   applied to the profile, on (0, r).
@@ -31,18 +33,23 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .derivcalc import forward_terms
+from .derivcalc import (
+    AngularMatrix,
+    _corot_forward_terms,
+    angular_matrix,
+    corot_angular_matrix,
+    forward_terms,
+)
 from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi
 from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
 from .quad import (
     QuadResult,
     composite_nodes,
     integrate_1d,
-    integrate_halfline,
     integrate_power_weight,
+    radial_moment,
     rough_scale,
     sphere_area,
-    sphere_monomial_moment,
     truncation_point,
     SphereSampler,
 )
@@ -53,6 +60,7 @@ DEFAULT_SAMPLES = 200_000
 _MC_FINE_PANELS = 32
 _MC_COARSE_PANELS = 12
 _TINY = 1e-60
+_EPS = 2.0**-52
 
 
 class NormValue(NamedTuple):
@@ -235,29 +243,6 @@ def _weighted_lp_power(
     return QuadResult(res.value, res.error_estimate + tail, res.subdivisions, res.converged)
 
 
-def _radial_pair_integral(prod: Profile, mexp: int, r: float, rel_tol: float) -> QuadResult:
-    """Integral of rho^mexp * prod(rho) over (0, r), r may be inf; mexp >= 0 integer."""
-    if prod.is_zero:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    def integrand(rho):
-        return rho**mexp * prod.eval(rho)
-
-    if math.isinf(r):
-        coeff, power, rate = _gauss_envelope(prod, 1.0, mexp)
-        if rate <= 0:
-            raise ValueError("half-line integration requires a decaying profile")
-        t_probe, _ = truncation_point(1e-8, rate, max(coeff, 1.0), power, "gauss")
-        scale = max(
-            rough_scale(integrand, 0.0, t_probe),
-            rough_scale(integrand, 0.0, max(t_probe / 4.0, 0.5)),
-            _TINY,
-        )
-        return integrate_halfline(integrand, rel_tol * scale, rate, coeff, power, "gauss")
-    scale = max(rough_scale(integrand, 0.0, r), _TINY)
-    return integrate_1d(integrand, 0.0, r, rel_tol * scale)
-
-
 # ---------------------------------------------------------------------------
 # Expansion of partial derivatives into polynomial x profile terms
 # ---------------------------------------------------------------------------
@@ -279,48 +264,43 @@ def _alpha_terms(d: int, alpha: MultiIndex, f: Profile) -> list[PolyProfileTerm]
 
 
 def _corot_alpha_terms(d: int, alpha: MultiIndex, i: int, f: Profile) -> list[PolyProfileTerm]:
-    """Expansion of d^alpha F_i for F_i(x) = x_i f(|x|).
-
-    The product rule leaves exactly two groups: x_i times the expansion of
-    d^alpha f(|x|), and alpha_i times the expansion of the derivative with
-    one x_i-derivative removed.
-    """
-    xi = MonomialPoly.variable(d, i)
+    """Expansion of d^alpha F_i for F_i(x) = x_i f(|x|)."""
     out = []
-    for term in _alpha_terms(d, alpha, f):
-        out.append(PolyProfileTerm(xi * term.poly, term.radial, term.degree + 1))
-    ai = alpha[i - 1]
-    if ai >= 1:
-        beta = tuple(a - 1 if idx == i - 1 else a for idx, a in enumerate(alpha))
-        for term in _alpha_terms(d, beta, f):
-            out.append(PolyProfileTerm(ai * term.poly, term.radial, term.degree))
+    for j, poly in _corot_forward_terms(d, tuple(alpha), i):
+        out.append(PolyProfileTerm(poly, d_op(f, j), poly.homogeneous_degree()))
     return out
 
 
-def _pair_l2_square(
-    d: int, terms: Sequence[PolyProfileTerm], r: float, rel_tol: float
-) -> tuple[float, float]:
-    """Squared L^2 norm over the ball (or space) of sum_t poly_t(x) radial_t(|x|).
+def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float]:
+    """Squared L^2 norm over the ball (or space) of all derivatives of one order.
 
-    Expands the square, integrates each angular polynomial factor by exact
-    sphere moments and each radial factor by adaptive quadrature.
+    Evaluates the quadratic form of ``mat`` on the radial derivations D^j f
+    with closed-form radial moments; returns the value and a bound on its
+    rounding error.
     """
-    total = 0.0
+    radial = [d_op(f, j) for j in mat.js]
+    weights = mat.as_float
+    parts = []
     err = 0.0
-    for a in range(len(terms)):
-        for b in range(a, len(terms)):
-            t, u = terms[a], terms[b]
-            prodpoly = t.poly * u.poly
-            mom = 0.0
-            for beta, c in prodpoly.coeffs.items():
-                mom += float(c) * sphere_monomial_moment(d, beta)
-            if mom == 0.0:
+    for a in range(len(radial)):
+        for b in range(a, len(radial)):
+            w = weights[a][b] if a == b else 2.0 * weights[a][b]
+            if w == 0.0:
                 continue
-            sym = 1.0 if a == b else 2.0
-            res = _radial_pair_integral(t.radial * u.radial, t.degree + u.degree + d - 1, r, rel_tol)
-            total += sym * mom * res.value
-            err += sym * abs(mom) * res.error_estimate
-    return total, err
+            m = mat.d - 1 + mat.degrees[a] + mat.degrees[b]
+            v, e = radial_moment(radial[a], radial[b], m, r)
+            parts.append(w * v)
+            # plus the rounding of the float angular entry (|S^(d-1)| included), the product and the sum
+            err += abs(w) * (e + 8 * _EPS * abs(v))
+    return math.fsum(parts), err
+
+
+def _l2_norm(squares: Sequence[tuple[float, float]]) -> NormValue:
+    """Norm and error from (squared norm, error) pieces."""
+    total = max(math.fsum(v for v, _ in squares), 0.0)
+    err = sum(e for _, e in squares)
+    value = math.sqrt(total)
+    return NormValue(value, err / (2 * value) if value > 0 else math.sqrt(err), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +313,7 @@ def _ball_def_exact(
     d = field.d
     f = field.profile
     if p == 2:
-        total = 0.0
-        err = 0.0
-        for n in orders:
-            for alpha in enumerate_multi(d, n):
-                v, e = _pair_l2_square(d, _alpha_terms(d, alpha, f), r, rel_tol)
-                total += v
-                err += e
-        total = max(total, 0.0)
-        value = math.sqrt(total)
-        return NormValue(value, err / (2 * value) if value > 0 else math.sqrt(err), 0.0)
+        return _l2_norm([_form_square(angular_matrix(d, n), f, r) for n in orders])
     if list(orders) == [0]:
         # order zero is the plain L^p norm: the angular integral is exact for any p
         res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
@@ -819,31 +790,21 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
 # Corotational maps
 # ---------------------------------------------------------------------------
 
-def _corot_lhs_detail(F: CorotField, k: int, r: float, rel_tol: float) -> NormValue:
-    d = F.d
-    f = F.profile
-    total = 0.0
-    err = 0.0
-    for n in range(k + 1):
-        for alpha in enumerate_multi(d, n):
-            for i in range(1, d + 1):
-                v, e = _pair_l2_square(d, _corot_alpha_terms(d, alpha, i, f), r, rel_tol)
-                total += v
-                err += e
-    total = max(total, 0.0)
-    value = math.sqrt(total)
-    return NormValue(value, err / (2 * value) if value > 0 else math.sqrt(err), 0.0)
+def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
+    return _l2_norm([_form_square(corot_angular_matrix(F.d, n), F.profile, r) for n in range(k + 1)])
 
 
 def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
     """H^k norm over the ball of the corotational map (p = 2 only).
 
-    Each component derivative is expanded into polynomial x profile terms
-    and integrated with exact angular moments and radial quadrature.
+    The component derivatives of each order form a quadratic form in the
+    radial derivations of the profile: an exact angular matrix times
+    closed-form radial moments.  ``tol`` is accepted for signature
+    compatibility; the value is accurate to rounding.
     """
     if k < 0 or r <= 0:
         raise ValueError("need k >= 0 and r > 0")
-    return _corot_lhs_detail(F, k, r, tol).value
+    return _corot_lhs_detail(F, k, r).value
 
 
 def corot_rhs(f: Profile, d: int, k: int, r: float, tol: float = 1e-10) -> float:
@@ -898,7 +859,10 @@ class NormReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return (
+            json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n"
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -922,7 +886,7 @@ def _ratio_rows(pairs: dict[str, list[float]]) -> list[dict]:
         if vals:
             rows.append({"pair": pair, "min": min(vals), "max": max(vals)})
         else:
-            rows.append({"pair": pair, "min": math.nan, "max": math.nan})
+            rows.append({"pair": pair, "min": None, "max": None})
     return rows
 
 
@@ -1037,7 +1001,7 @@ def corot_report(
         if f.is_zero:
             report.degenerate.append({"label": entry.label, "reason": "zero profile"})
             continue
-        lhs = _corot_lhs_detail(CorotField(d, f), k, r, tol)
+        lhs = _corot_lhs_detail(CorotField(d, f), k, r)
         rhs = _ball_def_exact(RadialField(d + 2, f), range(k + 1), 2.0, r, tol)
         report.entries.append(ReportEntry(entry.label, "lhs", lhs.value, lhs.err, "exact-angular"))
         report.entries.append(ReportEntry(entry.label, "rhs", rhs.value, rhs.err, "exact-angular"))

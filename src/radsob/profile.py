@@ -233,7 +233,8 @@ def d_op(f: Profile, j: int = 1) -> Profile:
         raise ValueError("order must be >= 0")
     if not f.is_even:
         raise ValueError("the radial derivation is defined on even profiles")
-    return from_squared(to_squared(f).derivative(j)) * (2**j)
+    scale = 2**j
+    return Profile([(scale * c, 2 * a, b) for c, a, b in to_squared(f).derivative(j).terms])
 
 
 def d_op_by_division(f: Profile, j: int = 1) -> Profile:
@@ -373,11 +374,21 @@ def halfline_corpus(entries: Sequence[CorpusEntry] | None = None) -> list[Corpus
     return [e for e in entries if not e.profile.is_zero and e.profile.min_decay > 0]
 
 
+def rational_to_json(x: Fraction) -> int | str:
+    """An integer as a JSON number, any other rational as an exact "p/q" string."""
+    return x.numerator if x.denominator == 1 else str(x)
+
+
 def save_corpus(entries: Sequence[CorpusEntry], path: str | Path) -> None:
-    """Write a corpus file: a JSON array of {"terms": [[c, a, b], ...], "label": ...}."""
+    """Write a corpus file: a JSON array of {"terms": [[c, a, b], ...], "label": ...}.
+
+    Coefficients and decay rates are written exactly (see :func:`rational_to_json`).
+    """
     doc = [
         {
-            "terms": [[float(c), a, float(b)] for c, a, b in e.profile.terms],
+            "terms": [
+                [rational_to_json(c), a, rational_to_json(b)] for c, a, b in e.profile.terms
+            ],
             "label": e.label,
         }
         for e in entries
@@ -386,7 +397,10 @@ def save_corpus(entries: Sequence[CorpusEntry], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[CorpusEntry]:
-    """Read a corpus file written by :func:`save_corpus` (or by hand)."""
+    """Read a corpus file written by :func:`save_corpus` (or by hand).
+
+    Coefficients and decay rates may be JSON numbers or "p/q" strings.
+    """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ValueError("corpus file must contain a JSON array")

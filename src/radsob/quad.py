@@ -2,9 +2,10 @@
 
 Provides adaptive 1D quadrature on intervals (composite 15-node
 Gauss-Legendre panels with bisection refinement), rigorous truncation of
-half-line integrals from analytic envelopes, exact surface areas and
-monomial moments of the unit sphere, and a seeded Monte Carlo sphere
-integrator for exponents without a closed angular form.
+half-line integrals from analytic envelopes, closed-form radial moments of
+products of Gaussian-type term lists with explicit rounding bounds, exact
+surface areas and monomial moments of the unit sphere, and a seeded Monte
+Carlo sphere integrator for exponents without a closed angular form.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 _NODES, _WEIGHTS = roots_legendre(15)
+_EPS = 2.0**-52
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -208,6 +210,100 @@ def integrate_halfline(
 
 
 # ---------------------------------------------------------------------------
+# Closed-form radial moments
+# ---------------------------------------------------------------------------
+
+def _gauss_moment_full(s: int, b: Fraction) -> tuple[float, float]:
+    """Gamma(s/2) / (2 b^(s/2)), the integral of rho^(s-1) exp(-b rho^2) over (0, inf).
+
+    The rational part is exact; returns the value and a relative error bound.
+    """
+    n, odd = divmod(s, 2)
+    if not odd:
+        return float(Fraction(math.factorial(n - 1)) / (2 * b**n)), _EPS
+    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
+    q = Fraction(math.factorial(2 * n), 2 * 4**n * math.factorial(n)) / b**n
+    return float(q) * math.sqrt(math.pi / float(b)), 3 * _EPS
+
+
+@lru_cache(maxsize=4096)
+def _gauss_moment(s: int, b: Fraction, r: float) -> tuple[float, float]:
+    """Integral of rho^(s-1) exp(-b rho^2) over (0, r) for s >= 1, b > 0, r <= inf.
+
+    Returns the value and a bound on its relative rounding error.  For finite
+    r it is the lower incomplete gamma function gamma(s/2, x) / (2 b^(s/2))
+    with x = b r^2 (DLMF 8.2.1), summed from its series of positive terms
+    (DLMF 8.7.1)
+
+        r^s e^(-x) / s * sum_k x^k / ((a+1)(a+2)...(a+k)),   a = s/2,
+
+    unless the upper incomplete part is below eps / 8 of the whole, when the
+    complete integral is returned.
+    """
+    full, full_rel = _gauss_moment_full(s, b)
+    if math.isinf(r):
+        return full, full_rel
+    a = s / 2.0
+    x = float(b) * r * r  # relative error 1.5 eps, which moves the value by <= 1.5 eps x
+    if x > a + 1.0:
+        # Gamma(a, x) <= x^(a-1) e^(-x) / (1 - max(a-1, 0)/x) for x > a - 1
+        log_q = (a - 1.0) * math.log(x) - x - math.log1p(-max(a - 1.0, 0.0) / x) - math.lgamma(a)
+        if log_q < math.log(_EPS / 8.0):
+            return full, full_rel + _EPS / 8.0
+    terms = [1.0]
+    t = 1.0
+    k = 0
+    while True:
+        k += 1
+        t = t * x / (a + k)
+        terms.append(t)
+        # the sum is >= 1 and the remaining terms shrink by ratio <= 1/2 from here
+        if t <= _EPS / 16.0 and x <= 0.5 * (a + k + 1):
+            break
+    total = math.fsum(terms)
+    # term k carries 2k roundings; the prefactor (pow, exp, division, product) four
+    kbar = math.fsum(i * v for i, v in enumerate(terms)) / total
+    rel = _EPS * (kbar + 1.5 * x + 4.0 + 1.0 / 16.0)
+    return r**s * math.exp(-x) / s * total, rel
+
+
+def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
+    """Integral of rho^m g(rho) h(rho) over (0, r), in closed form; r may be inf.
+
+    ``g`` and ``h`` are term lists (``Profile``) of c rho^a exp(-b rho^2)
+    and ``m >= 0`` is an integer.  Each pair of terms is integrated on its
+    own, without forming the product list: with s = m + a1 + a2 + 1 and
+    b = b1 + b2 it contributes c1 c2 gamma(s/2, b r^2) / (2 b^(s/2)), or
+    c1 c2 Gamma(s/2) / (2 b^(s/2)) when r = inf, or c1 c2 r^s / s when
+    b = 0.  A non-decaying pair on the half-line raises ValueError.
+
+    Returns (value, err): err bounds the rounding error of value, each
+    contribution's relative bound (a few eps, growing with s and b r^2)
+    times its absolute value, summed.
+    """
+    halfline = math.isinf(r)
+    parts = []
+    err = 0.0
+    h_terms = [(float(c), a, b) for c, a, b in h.terms]
+    for c1, a1, b1 in g.terms:
+        f1 = float(c1)
+        for f2, a2, b2 in h_terms:
+            s = m + a1 + a2 + 1
+            b = b1 + b2
+            if b:
+                moment, rel = _gauss_moment(s, b, r)
+            elif halfline:
+                raise ValueError("half-line integration requires a decaying profile")
+            else:
+                moment, rel = r**s / s, 2 * _EPS
+            part = f1 * f2 * moment
+            parts.append(part)
+            # coefficient conversions, products and the final rounded sum
+            err += abs(part) * (rel + 3 * _EPS)
+    return math.fsum(parts), err
+
+
+# ---------------------------------------------------------------------------
 # Sphere integrals
 # ---------------------------------------------------------------------------
 
@@ -237,6 +333,23 @@ def sphere_monomial_moment(d: int, beta: tuple[int, ...]) -> float:
     for b in beta:
         num *= math.gamma((b + 1) / 2.0)
     return 2.0 * num / math.gamma((sum(beta) + d) / 2.0)
+
+
+@lru_cache(maxsize=None)
+def sphere_moment_ratio(d: int, beta: tuple[int, ...]) -> Fraction:
+    """Average of omega^beta over the unit sphere in R^d, as an exact rational.
+
+    Equals :func:`sphere_monomial_moment` divided by |S^(d-1)|: zero when
+    any exponent is odd, otherwise prod_i (beta_i - 1)!! divided by
+    d (d + 2) ... (d + |beta| - 2) (Folland, "How to integrate a polynomial
+    over a sphere", Amer. Math. Monthly 108 (2001)).
+    """
+    if any(b % 2 for b in beta):
+        return Fraction(0)
+    num = 1
+    for b in beta:
+        num *= math.prod(range(1, b, 2))
+    return Fraction(num, math.prod(range(d, d + sum(beta), 2)))
 
 
 @dataclass(frozen=True)

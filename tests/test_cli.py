@@ -4,13 +4,25 @@ import math
 import pytest
 
 from radsob.cli import RunConfig, main
-from radsob.profile import builtin_corpus, save_corpus
+from radsob.profile import CorpusEntry, Profile, builtin_corpus, save_corpus
 
 
 def run_cli(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def exit_code(argv) -> int:
+    """Exit code of the command, including argparse's own exit on a bad value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 class TestRunConfig:
@@ -29,6 +41,9 @@ class TestRunConfig:
             RunConfig(command="equiv", radius=-1.0)
         with pytest.raises(ValueError):
             RunConfig(command="equiv", method="magic")
+        for bad in ({"tol": math.nan}, {"p": math.inf}, {"s": math.nan}, {"radius": math.nan}):
+            with pytest.raises(ValueError):
+                RunConfig(command="equiv", **bad)
 
 
 class TestGram:
@@ -141,6 +156,37 @@ class TestEquiv:
     def test_missing_corpus_is_config_error(self, capsys):
         rc, out, err = run_cli(capsys, ["equiv", "--corpus", "/nonexistent.json"])
         assert rc == 2
+
+
+class TestExitCodes:
+    def test_unconverged_quadrature_is_numerical_failure(self, capsys):
+        rc, out, err = run_cli(capsys, ["verify", "whitney", "--tol", "1e-30"])
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error: ") and "did not converge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--p", "nan"], ["--p", "inf"], ["--radius", "nan"]],
+    )
+    def test_non_finite_input_is_config_error(self, capsys, flags):
+        assert exit_code(["equiv", "--dim", "2", "--k", "0"] + flags) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestStrictJson:
+    def test_empty_ratio_set_is_null(self, capsys, tmp_path):
+        path = tmp_path / "corpus.json"
+        save_corpus([CorpusEntry("one", Profile([(1, 0, 0)]))], path)
+        rc, out, _ = run_cli(
+            capsys, ["equiv", "--dim", "3", "--k", "1", "--radius", "inf", "--corpus", str(path)]
+        )
+        assert rc == 0
+        doc = json.loads(out, parse_constant=reject_constant)
+        assert doc["entries"] == []
+        assert [row["label"] for row in doc["degenerate"]] == ["one"]
+        assert all(row["min"] is None and row["max"] is None for row in doc["ratios"])
 
 
 class TestCorot:

@@ -6,6 +6,8 @@ import pytest
 
 from radsob.derivcalc import (
     BudgetExceededError,
+    angular_matrix,
+    corot_angular_matrix,
     forward_terms,
     gram_matrix,
     partial_derivative,
@@ -17,6 +19,7 @@ from radsob.derivcalc import (
 from radsob.indexpoly import MonomialPoly, collapse, enumerate_dindex, enumerate_multi, multi_factorial, p_poly
 from radsob.oracles import fd_partial_derivative
 from radsob.profile import Profile, RadialField, d_op
+from radsob.quad import sphere_monomial_moment
 
 GAUSS = Profile([(1, 0, 1)])
 RHO2 = Profile([(1, 2, 0)])
@@ -260,3 +263,59 @@ class TestRecovery:
     def test_forward_terms_drop_zero_polys(self):
         terms = forward_terms(2, (1, 1))
         assert [j for j, _ in terms] == [2]
+
+
+def direct_angular_sums(d, expansions):
+    """{(j, j'): sum over expansions of the sphere integral of P_j * P_j'}, in floats."""
+    out = {}
+    for expansion in expansions:
+        for j, poly in expansion.items():
+            for j2, poly2 in expansion.items():
+                mom = sum(
+                    float(c) * sphere_monomial_moment(d, beta)
+                    for beta, c in (poly * poly2).coeffs.items()
+                )
+                out[j, j2] = out.get((j, j2), 0.0) + mom
+    return out
+
+
+def corot_expansion(d, alpha, i):
+    """{j: x_i P_j^alpha + alpha_i P_j^(alpha - e_i)} built from forward_terms."""
+    out = {j: MonomialPoly.variable(d, i) * poly for j, poly in forward_terms(d, alpha)}
+    if alpha[i - 1]:
+        beta = tuple(a - (idx == i - 1) for idx, a in enumerate(alpha))
+        for j, poly in forward_terms(d, beta):
+            out[j] = out.get(j, MonomialPoly.zero(d)) + alpha[i - 1] * poly
+    return out
+
+
+class TestAngularMatrix:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_direct_per_alpha_sums(self, d, n):
+        cases = [
+            (
+                angular_matrix(d, n),
+                [dict(forward_terms(d, alpha)) for alpha in enumerate_multi(d, n)],
+                0,
+            ),
+            (
+                corot_angular_matrix(d, n),
+                [corot_expansion(d, alpha, i) for alpha in enumerate_multi(d, n) for i in range(1, d + 1)],
+                1,
+            ),
+        ]
+        for mat, expansions, shift in cases:
+            want = direct_angular_sums(d, expansions)
+            assert {(j, j2) for j in mat.js for j2 in mat.js} == set(want)
+            assert mat.degrees == tuple(2 * j - n + shift for j in mat.js)
+            for a, j in enumerate(mat.js):
+                for b, j2 in enumerate(mat.js):
+                    assert isinstance(mat.entries[a][b], Fraction)
+                    assert mat.as_float[a][b] == pytest.approx(want[j, j2], rel=1e-13, abs=1e-15)
+
+    def test_order_one_hand_values(self):
+        # sum_i |d_i f(|x|)|^2 = |x|^2 (Df)^2: one entry, the sphere average of |x|^2 = 1
+        assert angular_matrix(3, 1).entries == ((Fraction(1),),)
+        # d_i (x_k f) = delta_ik f + x_i x_k Df: entries 2, 1, 1, 1 (times |S^1|) in d = 2
+        assert corot_angular_matrix(2, 1).entries == ((2, 1), (1, 1))

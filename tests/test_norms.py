@@ -4,12 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from radsob import norms, quad
+from radsob.derivcalc import _corot_forward_terms, forward_terms
+from radsob.indexpoly import enumerate_multi
 from radsob.norms import (
     CorotField,
     WeightFamily,
     _alpha_terms,
     _ball_def_detail,
+    _ball_def_exact,
     _corot_alpha_terms,
+    _corot_lhs_detail,
     boundary_check,
     corot_lhs,
     corot_report,
@@ -22,8 +27,8 @@ from radsob.norms import (
     sobolev_profile_D,
     sobolev_profile_squared,
 )
-from radsob.profile import CorpusEntry, Profile, RadialField, d_op, to_squared
-from radsob.quad import sphere_area
+from radsob.profile import CorpusEntry, Profile, RadialField, _TermSum, d_op, to_squared
+from radsob.quad import integrate_1d, sphere_area, sphere_monomial_moment
 
 ONE = Profile([(1, 0, 0)])
 RHO2 = Profile([(1, 2, 0)])
@@ -410,3 +415,78 @@ class TestReports:
         want = sphere_area(3) / sphere_area(5)
         assert lo == pytest.approx(want, rel=1e-8)
         assert hi == pytest.approx(want, rel=1e-8)
+
+
+def quadrature_square(d, expansions, f, r):
+    """Squared L^2 norm of sum_j P_j(x) (D^j f)(|x|) summed over the expansions.
+
+    Angular factors by float sphere moments per expansion, radial factors by
+    adaptive quadrature of the evaluated profiles (on (0, 12) for r = inf,
+    where every integrand here decays like exp(-rho^2)).
+    """
+    upper = 12.0 if math.isinf(r) else r
+    angular = {}
+    for expansion in expansions:
+        for j, poly in expansion:
+            for j2, poly2 in expansion:
+                mom = sum(
+                    float(c) * sphere_monomial_moment(d, beta)
+                    for beta, c in (poly * poly2).coeffs.items()
+                )
+                deg = poly.homogeneous_degree() + poly2.homogeneous_degree()
+                angular[j, j2, deg] = angular.get((j, j2, deg), 0.0) + mom
+    total = 0.0
+    for (j, j2, deg), mom in angular.items():
+        g, h, m = d_op(f, j), d_op(f, j2), d - 1 + deg
+        res = integrate_1d(lambda x: x**m * g.eval(x) * h.eval(x), 0.0, upper, tol=1e-13)
+        assert res.error_estimate <= 1e-13 * max(1.0, abs(res.value))
+        total += mom * res.value
+    return total
+
+
+class TestClosedFormRoute:
+    @pytest.mark.parametrize("d, orders, r", [(3, [0, 1, 2], 1.0), (2, [0, 1, 2], 0.7), (4, [1], math.inf)])
+    def test_definition_matches_quadrature(self, corpus, d, orders, r):
+        for entry in corpus:
+            f = entry.profile
+            if math.isinf(r) and not (f.min_decay and f.min_decay > 0):
+                continue
+            got = _ball_def_exact(RadialField(d, f), orders, 2.0, r, 1e-10)
+            want = sum(
+                quadrature_square(d, [forward_terms(d, a) for a in enumerate_multi(d, n)], f, r)
+                for n in orders
+            )
+            assert got.value**2 == pytest.approx(want, rel=1e-11, abs=1e-300), entry.label
+            # err is a rounding bound, far below the quadrature tolerances
+            assert got.err <= 1e-11 * got.value
+
+    @pytest.mark.parametrize("d, k", [(2, 2), (3, 1)])
+    def test_corotational_matches_quadrature(self, corpus, d, k):
+        for entry in corpus:
+            f = entry.profile
+            got = _corot_lhs_detail(CorotField(d, f), k, 1.0)
+            want = sum(
+                quadrature_square(
+                    d,
+                    [_corot_forward_terms(d, a, i) for a in enumerate_multi(d, n) for i in range(1, d + 1)],
+                    f,
+                    1.0,
+                )
+                for n in range(k + 1)
+            )
+            assert got.value**2 == pytest.approx(want, rel=1e-11, abs=1e-300), entry.label
+
+    def test_route_runs_no_quadrature_and_no_term_products(self, corpus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed-form p = 2 route must not call this")
+
+        for module, name in [(norms, "integrate_1d"), (norms, "integrate_power_weight"),
+                             (norms, "rough_scale"), (quad, "integrate_1d"),
+                             (quad, "integrate_halfline")]:
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(_TermSum, "__mul__", forbidden)
+        monkeypatch.setattr(_TermSum, "__rmul__", forbidden)
+        f = Profile([(3, 4, 2), (-1, 2, Fraction(1, 2)), (Fraction(5, 8), 0, 1)])
+        assert _ball_def_exact(RadialField(3, f), range(3), 2.0, 1.0, 1e-10).value > 0
+        assert _ball_def_exact(RadialField(3, f), [2], 2.0, math.inf, 1e-10).value > 0
+        assert _corot_lhs_detail(CorotField(3, f), 2, 1.0).value > 0

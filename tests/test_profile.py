@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from radsob.profile import (
@@ -188,3 +191,31 @@ class TestCorpus:
         assert loaded == corpus
         doc = json.loads(path.read_text())
         assert {"terms", "label"} <= set(doc[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.fractions(min_value=-8, max_value=8, max_denominator=10**6),
+                    st.integers(min_value=0, max_value=12),
+                    st.fractions(min_value=0, max_value=8, max_denominator=10**6),
+                ),
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_save_load_round_trip_is_exact(self, term_lists):
+        entries = [CorpusEntry(f"p{i}", Profile(terms)) for i, terms in enumerate(term_lists)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.json"
+            save_corpus(entries, path)
+            assert load_corpus(path) == entries
+
+    def test_loads_float_coefficients(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"label": "x", "terms": [[0.5, 2, 1.0], [-3, 0, "1/3"]]}]')
+        (entry,) = load_corpus(path)
+        assert entry.profile == Profile([(Fraction(1, 2), 2, 1), (-3, 0, Fraction(1, 3))])
