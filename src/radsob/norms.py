@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .derivcalc import (
     AngularMatrix,
@@ -64,11 +63,16 @@ _EPS = 2.0**-52
 
 
 class NormValue(NamedTuple):
-    """A computed norm with its total error estimate and Monte Carlo part."""
+    """A computed norm with its total error estimate and Monte Carlo part.
+
+    ``converged`` is False when an adaptive quadrature behind the value
+    missed its tolerance, so ``err`` may exceed the requested accuracy.
+    """
 
     value: float
     err: float
     mc_se: float = 0.0
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,72 @@ def _is_even_power(p: float) -> bool:
     return p == int(p) and int(p) % 2 == 0
 
 
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 4 * _EPS
+_ROOT_MAXITER = 100
+
+
+def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) as in the common ``brentq`` formulation:
+    inverse quadratic interpolation or secant steps, falling back to
+    bisection, until the bracket is shorter than _ROOT_XTOL + _ROOT_RTOL |x|.
+    Raises ``ValueError`` for a bad bracket or a NaN value and
+    ``RuntimeError`` when _ROOT_MAXITER steps do not converge; it never
+    returns an unconverged root.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("the function value is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError("the function value is NaN")
+    raise RuntimeError(
+        f"Brent root finder did not converge in {_ROOT_MAXITER} steps on [{a}, {b}]"
+    )
+
+
 @lru_cache(maxsize=8192)
 def _sign_changes(prof, upper: float) -> tuple[float, ...]:
     """Interior sign changes of a term-list function on (0, upper).
@@ -167,7 +237,7 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...]:
                 out.append(float(xs[i]))
             continue
         if v0 * v1 < 0.0:
-            out.append(float(brentq(prof.eval, xs[i], xs[i + 1], xtol=1e-15)))
+            out.append(_brent_root(prof.eval, xs[i], xs[i + 1]))
     return tuple(out)
 
 
@@ -320,7 +390,12 @@ def _ball_def_exact(
         powsum = sphere_area(d) * res.value
         value = max(powsum, 0.0) ** (1.0 / p)
         err = sphere_area(d) * res.error_estimate
-        return NormValue(value, err * value / (p * powsum) if powsum > 0 else err ** (1.0 / p), 0.0)
+        return NormValue(
+            value,
+            err * value / (p * powsum) if powsum > 0 else err ** (1.0 / p),
+            0.0,
+            res.converged,
+        )
     raise ValueError("the exact-angular method requires p = 2 (or order k = 0)")
 
 
@@ -461,12 +536,13 @@ def sobolev_ball_definition(
 # ---------------------------------------------------------------------------
 
 def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValue:
+    converged = all(res.converged for res in pieces)
     if aggregation == "p-power":
         powsum = sum(max(res.value, 0.0) for res in pieces)
         err_pow = sum(res.error_estimate for res in pieces)
         value = powsum ** (1.0 / p)
         err = err_pow * value / (p * powsum) if powsum > 0 else err_pow ** (1.0 / p)
-        return NormValue(value, err, 0.0)
+        return NormValue(value, err, 0.0, converged)
     if aggregation == "sum-of-norms":
         value = 0.0
         err = 0.0
@@ -479,7 +555,7 @@ def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValu
                 if piece_pow > 0
                 else res.error_estimate ** (1.0 / p)
             )
-        return NormValue(value, err, 0.0)
+        return NormValue(value, err, 0.0, converged)
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
@@ -909,7 +985,8 @@ def equivalence_report(
     sphere-area constants either way, so the k = 0 ratio def/D equals
     |S^(d-1)|^(1/p) exactly).  Zero profiles and, on the half-line,
     non-decaying profiles are excluded from ratio statistics and listed
-    under ``degenerate``.
+    under ``degenerate``, as are profiles with a non-finite norm or with a
+    quadrature that missed ``tol`` (their entries are still reported).
     """
     if method not in ("exact-angular", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
@@ -972,6 +1049,8 @@ def equivalence_report(
         values = (v_def.value, v_D.value, v_sq.value)
         if not all(math.isfinite(v) for v in values):
             report.degenerate.append({"label": entry.label, "reason": "non-finite norm"})
+        elif not (v_def.converged and v_D.converged and v_sq.converged):
+            report.degenerate.append({"label": entry.label, "reason": "unconverged quadrature"})
         elif all(v > 0 for v in values):
             pairs["def/D"].append(v_def.value / v_D.value)
             pairs["def/squared"].append(v_def.value / v_sq.value)

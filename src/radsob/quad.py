@@ -17,9 +17,9 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
-_NODES, _WEIGHTS = roots_legendre(15)
+_NODES, _WEIGHTS = leggauss(15)
 _EPS = 2.0**-52
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,32 @@ class TestEquiv:
         rc, out, err = run_cli(capsys, ["equiv", "--corpus", "/nonexistent.json"])
         assert rc == 2
 
+    def test_unconverged_quadrature_is_degenerate(self, capsys):
+        rc, out, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1", "--tol", "1e-30"])
+        assert rc == 0
+        doc = json.loads(out, parse_constant=reject_constant)
+        unconverged = {
+            row["label"] for row in doc["degenerate"] if row["reason"] == "unconverged quadrature"
+        }
+        # every profile whose D or squared error is not zero missed the tolerance;
+        # its entries stay in the table but its ratios are left out
+        missed = {
+            e["label"] for e in doc["entries"] if e["route"] in ("D", "squared") and e["err"] > 0
+        }
+        assert missed and unconverged == missed
+        value = {(e["label"], e["route"]): e["value"] for e in doc["entries"]}
+        kept = sorted({label for label, _ in value} - unconverged)
+        assert kept == ["one"]
+        for row in doc["ratios"]:
+            num, den = row["pair"].split("/")
+            want = value[("one", num)] / value[("one", den)]
+            assert row["min"] == row["max"] == want
+
+    def test_default_tolerance_converges(self, capsys):
+        rc, out, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1"])
+        assert rc == 0
+        assert all(row["reason"] != "unconverged quadrature" for row in json.loads(out)["degenerate"])
+
 
 class TestExitCodes:
     def test_unconverged_quadrature_is_numerical_failure(self, capsys):
@@ -210,3 +240,64 @@ class TestMoments:
         values = {tuple(m["beta"]): m["value"] for m in doc["moments"]}
         assert values[(1, 1)] == 0.0
         assert values[(2, 0)] == pytest.approx(3.141592653589793, rel=1e-12)
+
+
+_BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+class TestRuntimeWithoutScipy:
+    """scipy is a test-only dependency: the package neither imports nor needs it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--dim", "2", "--k", "1"],
+            # odd/fractional p on the half-line: exercises the kink splitting root finder
+            ["equiv", "--dim", "3", "--k", "1", "--p", "1.5", "--radius", "inf",
+             "--method", "monte-carlo", "--samples", "500"],
+            ["verify", "hardy"],
+            ["verify", "identities"],
+        ],
+    )
+    def test_commands_run_with_scipy_blocked(self, argv):
+        code = _BLOCK_SCIPY + f"""
+import radsob.cli
+
+sys.exit(radsob.cli.main({argv!r}))
+"""
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        code = """
+import sys
+
+import radsob.cli
+
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        proc = _run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

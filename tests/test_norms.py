@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radsob import norms, quad
 from radsob.derivcalc import _corot_forward_terms, forward_terms
@@ -490,3 +491,104 @@ class TestClosedFormRoute:
         assert _ball_def_exact(RadialField(3, f), range(3), 2.0, 1.0, 1e-10).value > 0
         assert _ball_def_exact(RadialField(3, f), [2], 2.0, math.inf, 1e-10).value > 0
         assert _corot_lhs_detail(CorotField(3, f), 2, 1.0).value > 0
+
+
+def _scan_brackets(prof, upper, monkeypatch):
+    """The brackets the kink scan of ``_sign_changes`` hands to the root finder, with its roots."""
+    found = []
+    solve = norms._brent_root
+
+    def recording(f, a, b):
+        root = solve(f, a, b)
+        found.append((float(a), float(b), root))
+        return root
+
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_brent_root", recording)
+        norms._sign_changes.__wrapped__(prof, upper)
+    return found
+
+
+def _kink_candidates(f):
+    """The term lists whose sign changes the D and squared routes split at, up to order 3."""
+    ft = to_squared(f)
+    return [d_op(f, j) for j in range(4)] + [ft.derivative(j) for j in range(4)]
+
+
+class TestBrentRoot:
+    def _assert_matches_reference(self, prof, brackets):
+        from scipy.optimize import brentq
+
+        for a, b, root in brackets:
+            assert root == brentq(prof.eval, a, b, xtol=1e-15)
+            assert a <= root <= b
+
+    def test_matches_reference_on_builtin_corpus_brackets(self, corpus, monkeypatch):
+        total = 0
+        for entry in corpus:
+            for prof in _kink_candidates(entry.profile):
+                for upper in (1.0, 2.0):
+                    brackets = _scan_brackets(prof, upper, monkeypatch)
+                    self._assert_matches_reference(prof, brackets)
+                    total += len(brackets)
+        assert total > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-2, max_value=2, max_denominator=8),
+                st.sampled_from([0, 2, 4, 6]),
+                st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([1.0, 2.0, 3.0]),
+    )
+    # a bracket where a loosened step-acceptance rule changes the last bit
+    @example([(Fraction(1), 2, Fraction(1)), (Fraction(1), 6, Fraction(2))], 1.0)
+    def test_matches_reference_on_drawn_profiles(self, terms, upper):
+        prof = Profile(terms)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for g in _kink_candidates(prof):
+                self._assert_matches_reference(g, _scan_brackets(g, upper, monkeypatch))
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: x**9 - 1e-4, 0.0, 1.0),
+            (lambda x: math.expm1(20 * (x - 0.7)), 0.0, 1.0),
+            (lambda x: math.atan(x - 0.3), -5.0, 20.0),
+        ],
+    )
+    def test_same_steps_as_reference(self, f, a, b):
+        from scipy.optimize import brentq
+
+        ours, theirs = [], []
+
+        def logged(log):
+            return lambda x: log.append(x) or f(x)
+
+        assert norms._brent_root(logged(ours), a, b) == brentq(logged(theirs), a, b, xtol=1e-15)
+        assert ours == theirs
+
+    def test_endpoint_root_and_exact_roots(self):
+        assert norms._brent_root(lambda x: x - 0.5, 0.5, 1.0) == 0.5
+        assert norms._brent_root(lambda x: x * x - 2.0, 1.0, 2.0) == pytest.approx(
+            math.sqrt(2.0), rel=4 * 2.0**-52
+        )
+
+    def test_bad_bracket_and_nan_rejected(self):
+        with pytest.raises(ValueError):
+            norms._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            norms._brent_root(lambda x: math.nan, 0.0, 1.0)
+
+    def test_unconverged_search_raises(self):
+        # at a triple root the bracket shrinks too slowly to meet the tolerance
+        # in 100 steps; the reference solver fails on it the same way
+        with pytest.raises(RuntimeError):
+            norms._brent_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0)

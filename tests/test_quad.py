@@ -8,6 +8,8 @@ import pytest
 
 from radsob.profile import Profile
 from radsob.quad import (
+    _NODES,
+    _WEIGHTS,
     QuadResult,
     SphereSampler,
     _panel,
@@ -193,6 +195,18 @@ class TestMonteCarlo:
     def test_empty_sampler_rejected(self):
         with pytest.raises(ValueError):
             mc_sphere_integral(lambda pts: np.ones(0), SphereSampler(2, 1, 0))
+
+
+class TestGaussLegendreRule:
+    def test_matches_independent_nodes_and_weights(self):
+        from scipy.special import roots_legendre
+
+        nodes, weights = roots_legendre(15)
+        assert np.max(np.abs(_NODES - nodes)) <= 2e-15
+        assert np.max(np.abs(_WEIGHTS - weights)) <= 2e-15
+
+    def test_one_panel_is_exact_to_degree_28(self):
+        assert _panel(lambda x: x**28, 0.0, 1.0) == pytest.approx(1.0 / 29.0, rel=1e-14)
 
 
 class TestCompositeNodes:
