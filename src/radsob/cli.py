@@ -176,12 +176,17 @@ def _suite_identities(args, checks: list) -> None:
     for d in (2, 3):
         for p in (1.0, 2.0):
             for entry in corpus:
-                field = RadialField(d, entry.profile)
-                v_def, v_d, v_sq = norms.lp_radial(field, p, r, tol=min(args.tol, 1e-12))
+                name = f"lp-identity d={d} p={p:g} r={r:g} {entry.label}"
+                routes = norms._lp_detail(RadialField(d, entry.profile), p, r, min(args.tol, 1e-12))
+                if not all(v.converged for v in routes):
+                    raise QuadratureConvergenceError(
+                        f"{name}: a quadrature missed its tol", max(v.err for v in routes)
+                    )
+                v_def, v_d, v_sq = (v.value for v in routes)
                 err = max(_rel_diff(v_def, v_d), _rel_diff(v_def, v_sq))
                 checks.append(
                     {
-                        "name": f"lp-identity d={d} p={p:g} r={r:g} {entry.label}",
+                        "name": name,
                         "pass": err <= args.tol,
                         "error": err,
                     }
@@ -226,40 +231,29 @@ def _suite_hardy(args, checks: list) -> None:
     slack_tol = max(args.tol, 1e-10)
     p_grid = (1.0, 2.0, 3.0)
     r_grid = (0.5, 1.0, 2.0)
+
+    def check(name: str, rep: norms.InequalityReport) -> None:
+        if not rep.converged:
+            raise QuadratureConvergenceError(f"{name}: a quadrature missed its tol", rep.quad_err)
+        checks.append({"name": name, "pass": rep.slack >= -slack_tol, "error": min(rep.slack, 0.0)})
+
+    if args.s is not None and args.s <= -1.0 / max(p_grid):
+        # a configuration error (exit 2) for some p of the grid, found before any quadrature runs
+        raise ValueError(f"need s > -1/p = {-1.0 / max(p_grid)} for every p, got {args.s}")
     for p in p_grid:
         if args.s is not None:
-            # precondition check happens inside hardy_check and maps to exit 2
             s_grid = (args.s,)
         else:
             s_grid = (-1.0 / (2.0 * p), 0.0, 0.5, 1.0, 3.0)
         for s in s_grid:
             for r in r_grid:
                 for entry in corpus:
-                    rep = norms.hardy_check(entry.profile, p, r, s)
-                    checks.append(
-                        {
-                            "name": f"hardy p={p:g} s={s:g} r={r:g} {entry.label}",
-                            "pass": rep.slack >= -slack_tol,
-                            "error": min(rep.slack, 0.0),
-                        }
-                    )
-                    brep = norms.boundary_check(entry.profile, p, r, s)
-                    checks.append(
-                        {
-                            "name": f"boundary p={p:g} s={s:g} r={r:g} {entry.label}",
-                            "pass": brep.slack >= -slack_tol,
-                            "error": min(brep.slack, 0.0),
-                        }
-                    )
+                    tag = f"p={p:g} s={s:g} r={r:g} {entry.label}"
+                    check(f"hardy {tag}", norms.hardy_check(entry.profile, p, r, s))
+                    check(f"boundary {tag}", norms.boundary_check(entry.profile, p, r, s))
             for entry in profile.halfline_corpus(corpus):
                 rep = norms.hardy_check(entry.profile, p, math.inf, s)
-                checks.append(
-                    {
-                        "name": f"hardy-halfline p={p:g} s={s:g} {entry.label}",
-                        "pass": rep.slack >= -slack_tol,
-                        "error": min(rep.slack, 0.0),
-                    }
-                )
+                check(f"hardy-halfline p={p:g} s={s:g} {entry.label}", rep)
 
 
 def _suite_gram(args, checks: list) -> None:

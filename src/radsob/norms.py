@@ -34,7 +34,6 @@ import numpy as np
 
 from .derivcalc import (
     AngularMatrix,
-    _corot_forward_terms,
     angular_matrix,
     corot_angular_matrix,
     forward_terms,
@@ -129,8 +128,8 @@ class CorotField:
 # Shared integration helpers
 # ---------------------------------------------------------------------------
 
-def _gauss_envelope(prof, p: float = 1.0, extra_power: float = 0.0) -> tuple[float, int, float]:
-    """(coeff, power, rate) dominating x^extra_power * |prof(x)|^p.
+def _gauss_envelope(prof, p: float = 1.0) -> tuple[float, int, float]:
+    """(coeff, power, rate) dominating |prof(x)|^p.
 
     The bound is coeff * (1 + x^power) * exp(-rate * x^2) for profiles in
     rho, or exp(-rate * x) for squared-argument profiles; rate comes from the
@@ -139,7 +138,7 @@ def _gauss_envelope(prof, p: float = 1.0, extra_power: float = 0.0) -> tuple[flo
     if prof.is_zero:
         return 0.0, 0, math.inf
     c = float(prof.coeff_abs_sum) ** p * 2 ** max(p - 1.0, 0.0)
-    power = math.ceil(prof.max_power * p + max(extra_power, 0.0))
+    power = math.ceil(prof.max_power * p)
     rate = p * float(prof.min_decay)
     return c, power, rate
 
@@ -285,32 +284,50 @@ def _weighted_lp_power(
     def core(x):
         return np.abs(prof.eval(x)) ** p
 
+    def weighted(x):
+        return x ** max(gamma, 0.0) * core(x)
+
     tail = 0.0
     if math.isinf(upper):
         coeff, power, rate = _gauss_envelope(prof, p)
         if rate <= 0:
             raise ValueError("half-line integration requires a decaying profile")
-        kind = _decay_kind(prof)
         ueff, tail = truncation_point(
-            1e-14
-            * max(
-                rough_scale(lambda x: x ** max(gamma, 0.0) * core(x), 0.0, 2.0), 1e-10
-            ),
+            1e-14 * max(rough_scale(weighted, 0.0, 2.0), 1e-10),
             rate,
             coeff,
             power + max(0, math.ceil(gamma)),
-            kind,
+            _decay_kind(prof),
         )
     else:
         ueff = upper
     scale = max(
-        rough_scale(lambda x: x ** max(gamma, 0.0) * core(x), 0.0, ueff),
-        rough_scale(lambda x: x ** max(gamma, 0.0) * core(x), 0.0, max(ueff / 4.0, ueff * 0.1)),
+        rough_scale(weighted, 0.0, ueff),
+        rough_scale(weighted, 0.0, max(ueff / 4.0, ueff * 0.1)),
         _TINY,
     )
     kinks = () if _is_even_power(p) else _sign_changes(prof, ueff)
     res = _piecewise_weighted(core, gamma, ueff, rel_tol * scale, kinks)
     return QuadResult(res.value, res.error_estimate + tail, res.subdivisions, res.converged)
+
+
+def _pth_root(powsum: float, err_pow: float, p: float) -> tuple[float, float]:
+    """A norm and its error from its p-th power and that power's error.
+
+    First-order rule err_pow * value / (p * powsum), or err_pow^(1/p) at a
+    zero sum; a negative sum (quadrature noise around zero) counts as zero.
+    """
+    powsum = max(powsum, 0.0)
+    value = powsum ** (1.0 / p)
+    if powsum > 0:
+        return value, err_pow * value / (p * powsum)
+    return value, err_pow ** (1.0 / p)
+
+
+def _scale_power(nv: NormValue, c: float, p: float) -> NormValue:
+    """The norm whose p-th power is c > 0 times that of ``nv``, errors included."""
+    root, _ = _pth_root(c, 0.0, p)
+    return NormValue(root * nv.value, root * nv.err, root * nv.mc_se, nv.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +346,6 @@ def _alpha_terms(d: int, alpha: MultiIndex, f: Profile) -> list[PolyProfileTerm]
     """Expansion of d^alpha f(|x|) as a list of polynomial x profile terms."""
     out = []
     for j, poly in forward_terms(d, tuple(alpha)):
-        out.append(PolyProfileTerm(poly, d_op(f, j), poly.homogeneous_degree()))
-    return out
-
-
-def _corot_alpha_terms(d: int, alpha: MultiIndex, i: int, f: Profile) -> list[PolyProfileTerm]:
-    """Expansion of d^alpha F_i for F_i(x) = x_i f(|x|)."""
-    out = []
-    for j, poly in _corot_forward_terms(d, tuple(alpha), i):
         out.append(PolyProfileTerm(poly, d_op(f, j), poly.homogeneous_degree()))
     return out
 
@@ -387,15 +396,9 @@ def _ball_def_exact(
     if list(orders) == [0]:
         # order zero is the plain L^p norm: the angular integral is exact for any p
         res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
-        powsum = sphere_area(d) * res.value
-        value = max(powsum, 0.0) ** (1.0 / p)
-        err = sphere_area(d) * res.error_estimate
-        return NormValue(
-            value,
-            err * value / (p * powsum) if powsum > 0 else err ** (1.0 / p),
-            0.0,
-            res.converged,
-        )
+        area = sphere_area(d)
+        value, err = _pth_root(area * res.value, area * res.error_estimate, p)
+        return NormValue(value, err, 0.0, res.converged)
     raise ValueError("the exact-angular method requires p = 2 (or order k = 0)")
 
 
@@ -484,12 +487,8 @@ def _ball_def_mc(
     area = sphere_area(d)
     pow_mean = area * float(acc.mean())
     se_pow = area * float(acc.std(ddof=1)) / math.sqrt(samples)
-    quad_pow = area * quad_err
-    if pow_mean <= 0:
-        return NormValue(0.0, (se_pow + quad_pow) ** (1.0 / p), se_pow ** (1.0 / p))
-    value = pow_mean ** (1.0 / p)
-    scale = value / (p * pow_mean)
-    return NormValue(value, (se_pow + quad_pow) * scale, se_pow * scale)
+    value, err = _pth_root(pow_mean, se_pow + area * quad_err, p)
+    return NormValue(value, err, _pth_root(pow_mean, se_pow, p)[1])
 
 
 def _ball_def_detail(
@@ -539,32 +538,20 @@ def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValu
     converged = all(res.converged for res in pieces)
     if aggregation == "p-power":
         powsum = sum(max(res.value, 0.0) for res in pieces)
-        err_pow = sum(res.error_estimate for res in pieces)
-        value = powsum ** (1.0 / p)
-        err = err_pow * value / (p * powsum) if powsum > 0 else err_pow ** (1.0 / p)
+        value, err = _pth_root(powsum, sum(res.error_estimate for res in pieces), p)
         return NormValue(value, err, 0.0, converged)
     if aggregation == "sum-of-norms":
-        value = 0.0
-        err = 0.0
-        for res in pieces:
-            piece_pow = max(res.value, 0.0)
-            piece = piece_pow ** (1.0 / p)
-            value += piece
-            err += (
-                res.error_estimate * piece / (p * piece_pow)
-                if piece_pow > 0
-                else res.error_estimate ** (1.0 / p)
-            )
-        return NormValue(value, err, 0.0, converged)
+        roots = [_pth_root(res.value, res.error_estimate, p) for res in pieces]
+        return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
 def _profile_d_detail(
-    f: Profile, d: int, k: int, p: float, r: float, aggregation: str, rel_tol: float
+    f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float
 ) -> NormValue:
-    wf = WeightFamily(d, k, p)
+    wf = WeightFamily(d, max(orders), p)
     pieces = []
-    for j in range(k + 1):
+    for j in orders:
         g = d_op(f, j)
         gamma = wf.route_d_exponent(j) * p  # = d - 1 + j p
         pieces.append(_weighted_lp_power(g, p, gamma, r, rel_tol))
@@ -589,21 +576,21 @@ def sobolev_profile_D(
     """
     if not f.is_even:
         raise ValueError("requires an even profile")
-    return _profile_d_detail(f, d, k, p, r, aggregation, tol).value
+    return _profile_d_detail(f, d, range(k + 1), p, r, aggregation, tol).value
 
 
 def _profile_squared_detail(
     ft: SquaredProfile,
     d: int,
-    k: int,
+    orders: Sequence[int],
     p: float,
     r_squared: float,
     aggregation: str,
     rel_tol: float,
 ) -> NormValue:
-    wf = WeightFamily(d, k, p)
+    wf = WeightFamily(d, max(orders), p)
     pieces = []
-    for j in range(k + 1):
+    for j in orders:
         g = ft.derivative(j)
         gamma = wf.route_squared_exponent(j) * p  # = (d - 2 + j p) / 2
         pieces.append(_weighted_lp_power(g, p, gamma, r_squared, rel_tol))
@@ -624,7 +611,7 @@ def sobolev_profile_squared(
     The j-th summand is the L^p(0, r^2) norm of s^((d-2)/(2p) + j/2) f~^(j)(s).
     ``r_squared`` may be ``math.inf`` for decaying profiles.
     """
-    return _profile_squared_detail(ft, d, k, p, r_squared, aggregation, tol).value
+    return _profile_squared_detail(ft, d, range(k + 1), p, r_squared, aggregation, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -638,62 +625,8 @@ class LpDetail(NamedTuple):
 
 
 def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDetail:
-    d = field.d
-    f = field.profile
-    area = sphere_area(d)
-
-    # definition route: |S^(d-1)| int rho^(d-1) |f|^p
-    res_def = _weighted_lp_power(f, p, d - 1, r, rel_tol)
-    pow_def = area * res_def.value
-    v_def = max(pow_def, 0.0) ** (1.0 / p)
-    e_def = area * res_def.error_estimate * (v_def / (p * pow_def) if pow_def > 0 else 1.0)
-
-    # radial-weight route: same identity written as a weighted 1D norm of f
-    e = (d - 1) / p
-
-    def integrand_d(rho):
-        return (rho**e * np.abs(f.eval(rho))) ** p
-
-    if f.is_zero:
-        res_D = QuadResult(0.0, 0.0, 0, True)
-    else:
-        tail = 0.0
-        if math.isinf(r):
-            coeff, power, rate = _gauss_envelope(f, p, 0.0)
-            if rate <= 0:
-                raise ValueError("half-line integration requires a decaying profile")
-            ueff, tail = truncation_point(
-                1e-14 * max(rough_scale(integrand_d, 0.0, 2.0), 1e-10),
-                rate,
-                coeff,
-                power + d - 1,
-                "gauss",
-            )
-        else:
-            ueff = r
-        scale = max(
-            rough_scale(integrand_d, 0.0, ueff),
-            rough_scale(integrand_d, 0.0, ueff / 4.0),
-            _TINY,
-        )
-        kinks = () if _is_even_power(p) else _sign_changes(f, ueff)
-        res_D = _piecewise_weighted(integrand_d, 0.0, ueff, rel_tol * scale, kinks)
-        res_D = QuadResult(
-            res_D.value, res_D.error_estimate + tail, res_D.subdivisions, res_D.converged
-        )
-    pow_D = area * res_D.value
-    v_D = max(pow_D, 0.0) ** (1.0 / p)
-    e_D = area * res_D.error_estimate * (v_D / (p * pow_D) if pow_D > 0 else 1.0)
-
-    # squared-argument route on (0, r^2)
-    ft = to_squared(f)
-    res_sq = _weighted_lp_power(ft, p, (d - 2) / 2.0, math.inf if math.isinf(r) else r * r, rel_tol)
-    pow_sq = (area / 2.0) * res_sq.value
-    v_sq = max(pow_sq, 0.0) ** (1.0 / p)
-    e_sq = (area / 2.0) * res_sq.error_estimate * (v_sq / (p * pow_sq) if pow_sq > 0 else 1.0)
-
-    return LpDetail(
-        NormValue(v_def, e_def), NormValue(v_D, e_D), NormValue(v_sq, e_sq)
+    return _homogeneous_detail(
+        field.profile, field.d, 0, p, r, "exact-angular", DEFAULT_SEED, 0, rel_tol
     )
 
 
@@ -702,9 +635,11 @@ def lp_radial(
 ) -> tuple[float, float, float]:
     """The L^p norm of the field by its three equal-by-identity routes.
 
-    Returns (value_def, value_D, value_squared); all three carry the exact
-    sphere-area constants of the identity, so they agree up to the combined
-    quadrature error, not merely up to equivalence.
+    Returns (value_def, value_D, value_squared): the k = 0 values of
+    ``sobolev_ball_definition`` (closed form at p = 2), ``sobolev_profile_D``
+    times |S^(d-1)|^(1/p) and ``sobolev_profile_squared`` times
+    (|S^(d-1)|/2)^(1/p), which agree up to the combined quadrature error.
+    Away from p = 2, def and D share one quadrature; squared is independent.
     """
     if p < 1 or (not math.isinf(r) and r <= 0):
         raise ValueError("need p >= 1 and r > 0")
@@ -717,30 +652,25 @@ def _homogeneous_detail(
     d: int,
     k: int,
     p: float,
+    r: float,
     method: str,
     seed: int,
     samples: int,
     rel_tol: float,
 ) -> LpDetail:
-    if not f.is_zero and not (f.min_decay and f.min_decay > 0):
-        raise ValueError("homogeneous norms require strictly positive decay in every term")
+    """The norms of the order-k derivatives alone, by the three routes.
+
+    Over the ball of radius r, or all of space when r = math.inf (every term
+    must then decay).  The p-th powers of the D and squared routes carry
+    |S^(d-1)| and |S^(d-1)|/2, the constants that make all three equal at k = 0.
+    """
+    if math.isinf(r) and not f.is_zero and not (f.min_decay and f.min_decay > 0):
+        raise ValueError("norms over all of space require strictly positive decay in every term")
     area = sphere_area(d)
-    field = RadialField(d, f)
-    v_def = _ball_def_detail(field, [k], p, math.inf, method, seed, samples, rel_tol)
-
-    g = d_op(f, k)
-    res_D = _weighted_lp_power(g, p, d - 1 + k * p, math.inf, rel_tol)
-    pow_D = area * res_D.value
-    vD = max(pow_D, 0.0) ** (1.0 / p)
-    eD = area * res_D.error_estimate * (vD / (p * pow_D) if pow_D > 0 else 1.0)
-
-    gt = to_squared(f).derivative(k)
-    res_sq = _weighted_lp_power(gt, p, (d - 2 + k * p) / 2.0, math.inf, rel_tol)
-    pow_sq = (area / 2.0) * res_sq.value
-    vsq = max(pow_sq, 0.0) ** (1.0 / p)
-    esq = (area / 2.0) * res_sq.error_estimate * (vsq / (p * pow_sq) if pow_sq > 0 else 1.0)
-
-    return LpDetail(v_def, NormValue(vD, eD), NormValue(vsq, esq))
+    v_def = _ball_def_detail(RadialField(d, f), [k], p, r, method, seed, samples, rel_tol)
+    v_D = _profile_d_detail(f, d, [k], p, r, "p-power", rel_tol)
+    v_sq = _profile_squared_detail(to_squared(f), d, [k], p, r * r, "p-power", rel_tol)
+    return LpDetail(v_def, _scale_power(v_D, area, p), _scale_power(v_sq, area / 2.0, p))
 
 
 def homogeneous_norm(
@@ -761,7 +691,7 @@ def homogeneous_norm(
     Requires every profile term to decay.
     """
     prof = f.profile if isinstance(f, RadialField) else f
-    detail = _homogeneous_detail(prof, d, k, p, method, seed, samples, tol)
+    detail = _homogeneous_detail(prof, d, k, p, math.inf, method, seed, samples, tol)
     return (detail.value_def.value, detail.value_D.value, detail.value_squared.value)
 
 
@@ -771,7 +701,10 @@ def homogeneous_norm(
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One evaluated weighted inequality: rhs terms, slack = rhs - lhs."""
+    """One evaluated weighted inequality: rhs terms, slack = rhs - lhs.
+
+    ``converged`` is False when a quadrature behind either side missed tol.
+    """
 
     name: str
     p: float
@@ -782,6 +715,7 @@ class InequalityReport:
     rhs: float
     slack: float
     quad_err: float
+    converged: bool
 
 
 def _check_hardy_params(p: float, s: float, r: float) -> None:
@@ -829,6 +763,7 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
         rhs=rhs,
         slack=rhs - lhs_res.value,
         quad_err=lhs_res.error_estimate + const**p * grad_res.error_estimate,
+        converged=lhs_res.converged and grad_res.converged,
     )
 
 
@@ -859,6 +794,7 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
         rhs=rhs,
         slack=rhs - lhs,
         quad_err=front * ((s + 1.0) ** p * zeroth_res.error_estimate + grad_res.error_estimate),
+        converged=zeroth_res.converged and grad_res.converged,
     )
 
 
@@ -1025,21 +961,10 @@ def equivalence_report(
                 {"label": entry.label, "reason": "no decay; not admissible on the half-line"}
             )
             continue
-        field = RadialField(d, f)
-        js = [k] if halfline else range(k + 1)
-        v_def = _ball_def_detail(field, js, p, r, method, seed, samples, tol)
-        wf = WeightFamily(d, k, p)
-        pieces_D = [
-            _weighted_lp_power(d_op(f, j), p, wf.route_d_exponent(j) * p, r, tol) for j in js
-        ]
-        v_D = _aggregate(pieces_D, p, aggregation)
-        ft = to_squared(f)
-        r_sq = math.inf if halfline else r * r
-        pieces_sq = [
-            _weighted_lp_power(ft.derivative(j), p, wf.route_squared_exponent(j) * p, r_sq, tol)
-            for j in js
-        ]
-        v_sq = _aggregate(pieces_sq, p, aggregation)
+        orders = [k] if halfline else range(k + 1)
+        v_def = _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, tol)
+        v_D = _profile_d_detail(f, d, orders, p, r, aggregation, tol)
+        v_sq = _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, tol)
 
         report.entries.append(ReportEntry(entry.label, "def", v_def.value, v_def.err, method))
         report.entries.append(ReportEntry(entry.label, "D", v_D.value, v_D.err, "exact-angular"))

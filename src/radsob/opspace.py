@@ -63,7 +63,7 @@ class TraceExtPair:
     def interval_norm(self, ft: SquaredProfile, tol: float = 1e-10) -> float:
         """Weighted interval norm on (0, r^2) in its p-power form."""
         return _profile_squared_detail(
-            ft, self.d, self.k, self.p, self.r * self.r, "p-power", tol
+            ft, self.d, range(self.k + 1), self.p, self.r * self.r, "p-power", tol
         ).value
 
 
@@ -109,7 +109,7 @@ def boundedness_report(
         v_field = _ball_def_detail(
             field, range(k + 1), p, r, method, seed, samples, tol
         )
-        v_trace = _profile_squared_detail(ft, d, k, p, r * r, "p-power", tol)
+        v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)
         report.entries.append(
             ReportEntry(entry.label, "field", v_field.value, v_field.err, method)
         )

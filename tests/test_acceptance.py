@@ -205,7 +205,7 @@ def _ratio_interval(corpus, d, k, p, tol):
     for entry in corpus:
         field = RadialField(d, entry.profile)
         v_def = _ball_def_detail(field, range(k + 1), p, 1.0, "exact-angular", 0, 0, tol)
-        v_d = _profile_d_detail(entry.profile, d, k, p, 1.0, "sum-of-norms", tol)
+        v_d = _profile_d_detail(entry.profile, d, range(k + 1), p, 1.0, "sum-of-norms", tol)
         ratios.append(v_def.value / v_d.value)
     return min(ratios), max(ratios)
 
@@ -230,7 +230,7 @@ def test_criterion_07_norm_equivalence_stability(corpus):
         for entry in corpus:
             field = RadialField(d, entry.profile)
             v_def = _ball_def_detail(field, range(k + 1), p, 1.0, "monte-carlo", seed, samples, 1e-9)
-            v_d = _profile_d_detail(entry.profile, d, k, p, 1.0, "sum-of-norms", 1e-9)
+            v_d = _profile_d_detail(entry.profile, d, range(k + 1), p, 1.0, "sum-of-norms", 1e-9)
             ratios.append((v_def.value / v_d.value, v_def.mc_se / v_d.value))
         intervals.append(ratios)
     for (r1, se1), (r2, se2) in zip(*intervals):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from radsob import norms
 from radsob.cli import RunConfig, main
 from radsob.profile import CorpusEntry, Profile, builtin_corpus, save_corpus
 
@@ -195,6 +197,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "did not converge" in err
         assert "Traceback" not in err
+
+    def test_unconverged_identity_is_numerical_failure(self, capsys):
+        # an unmeetable tol is a numerical failure, not a failed identity check (exit 1)
+        rc, out, err = run_cli(capsys, ["verify", "identities", "--tol", "1e-30"])
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error: lp-identity ") and "quadrature missed its tol" in err
+
+    def test_unconverged_inequality_is_numerical_failure(self, capsys, monkeypatch):
+        # the suite's quadratures run at a fixed tol (--tol sets only the slack
+        # threshold), so an unmeetable one is forced here
+        monkeypatch.setattr(norms, "hardy_check", functools.partial(norms.hardy_check, tol=1e-30))
+        rc, out, err = run_cli(capsys, ["verify", "hardy"])
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error: hardy ") and "quadrature missed its tol" in err
 
     @pytest.mark.parametrize(
         "flags",

@@ -14,8 +14,10 @@ from radsob.norms import (
     _alpha_terms,
     _ball_def_detail,
     _ball_def_exact,
-    _corot_alpha_terms,
     _corot_lhs_detail,
+    _profile_d_detail,
+    _profile_squared_detail,
+    _pth_root,
     boundary_check,
     corot_lhs,
     corot_report,
@@ -101,6 +103,25 @@ class TestLpRadial:
             lp_radial(RadialField(2, ONE), 0.5, 1.0)
         with pytest.raises(ValueError):
             lp_radial(RadialField(2, ONE), 2.0, -1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [1.0, math.inf])
+    def test_routes_are_the_k0_norms_with_constants(self, corpus, decaying_corpus, p, r):
+        # def is the k = 0 ball norm (closed form at p = 2); the 1D routes are the
+        # k = 0 profile norms with |S^(d-1)| and |S^(d-1)|/2 on their p-th powers
+        for entry in decaying_corpus if math.isinf(r) else corpus:
+            f = entry.profile
+            for d in (2, 3):
+                area = sphere_area(d)
+                field = RadialField(d, f)
+                want = (
+                    sobolev_ball_definition(field, 0, p, r, tol=1e-12),
+                    sobolev_profile_D(f, d, 0, p, r, tol=1e-12),
+                    sobolev_profile_squared(to_squared(f), d, 0, p, r * r, tol=1e-12),
+                )
+                got = lp_radial(field, p, r, tol=1e-12)
+                for g, w, c in zip(got, want, (1.0, area, area / 2)):
+                    assert g == pytest.approx(c ** (1 / p) * w, rel=4 * 2.0**-52, abs=0)
 
     def test_kink_splitting_regression(self):
         # |f| has a kink where f changes sign; without splitting the interval
@@ -203,6 +224,18 @@ class TestProfileRoutes:
             assert s <= (k + 1) ** (1 - 1 / p) * q * (1 + 1e-12)
 
 
+class TestPthRoot:
+    def test_positive_sum_first_order_rule(self):
+        value, err = _pth_root(8.0, 0.3, 3.0)
+        assert value == pytest.approx(2.0, rel=1e-15)
+        assert err == pytest.approx(0.3 * 2.0 / (3.0 * 8.0), rel=1e-15)
+
+    def test_zero_sum_takes_the_root_of_the_error(self):
+        assert _pth_root(0.0, 8e-12, 3.0) == (0.0, pytest.approx(2e-4, rel=1e-12))
+        # a negative sum is quadrature noise around zero
+        assert _pth_root(-1e-20, 1e-12, 2.0) == (0.0, pytest.approx(1e-6, rel=1e-12))
+
+
 class TestHomogeneous:
     def test_k0_identity(self):
         v_def, v_d, v_sq = homogeneous_norm(GAUSS, 2, 0, 2)
@@ -221,6 +254,23 @@ class TestHomogeneous:
         # at order one, the definition route collapses to the D route exactly
         assert v_def == pytest.approx(v_d, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_k1_routes_are_the_top_order_norms_with_constants(self, decaying_corpus, p):
+        method = "exact-angular" if p == 2 else "monte-carlo"
+        for entry in decaying_corpus[:4]:
+            f = entry.profile
+            for d in (2, 3):
+                area = sphere_area(d)
+                want = (
+                    _ball_def_detail(RadialField(d, f), [1], p, math.inf, method, 11, 2000, 1e-10),
+                    _profile_d_detail(f, d, [1], p, math.inf, "p-power", 1e-10),
+                    _profile_squared_detail(to_squared(f), d, [1], p, math.inf, "p-power", 1e-10),
+                )
+                constants = (1.0, area, area / 2)
+                got = homogeneous_norm(f, d, 1, p, method=method, seed=11, samples=2000)
+                for g, w, c in zip(got, want, constants):
+                    assert g == pytest.approx(c ** (1 / p) * w.value, rel=4 * 2.0**-52, abs=0)
+
     def test_routes_ratio_recorded_not_asserted(self, decaying_corpus):
         for entry in decaying_corpus[:4]:
             v_def, v_d, v_sq = homogeneous_norm(entry.profile, 3, 2, 2)
@@ -234,6 +284,12 @@ class TestHomogeneous:
 
 
 class TestHardy:
+    def test_convergence_flag(self):
+        assert hardy_check(GAUSS, 3, 1.0, 0.5).converged is True
+        assert hardy_check(GAUSS, 3, 1.0, 0.5, tol=1e-30).converged is False
+        assert boundary_check(GAUSS, 3, 1.0, 0.5).converged is True
+        assert boundary_check(GAUSS, 3, 1.0, 0.5, tol=1e-30).converged is False
+
     def test_constant_interval(self):
         rep = hardy_check(ONE, 2, 1.0, 0.0)
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
@@ -317,10 +373,10 @@ class TestCorot:
     def test_expansion_matches_hand_formula(self):
         # d/dx1 of x1 f(|x|) = f(|x|) + x1^2 (Df)(|x|)
         f = Profile([(1, 2, 1), (Fraction(1, 2), 0, 0)])
-        terms = _corot_alpha_terms(3, (1, 0, 0), 1, f)
+        terms = _corot_forward_terms(3, (1, 0, 0), 1)
         x = np.array([0.4, -0.2, 0.7])
         rho = float(np.linalg.norm(x))
-        got = sum(t.poly.eval(x) * t.radial.eval(rho) for t in terms)
+        got = sum(poly.eval(x) * d_op(f, j).eval(rho) for j, poly in terms)
         want = f.eval(rho) + x[0] ** 2 * d_op(f, 1).eval(rho)
         assert got == pytest.approx(want, rel=1e-13)
 
