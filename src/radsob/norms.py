@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -128,19 +129,22 @@ class CorotField:
 # Shared integration helpers
 # ---------------------------------------------------------------------------
 
-def _gauss_envelope(prof, p: float = 1.0) -> tuple[float, int, float]:
-    """(coeff, power, rate) dominating |prof(x)|^p.
+def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
+    """(coeff, power, rate) dominating |sum_i w_i x^(e_i) prof_i(x)|^p for |w_i| <= bound_i.
 
-    The bound is coeff * (1 + x^power) * exp(-rate * x^2) for profiles in
-    rho, or exp(-rate * x) for squared-argument profiles; rate comes from the
-    smallest decay in the term list and must be positive for half-line use.
+    ``parts`` lists the (prof_i, bound_i, e_i); a plain profile is
+    [(prof, 1, 0)].  The bound is coeff * (1 + x^power) * exp(-rate * x^2)
+    for profiles in rho, or exp(-rate * x) for squared-argument profiles;
+    rate comes from the smallest decay over all terms and must be positive
+    for half-line use.
     """
-    if prof.is_zero:
+    live = [(prof, bound, e) for prof, bound, e in parts if not prof.is_zero]
+    if not live:
         return 0.0, 0, math.inf
-    c = float(prof.coeff_abs_sum) ** p * 2 ** max(p - 1.0, 0.0)
-    power = math.ceil(prof.max_power * p)
-    rate = p * float(prof.min_decay)
-    return c, power, rate
+    c = float(sum(bound * prof.coeff_abs_sum for prof, bound, _ in live)) ** p
+    power = math.ceil(max(prof.max_power + e for prof, _, e in live) * p)
+    rate = p * float(min(prof.min_decay for prof, _, _ in live))
+    return c * 2 ** max(p - 1.0, 0.0), power, rate
 
 
 def _decay_kind(prof) -> str:
@@ -289,7 +293,7 @@ def _weighted_lp_power(
 
     tail = 0.0
     if math.isinf(upper):
-        coeff, power, rate = _gauss_envelope(prof, p)
+        coeff, power, rate = _gauss_envelope([(prof, 1, 0)], p)
         if rate <= 0:
             raise ValueError("half-line integration requires a decaying profile")
         ueff, tail = truncation_point(
@@ -374,14 +378,6 @@ def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float
     return math.fsum(parts), err
 
 
-def _l2_norm(squares: Sequence[tuple[float, float]]) -> NormValue:
-    """Norm and error from (squared norm, error) pieces."""
-    total = max(math.fsum(v for v, _ in squares), 0.0)
-    err = sum(e for _, e in squares)
-    value = math.sqrt(total)
-    return NormValue(value, err / (2 * value) if value > 0 else math.sqrt(err), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # The d-dimensional definition route
 # ---------------------------------------------------------------------------
@@ -392,7 +388,9 @@ def _ball_def_exact(
     d = field.d
     f = field.profile
     if p == 2:
-        return _l2_norm([_form_square(angular_matrix(d, n), f, r) for n in orders])
+        squares = [_form_square(angular_matrix(d, n), f, r) for n in orders]
+        value, err = _pth_root(math.fsum(v for v, _ in squares), sum(e for _, e in squares), 2)
+        return NormValue(value, err)
     if list(orders) == [0]:
         # order zero is the plain L^p norm: the angular integral is exact for any p
         res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
@@ -445,42 +443,37 @@ def _ball_def_mc(
     sampler = SphereSampler(d, seed, samples)
     pts = sampler.points
 
+    # the nonzero summands poly(x) * radial(|x|) of each d^alpha f, alpha of every order
     all_terms: list[list[PolyProfileTerm]] = []
     for n in orders:
         for alpha in enumerate_multi(d, n):
-            all_terms.append(_alpha_terms(d, alpha, f))
+            live = [t for t in _alpha_terms(d, alpha, f) if not t.radial.is_zero]
+            if live:
+                all_terms.append(live)
 
     tail_total = 0.0
+    R = r
     if math.isinf(r):
         R = 1.0
         for terms in all_terms:
-            live = [t for t in terms if not t.radial.is_zero]
-            if not live:
-                continue
-            chat = 2.0 * sum(float(t.radial.coeff_abs_sum) for t in live)
-            ahat = max(t.radial.max_power + t.degree for t in live)
-            bhat = min(float(t.radial.min_decay) for t in live)
-            if bhat <= 0:
+            # on the unit sphere |poly| is at most its absolute coefficient sum
+            coeff, power, rate = _gauss_envelope(
+                [(t.radial, sum(map(abs, t.poly.coeffs.values())), t.degree) for t in terms], p
+            )
+            if rate <= 0:
                 raise ValueError("half-line integration requires a decaying profile")
-            coeff = chat**p * 2 ** max(p - 1.0, 0.0)
-            power = math.ceil(ahat * p) + d - 1
-            T, tail = truncation_point(1e-10 * (1.0 + coeff), p * bhat, coeff, power, "gauss")
+            T, tail = truncation_point(1e-10 * (1.0 + coeff), rate, coeff, power + d - 1, "gauss")
             R = max(R, T)
             tail_total += tail
-    else:
-        R = r
 
     fine = composite_nodes(0.0, R, _MC_FINE_PANELS)
     coarse = composite_nodes(0.0, R, _MC_COARSE_PANELS)
     acc = np.zeros(samples)
     quad_err = tail_total
     for terms in all_terms:
-        live = [t for t in terms if not t.radial.is_zero]
-        if not live:
-            continue
-        V = np.stack([t.poly.eval_many(pts) for t in live])
-        acc_alpha = _mc_accumulate(live, V, fine[0], fine[1], d, p)
-        acc_coarse = _mc_accumulate(live, V, coarse[0], coarse[1], d, p)
+        V = np.stack([t.poly.eval_many(pts) for t in terms])
+        acc_alpha = _mc_accumulate(terms, V, fine[0], fine[1], d, p)
+        acc_coarse = _mc_accumulate(terms, V, coarse[0], coarse[1], d, p)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
         acc += acc_alpha
 
@@ -549,12 +542,11 @@ def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValu
 def _profile_d_detail(
     f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float
 ) -> NormValue:
-    wf = WeightFamily(d, max(orders), p)
+    WeightFamily(d, max(orders), p)  # validates (d, p)
     pieces = []
     for j in orders:
-        g = d_op(f, j)
-        gamma = wf.route_d_exponent(j) * p  # = d - 1 + j p
-        pieces.append(_weighted_lp_power(g, p, gamma, r, rel_tol))
+        gamma = float(d - 1 + j * Fraction(p))  # p ((d-1)/p + j), rounded once
+        pieces.append(_weighted_lp_power(d_op(f, j), p, gamma, r, rel_tol))
     return _aggregate(pieces, p, aggregation)
 
 
@@ -588,12 +580,11 @@ def _profile_squared_detail(
     aggregation: str,
     rel_tol: float,
 ) -> NormValue:
-    wf = WeightFamily(d, max(orders), p)
+    WeightFamily(d, max(orders), p)  # validates (d, p)
     pieces = []
     for j in orders:
-        g = ft.derivative(j)
-        gamma = wf.route_squared_exponent(j) * p  # = (d - 2 + j p) / 2
-        pieces.append(_weighted_lp_power(g, p, gamma, r_squared, rel_tol))
+        gamma = float((d - 2 + j * Fraction(p)) / 2)  # p ((d-2)/(2p) + j/2), rounded once
+        pieces.append(_weighted_lp_power(ft.derivative(j), p, gamma, r_squared, rel_tol))
     return _aggregate(pieces, p, aggregation)
 
 
@@ -803,7 +794,9 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
 # ---------------------------------------------------------------------------
 
 def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
-    return _l2_norm([_form_square(corot_angular_matrix(F.d, n), F.profile, r) for n in range(k + 1)])
+    squares = [_form_square(corot_angular_matrix(F.d, n), F.profile, r) for n in range(k + 1)]
+    value, err = _pth_root(math.fsum(v for v, _ in squares), sum(e for _, e in squares), 2)
+    return NormValue(value, err)
 
 
 def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
@@ -891,15 +884,50 @@ class NormReport:
         raise KeyError(pair)
 
 
-def _ratio_rows(pairs: dict[str, list[float]]) -> list[dict]:
-    rows = []
-    for pair in sorted(pairs):
-        vals = pairs[pair]
-        if vals:
-            rows.append({"pair": pair, "min": min(vals), "max": max(vals)})
-        else:
-            rows.append({"pair": pair, "min": None, "max": None})
-    return rows
+def _corpus_table(
+    params: dict,
+    corpus: Sequence[CorpusEntry],
+    routes: Callable[[Profile], Sequence[tuple[str, str, NormValue]]],
+    pairs: Sequence[tuple[str, str, str, int]],
+    inadmissible: Callable[[Profile], str | None] | None = None,
+) -> NormReport:
+    """The report of a set of norm routes over a corpus, with ratio ranges.
+
+    ``routes(f)`` gives one (route, method, NormValue) per route of the
+    profile f.  Each pair (name, numerator, denominator, power) becomes a
+    ratio row with the min and max of (numerator / denominator)^power over
+    the profiles, or nulls when none qualifies.  Zero profiles, and profiles
+    for which ``inadmissible`` returns a reason, get no entries; profiles
+    with a non-finite, unconverged or zero norm keep their entries but stay
+    out of the ratios.  All of them are listed under ``degenerate``.
+    """
+    report = NormReport(params)
+    ratios: dict[str, list[float]] = {name: [] for name, _, _, _ in pairs}
+    for entry in corpus:
+        f = entry.profile
+        reason = "zero profile" if f.is_zero else (inadmissible(f) if inadmissible else None)
+        if not reason:
+            values = {}
+            for route, method, nv in routes(f):
+                report.entries.append(ReportEntry(entry.label, route, nv.value, nv.err, method))
+                values[route] = nv
+            if not all(math.isfinite(v.value) for v in values.values()):
+                reason = "non-finite norm"
+            elif not all(v.converged for v in values.values()):
+                reason = "unconverged quadrature"
+            elif not all(v.value > 0 for v in values.values()):
+                reason = "zero norm"
+            else:
+                for name, num, den, power in pairs:
+                    # repeated products: x * x is correctly rounded, x ** 2 need not be
+                    ratios[name].append(math.prod([values[num].value / values[den].value] * power))
+        if reason:
+            report.degenerate.append({"label": entry.label, "reason": reason})
+    report.ratios = [
+        {"pair": name, "min": min(vals, default=None), "max": max(vals, default=None)}
+        for name, vals in sorted(ratios.items())
+    ]
+    return report
 
 
 def equivalence_report(
@@ -919,10 +947,9 @@ def equivalence_report(
     For finite r the routes are the full order-k ball norms; with
     r = math.inf only the top order enters (the 1D routes then carry no
     sphere-area constants either way, so the k = 0 ratio def/D equals
-    |S^(d-1)|^(1/p) exactly).  Zero profiles and, on the half-line,
-    non-decaying profiles are excluded from ratio statistics and listed
-    under ``degenerate``, as are profiles with a non-finite norm or with a
-    quadrature that missed ``tol`` (their entries are still reported).
+    |S^(d-1)|^(1/p) exactly).  Non-decaying profiles are not admissible on
+    the half-line; they and the other degenerate profiles are listed under
+    ``degenerate`` (see ``_corpus_table``).
     """
     if method not in ("exact-angular", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
@@ -936,54 +963,35 @@ def equivalence_report(
         raise ValueError(f"unknown aggregation {aggregation!r}")
 
     halfline = math.isinf(r)
-    report = NormReport(
-        params={
-            "report": "equivalence",
-            "d": d,
-            "k": k,
-            "p": p,
-            "r": "inf" if halfline else r,
-            "method": method,
-            "seed": seed,
-            "samples": samples,
-            "tol": tol,
-            "aggregation": aggregation,
-        }
-    )
-    pairs: dict[str, list[float]] = {"def/D": [], "def/squared": [], "D/squared": []}
-    for entry in corpus:
-        f = entry.profile
-        if f.is_zero:
-            report.degenerate.append({"label": entry.label, "reason": "zero profile"})
-            continue
-        if halfline and not (f.min_decay and f.min_decay > 0):
-            report.degenerate.append(
-                {"label": entry.label, "reason": "no decay; not admissible on the half-line"}
-            )
-            continue
-        orders = [k] if halfline else range(k + 1)
+    params = {
+        "report": "equivalence",
+        "d": d,
+        "k": k,
+        "p": p,
+        "r": "inf" if halfline else r,
+        "method": method,
+        "seed": seed,
+        "samples": samples,
+        "tol": tol,
+        "aggregation": aggregation,
+    }
+    orders = [k] if halfline else range(k + 1)
+
+    def routes(f: Profile):
         v_def = _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, tol)
         v_D = _profile_d_detail(f, d, orders, p, r, aggregation, tol)
         v_sq = _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, tol)
+        return [("def", method, v_def), ("D", "exact-angular", v_D),
+                ("squared", "exact-angular", v_sq)]
 
-        report.entries.append(ReportEntry(entry.label, "def", v_def.value, v_def.err, method))
-        report.entries.append(ReportEntry(entry.label, "D", v_D.value, v_D.err, "exact-angular"))
-        report.entries.append(
-            ReportEntry(entry.label, "squared", v_sq.value, v_sq.err, "exact-angular")
-        )
-        values = (v_def.value, v_D.value, v_sq.value)
-        if not all(math.isfinite(v) for v in values):
-            report.degenerate.append({"label": entry.label, "reason": "non-finite norm"})
-        elif not (v_def.converged and v_D.converged and v_sq.converged):
-            report.degenerate.append({"label": entry.label, "reason": "unconverged quadrature"})
-        elif all(v > 0 for v in values):
-            pairs["def/D"].append(v_def.value / v_D.value)
-            pairs["def/squared"].append(v_def.value / v_sq.value)
-            pairs["D/squared"].append(v_D.value / v_sq.value)
-        else:
-            report.degenerate.append({"label": entry.label, "reason": "zero norm"})
-    report.ratios = _ratio_rows(pairs)
-    return report
+    def no_decay(f: Profile) -> str | None:
+        if f.min_decay and f.min_decay > 0:
+            return None
+        return "no decay; not admissible on the half-line"
+
+    pairs = [("def/D", "def", "D", 1), ("def/squared", "def", "squared", 1),
+             ("D/squared", "D", "squared", 1)]
+    return _corpus_table(params, corpus, routes, pairs, no_decay if halfline else None)
 
 
 def corot_report(
@@ -996,24 +1004,12 @@ def corot_report(
     """Corotational H^k norms against the (d+2)-dimensional radial norms."""
     if d < 2 or k < 0 or r <= 0:
         raise ValueError("need d >= 2, k >= 0, r > 0")
-    report = NormReport(
-        params={"report": "corot", "d": d, "k": k, "p": 2, "r": r, "tol": tol}
-    )
-    pairs: dict[str, list[float]] = {"lhs/rhs": [], "(lhs/rhs)^2": []}
-    for entry in corpus:
-        f = entry.profile
-        if f.is_zero:
-            report.degenerate.append({"label": entry.label, "reason": "zero profile"})
-            continue
+
+    def routes(f: Profile):
         lhs = _corot_lhs_detail(CorotField(d, f), k, r)
         rhs = _ball_def_exact(RadialField(d + 2, f), range(k + 1), 2.0, r, tol)
-        report.entries.append(ReportEntry(entry.label, "lhs", lhs.value, lhs.err, "exact-angular"))
-        report.entries.append(ReportEntry(entry.label, "rhs", rhs.value, rhs.err, "exact-angular"))
-        if lhs.value > 0 and rhs.value > 0:
-            ratio = lhs.value / rhs.value
-            pairs["lhs/rhs"].append(ratio)
-            pairs["(lhs/rhs)^2"].append(ratio * ratio)
-        else:
-            report.degenerate.append({"label": entry.label, "reason": "zero norm"})
-    report.ratios = _ratio_rows(pairs)
-    return report
+        return [("lhs", "exact-angular", lhs), ("rhs", "exact-angular", rhs)]
+
+    params = {"report": "corot", "d": d, "k": k, "p": 2, "r": r, "tol": tol}
+    pairs = [("lhs/rhs", "lhs", "rhs", 1), ("(lhs/rhs)^2", "lhs", "rhs", 2)]
+    return _corpus_table(params, corpus, routes, pairs)

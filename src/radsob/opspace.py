@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .norms import (
-    NormReport,
-    ReportEntry,
-    _ball_def_detail,
-    _profile_squared_detail,
-    _ratio_rows,
-)
+from .norms import NormReport, _ball_def_detail, _corpus_table, _profile_squared_detail
 from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, from_squared, to_squared
 
 
@@ -82,44 +76,21 @@ def boundedness_report(
 
     For each profile, records the weighted interval norm of the trace, the
     ball norm of the field, and their ratio both ways; at k = 0 the ratio
-    trace-over-field equals (2 / |S^(d-1)|)^(1/p) exactly.
+    trace-over-field equals (2 / |S^(d-1)|)^(1/p) exactly.  Zero profiles
+    and profiles with a non-finite, unconverged or zero norm are listed
+    under ``degenerate``, as in every norm report.
     """
     pair = TraceExtPair(d, k, p, r)
-    report = NormReport(
-        params={
-            "report": "boundedness",
-            "d": d,
-            "k": k,
-            "p": p,
-            "r": r,
-            "method": method,
-            "tol": tol,
-        }
-    )
-    pairs: dict[str, list[float]] = {"trace/field": [], "field/trace": []}
-    for entry in corpus:
-        f = entry.profile
-        if f.is_zero:
-            report.degenerate.append({"label": entry.label, "reason": "zero profile"})
-            continue
+    params = {"report": "boundedness", "d": d, "k": k, "p": p, "r": r, "method": method, "tol": tol}
+
+    def routes(f: Profile):
         field = RadialField(d, f)
         ft = pair.forward(field)
         if pair.backward(ft) != field:
-            raise AssertionError(f"trace/extend round trip failed for {entry.label}")
-        v_field = _ball_def_detail(
-            field, range(k + 1), p, r, method, seed, samples, tol
-        )
+            raise AssertionError(f"trace/extend round trip failed for {f!r}")
+        v_field = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
         v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)
-        report.entries.append(
-            ReportEntry(entry.label, "field", v_field.value, v_field.err, method)
-        )
-        report.entries.append(
-            ReportEntry(entry.label, "trace", v_trace.value, v_trace.err, "exact-angular")
-        )
-        if v_field.value > 0 and v_trace.value > 0:
-            pairs["trace/field"].append(v_trace.value / v_field.value)
-            pairs["field/trace"].append(v_field.value / v_trace.value)
-        else:
-            report.degenerate.append({"label": entry.label, "reason": "zero norm"})
-    report.ratios = _ratio_rows(pairs)
-    return report
+        return [("field", method, v_field), ("trace", "exact-angular", v_trace)]
+
+    pairs = [("trace/field", "trace", "field", 1), ("field/trace", "field", "trace", 1)]
+    return _corpus_table(params, corpus, routes, pairs)

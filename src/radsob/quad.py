@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 
 _NODES, _WEIGHTS = leggauss(15)
 _EPS = 2.0**-52
+_SHORT_DENOMINATOR = 100  # largest m that integrate_power_weight takes from gamma's rational form
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -119,10 +120,12 @@ def integrate_power_weight(
 ) -> QuadResult:
     """Integral of x^gamma * g(x) over (0, upper) for gamma > -1.
 
-    Fractional weights are regularised by the substitution x = u^m (m chosen
-    so the transformed exponent is nonnegative, m = 2 whenever 2*gamma is an
-    integer), after which the integrand is continuous at 0 and plain
-    adaptive quadrature applies.
+    Fractional weights are regularised by the substitution x = u^m, which
+    turns x^gamma dx into m u^(m (gamma + 1) - 1) du.  m = 2 whenever 2*gamma
+    is an integer; otherwise, when gamma + 1 = n/m in lowest terms with
+    m <= 100, that m, so the new exponent n - 1 is a nonnegative integer and
+    the integrand is smooth at 0; otherwise m >= 1/(gamma + 1), which leaves
+    a nonnegative power of u.  Plain adaptive quadrature then applies.
     """
     if gamma <= -1:
         raise ValueError(f"weight exponent must be > -1, got {gamma}")
@@ -131,11 +134,14 @@ def integrate_power_weight(
     if gamma == int(gamma) and gamma >= 0:
         gi = int(gamma)
         return integrate_1d(lambda x: x**gi * g(x) if gi else g(x), 0.0, upper, tol, max_depth)
-    if 2 * gamma == int(2 * gamma):
-        m = 2
-    else:
-        m = max(2, math.ceil(1.0 / (gamma + 1.0)))
-    expo = m * gamma + m - 1  # >= 0 by choice of m
+    m, expo = 2, 2 * gamma + 1
+    if 2 * gamma != int(2 * gamma):
+        short = Fraction(gamma).limit_denominator(_SHORT_DENOMINATOR) + 1
+        if float(short - 1) == gamma:
+            m, expo = short.denominator, short.numerator - 1
+        else:
+            m = max(2, math.ceil(1.0 / (gamma + 1.0)))
+            expo = m * gamma + m - 1  # >= 0 by choice of m
 
     def substituted(u):
         return m * u**expo * g(u**m)

@@ -99,6 +99,12 @@ class TestVerify:
         assert out == ""
         assert "s >" in err
 
+    def test_hardy_short_decimal_s(self, capsys):
+        # the weight x^(p s) = x^-0.3 at p = 1 is integrated without a cusp (x = u^10)
+        rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "-0.3"])
+        assert rc == 0
+        assert json.loads(out)["passed"] is True
+
     def test_hardy_single_s(self, capsys):
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0

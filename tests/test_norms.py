@@ -1,15 +1,18 @@
+import hashlib
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from radsob import norms, quad
+from radsob import norms, opspace, quad
 from radsob.derivcalc import _corot_forward_terms, forward_terms
 from radsob.indexpoly import enumerate_multi
 from radsob.norms import (
     CorotField,
+    NormValue,
     WeightFamily,
     _alpha_terms,
     _ball_def_detail,
@@ -30,8 +33,9 @@ from radsob.norms import (
     sobolev_profile_D,
     sobolev_profile_squared,
 )
+from radsob.opspace import boundedness_report
 from radsob.profile import CorpusEntry, Profile, RadialField, _TermSum, d_op, to_squared
-from radsob.quad import integrate_1d, sphere_area, sphere_monomial_moment
+from radsob.quad import QuadResult, SphereSampler, integrate_1d, sphere_area, sphere_monomial_moment
 
 ONE = Profile([(1, 0, 0)])
 RHO2 = Profile([(1, 2, 0)])
@@ -170,6 +174,34 @@ class TestBallDefinition:
         b = sobolev_ball_definition(field, 1, 3, 1.0, **kwargs)
         assert a == b
 
+    @pytest.mark.parametrize("d, k", [(3, 3), (5, 4)])
+    def test_monte_carlo_halfline_envelope_dominates(self, d, k, monkeypatch):
+        # the truncation envelope of each d^alpha f bounds |sum_t P_t(w) rho^deg D^j f|^p
+        # for every direction w, with |P_t| up to 3.0 at (3, 3) and 5.99 at (5, 4)
+        f, p = Profile([(1, 0, 1), (-2, 2, 1)]), 1.0
+        envelopes = []
+        real = norms._gauss_envelope
+
+        def spy(parts, q):
+            envelopes.append(real(parts, q))
+            return envelopes[-1]
+
+        monkeypatch.setattr(norms, "_gauss_envelope", spy)
+        norms._ball_def_mc(RadialField(d, f), [k], p, math.inf, 1, 16, 1e-10)
+        pts = SphereSampler(d, 7, 4000).points
+        rho = np.linspace(0.0, 6.0, 241)
+        alphas = enumerate_multi(d, k)
+        assert len(envelopes) == len(alphas)
+        for alpha, (coeff, power, rate) in zip(alphas, envelopes):
+            terms = _alpha_terms(d, alpha, f)
+            V = np.stack([t.poly.eval_many(pts) for t in terms])
+            S = np.stack([t.radial.eval(rho) * rho**t.degree for t in terms], axis=1)
+            worst = (np.abs(S @ V) ** p).max(axis=1)
+            assert np.all(worst <= coeff * (1.0 + rho**power) * np.exp(-rate * rho**2))
+            # at p = 1 the coefficient covers each term's largest angular factor
+            angular = np.abs(V).max(axis=1)
+            assert coeff >= sum(a * float(t.radial.coeff_abs_sum) for a, t in zip(angular, terms))
+
     def test_monte_carlo_halfline(self):
         field = RadialField(3, GAUSS)
         exact = _ball_def_detail(field, [1], 2.0, math.inf, "exact-angular", 0, 0, 1e-11)
@@ -222,6 +254,43 @@ class TestProfileRoutes:
             q = sobolev_profile_D(entry.profile, 3, k, p, 1.0, aggregation="p-power")
             assert q <= s * (1 + 1e-12)
             assert s <= (k + 1) ** (1 - 1 / p) * q * (1 + 1e-12)
+
+
+    @pytest.mark.parametrize("route", ["D", "squared"])
+    def test_weight_exponents_are_rounded_once(self, route, monkeypatch):
+        # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded
+        seen = []
+
+        def spy(prof, p, gamma, upper, rel_tol):
+            seen.append(gamma)
+            return QuadResult(1.0, 0.0, 1, True)
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for d in range(2, 7):
+                for j in range(5):
+                    for p in (1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 7.0):
+                        if route == "D":
+                            _profile_d_detail(GAUSS, d, [j], p, 1.0, "p-power", 1e-10)
+                            want = Decimal(d - 1) + j * Decimal(p)
+                        else:
+                            ft = to_squared(GAUSS)
+                            _profile_squared_detail(ft, d, [j], p, 1.0, "p-power", 1e-10)
+                            want = (Decimal(d - 2) + j * Decimal(p)) / 2
+                        assert seen.pop() == float(want), (d, j, p)
+
+    def test_weight_exponent_examples(self, monkeypatch):
+        seen = []
+
+        def spy(prof, p, gamma, upper, rel_tol):
+            seen.append(gamma)
+            return QuadResult(1.0, 0.0, 1, True)
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        _profile_d_detail(GAUSS, 2, [4], 7.0, 1.0, "p-power", 1e-10)
+        _profile_d_detail(GAUSS, 3, [1], 1.5, 1.0, "p-power", 1e-10)
+        assert seen == [29.0, 3.5]
 
 
 class TestPthRoot:
@@ -289,6 +358,13 @@ class TestHardy:
         assert hardy_check(GAUSS, 3, 1.0, 0.5, tol=1e-30).converged is False
         assert boundary_check(GAUSS, 3, 1.0, 0.5).converged is True
         assert boundary_check(GAUSS, 3, 1.0, 0.5, tol=1e-30).converged is False
+
+    def test_short_decimal_weight_converges(self):
+        # x^-0.3 becomes u^6 under x = u^10, with no cusp left at 0
+        rep = hardy_check(ONE, 1, 0.5, -0.3)
+        assert rep.converged is True
+        assert rep.lhs == pytest.approx(0.5**0.7 / 0.7, rel=1e-13)
+        assert rep.slack >= -1e-12
 
     def test_constant_interval(self):
         rep = hardy_check(ONE, 2, 1.0, 0.0)
@@ -472,6 +548,78 @@ class TestReports:
         want = sphere_area(3) / sphere_area(5)
         assert lo == pytest.approx(want, rel=1e-8)
         assert hi == pytest.approx(want, rel=1e-8)
+
+
+class TestCorpusTable:
+    """The one table builder behind the equivalence, corot and boundedness reports."""
+
+    # sha256 of report JSON computed with the per-report builders this one replaced
+    EQUIVALENCE_SHA = "fd4439456f0d2b83dcdf81288156baa630cf78607f155ae367467851ba09141c"
+    BOUNDEDNESS_SHA = "3ee8f92174005336eda2d2331a187c31156d0045fcc2cf6d3268c9f45ea5eb64"
+    # corot: JSON with every err set to 0, and the errs themselves (the closed-form
+    # p = 2 errs now go through _pth_root, which rounds them differently in the last bits)
+    COROT_SHA = "152bcdb52fa4aadf5fe30f01bcc86599746f4f32f73fdc02a9216690acbb6653"
+    COROT_ERRS = (
+        "0x1.2375a4a069693p-48", "0x1.ce0f50ba7c0b2p-49", "0x1.5cf0df0221d05p-48",
+        "0x1.9b1ee901981ecp-48", "0x1.2f9a9e6a649d3p-47", "0x1.44c03bff8ddf4p-48",
+        "0x1.6f607c5fdec30p-46", "0x1.867a7e172ec48p-45",
+    )
+
+    @staticmethod
+    def sha(report):
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    def test_equivalence_and_boundedness_bytes_pinned(self, corpus):
+        assert self.sha(equivalence_report(corpus[:8], 3, 0, 3.0, 1.0)) == self.EQUIVALENCE_SHA
+        assert self.sha(boundedness_report(corpus[:8], 3, 0, 3.0, 1.0)) == self.BOUNDEDNESS_SHA
+
+    def test_corot_bytes_pinned_up_to_err_rounding(self, corpus):
+        report = corot_report(corpus[:4], 2, 1, 1.0)
+        errs = [e.err for e in report.entries]
+        for e in report.entries:
+            e.err = 0.0
+        assert self.sha(report) == self.COROT_SHA
+        for got, want in zip(errs, map(float.fromhex, self.COROT_ERRS), strict=True):
+            assert got == pytest.approx(want, rel=4e-16)
+
+    def test_unconverged_boundedness_entries_are_flagged_and_kept(self, corpus):
+        report = boundedness_report(corpus, 3, 0, 3.0, 1.0, tol=1e-30)
+        flagged = [row["label"] for row in report.degenerate]
+        assert len(flagged) == 22
+        assert {row["reason"] for row in report.degenerate} == {"unconverged quadrature"}
+        assert len(report.entries) == 2 * len(corpus)
+        assert not boundedness_report(corpus, 3, 0, 3.0, 1.0).degenerate
+
+    # report -> (module, route function to break, report builder)
+    REPORTS = {
+        "equivalence": (norms, "_profile_d_detail", lambda c: equivalence_report(c, 2, 1, 2, 1.0)),
+        "corot": (norms, "_corot_lhs_detail", lambda c: corot_report(c, 2, 1, 1.0)),
+        "boundedness": (
+            opspace, "_profile_squared_detail", lambda c: boundedness_report(c, 2, 1, 2, 1.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("report", sorted(REPORTS))
+    @pytest.mark.parametrize(
+        "value, reason",
+        [(math.nan, "non-finite norm"), (math.inf, "non-finite norm"), (0.0, "zero norm")],
+    )
+    def test_degenerate_route_value(self, report, value, reason, monkeypatch):
+        module, name, build = self.REPORTS[report]
+        gauss = [CorpusEntry("gauss", GAUSS)]
+        gauss_only = build(gauss).ratios
+        real = getattr(module, name)
+        calls = []
+
+        def broken_on_second_profile(*args):
+            calls.append(args)
+            return NormValue(value, 0.0) if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(module, name, broken_on_second_profile)
+        rep = build(gauss + [CorpusEntry("broken", Profile([(1, 4, 2)]))])
+        assert rep.degenerate == [{"label": "broken", "reason": reason}]
+        assert {e.label for e in rep.entries} == {"gauss", "broken"}
+        assert rep.ratios == gauss_only
 
 
 def quadrature_square(d, expansions, f, r):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from radsob import quad
 from radsob.profile import Profile
 from radsob.quad import (
     _NODES,
@@ -85,6 +86,31 @@ class TestPowerWeight:
     def test_rejects_nonintegrable(self):
         with pytest.raises(ValueError):
             integrate_power_weight(lambda x: x, -1.0, 1.0)
+
+    @pytest.mark.parametrize("gamma", [-0.3, -0.7, -0.37, 0.55, 1.25, 0.123456789])
+    def test_fractional_weights_converge(self, gamma):
+        res = integrate_power_weight(lambda x: 1.0 + x, gamma, 2.0, tol=1e-13)
+        want = 2.0 ** (gamma + 1) / (gamma + 1) + 2.0 ** (gamma + 2) / (gamma + 2)
+        assert res.converged
+        assert res.value == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "gamma, m",
+        [(-0.5, 2), (1.5, 2), (-0.3, 10), (-0.7, 10), (0.55, 20), (1.25, 4), (0.37, 100),
+         (0.123456789, 2)],
+    )
+    def test_substitution_exponent(self, gamma, m, monkeypatch):
+        # x = u^m: m = 2 at half-integers, else the denominator of gamma + 1 when it is at
+        # most 100, else the least integer >= max(2, 1/(gamma + 1))
+        seen = []
+
+        def spy(g, a, b, tol, max_depth):
+            seen.append(b)
+            return QuadResult(0.0, 0.0, 1, True)
+
+        monkeypatch.setattr(quad, "integrate_1d", spy)
+        integrate_power_weight(lambda x: x, gamma, 4.0)
+        assert seen == [4.0 ** (1.0 / m)]
 
 
 class TestHalfline:
