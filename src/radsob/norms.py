@@ -887,16 +887,16 @@ class NormReport:
 def _corpus_table(
     params: dict,
     corpus: Sequence[CorpusEntry],
-    routes: Callable[[Profile], Sequence[tuple[str, str, NormValue]]],
+    routes: Callable[[CorpusEntry], Sequence[tuple[str, str, NormValue]]],
     pairs: Sequence[tuple[str, str, str, int]],
     inadmissible: Callable[[Profile], str | None] | None = None,
 ) -> NormReport:
     """The report of a set of norm routes over a corpus, with ratio ranges.
 
-    ``routes(f)`` gives one (route, method, NormValue) per route of the
-    profile f.  Each pair (name, numerator, denominator, power) becomes a
-    ratio row with the min and max of (numerator / denominator)^power over
-    the profiles, or nulls when none qualifies.  Zero profiles, and profiles
+    ``routes(entry)`` gives one (route, method, NormValue) per route of the
+    entry's profile.  Each pair (name, numerator, denominator, power)
+    becomes a ratio row with the min and max of (numerator /
+    denominator)^power over the profiles, or nulls when none qualifies.  Zero profiles, and profiles
     for which ``inadmissible`` returns a reason, get no entries; profiles
     with a non-finite, unconverged or zero norm keep their entries but stay
     out of the ratios.  All of them are listed under ``degenerate``.
@@ -908,7 +908,7 @@ def _corpus_table(
         reason = "zero profile" if f.is_zero else (inadmissible(f) if inadmissible else None)
         if not reason:
             values = {}
-            for route, method, nv in routes(f):
+            for route, method, nv in routes(entry):
                 report.entries.append(ReportEntry(entry.label, route, nv.value, nv.err, method))
                 values[route] = nv
             if not all(math.isfinite(v.value) for v in values.values()):
@@ -977,7 +977,8 @@ def equivalence_report(
     }
     orders = [k] if halfline else range(k + 1)
 
-    def routes(f: Profile):
+    def routes(entry: CorpusEntry):
+        f = entry.profile
         v_def = _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, tol)
         v_D = _profile_d_detail(f, d, orders, p, r, aggregation, tol)
         v_sq = _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, tol)
@@ -1005,9 +1006,9 @@ def corot_report(
     if d < 2 or k < 0 or r <= 0:
         raise ValueError("need d >= 2, k >= 0, r > 0")
 
-    def routes(f: Profile):
-        lhs = _corot_lhs_detail(CorotField(d, f), k, r)
-        rhs = _ball_def_exact(RadialField(d + 2, f), range(k + 1), 2.0, r, tol)
+    def routes(entry: CorpusEntry):
+        lhs = _corot_lhs_detail(CorotField(d, entry.profile), k, r)
+        rhs = _ball_def_exact(RadialField(d + 2, entry.profile), range(k + 1), 2.0, r, tol)
         return [("lhs", "exact-angular", lhs), ("rhs", "exact-angular", rhs)]
 
     params = {"report": "corot", "d": d, "k": k, "p": 2, "r": r, "tol": tol}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .norms import NormReport, _ball_def_detail, _corpus_table, _profile_squared_detail
-from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, from_squared, to_squared
+from .profile import CorpusEntry, RadialField, SquaredProfile, from_squared, to_squared
 
 
 def trace(field: RadialField) -> SquaredProfile:
@@ -83,11 +83,11 @@ def boundedness_report(
     pair = TraceExtPair(d, k, p, r)
     params = {"report": "boundedness", "d": d, "k": k, "p": p, "r": r, "method": method, "tol": tol}
 
-    def routes(f: Profile):
-        field = RadialField(d, f)
+    def routes(entry: CorpusEntry):
+        field = RadialField(d, entry.profile)
         ft = pair.forward(field)
         if pair.backward(ft) != field:
-            raise AssertionError(f"trace/extend round trip failed for {f!r}")
+            raise AssertionError(f"trace/extend round trip failed for {entry.label}")
         v_field = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
         v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)
         return [("field", method, v_field), ("trace", "exact-angular", v_trace)]

@@ -121,11 +121,13 @@ def integrate_power_weight(
     """Integral of x^gamma * g(x) over (0, upper) for gamma > -1.
 
     Fractional weights are regularised by the substitution x = u^m, which
-    turns x^gamma dx into m u^(m (gamma + 1) - 1) du.  m = 2 whenever 2*gamma
-    is an integer; otherwise, when gamma + 1 = n/m in lowest terms with
-    m <= 100, that m, so the new exponent n - 1 is a nonnegative integer and
-    the integrand is smooth at 0; otherwise m >= 1/(gamma + 1), which leaves
-    a nonnegative power of u.  Plain adaptive quadrature then applies.
+    turns x^gamma dx into m u^(m (gamma + 1) - 1) du.  For gamma < 0 within a
+    few ulp of a rational with gamma + 1 = n/m in lowest terms, m <= 100,
+    that m, so the new exponent n - 1 is a nonnegative integer and the
+    integrand is smooth at 0 (products such as 3 * -0.1 miss -0.3 by an
+    ulp).  Otherwise m = max(2, ceil(1/(gamma + 1))), which leaves a
+    nonnegative power of u (m = 2 for gamma > 0 and at gamma = -1/2).
+    Plain adaptive quadrature then applies.
     """
     if gamma <= -1:
         raise ValueError(f"weight exponent must be > -1, got {gamma}")
@@ -134,14 +136,12 @@ def integrate_power_weight(
     if gamma == int(gamma) and gamma >= 0:
         gi = int(gamma)
         return integrate_1d(lambda x: x**gi * g(x) if gi else g(x), 0.0, upper, tol, max_depth)
-    m, expo = 2, 2 * gamma + 1
-    if 2 * gamma != int(2 * gamma):
-        short = Fraction(gamma).limit_denominator(_SHORT_DENOMINATOR) + 1
-        if float(short - 1) == gamma:
-            m, expo = short.denominator, short.numerator - 1
-        else:
-            m = max(2, math.ceil(1.0 / (gamma + 1.0)))
-            expo = m * gamma + m - 1  # >= 0 by choice of m
+    short = Fraction(gamma).limit_denominator(_SHORT_DENOMINATOR)
+    if -1 < short < 0 and abs(float(short) - gamma) <= 4 * math.ulp(gamma):
+        m, expo = short.denominator, short.numerator + short.denominator - 1
+    else:
+        m = max(2, math.ceil(1.0 / (gamma + 1.0)))
+        expo = m * gamma + m - 1  # >= 0 by choice of m
 
     def substituted(u):
         return m * u**expo * g(u**m)

@@ -105,6 +105,12 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["passed"] is True
 
+    def test_hardy_inexact_short_decimal_s(self, capsys):
+        # at p = 3 the weight exponent 3 * -0.1 misses -0.3 by an ulp and still gets x = u^10
+        rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "-0.1"])
+        assert rc == 0
+        assert json.loads(out)["passed"] is True
+
     def test_hardy_single_s(self, capsys):
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0

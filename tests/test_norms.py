@@ -366,6 +366,12 @@ class TestHardy:
         assert rep.lhs == pytest.approx(0.5**0.7 / 0.7, rel=1e-13)
         assert rep.slack >= -1e-12
 
+    def test_inexact_short_decimal_weight_converges(self):
+        # 1.5 * -0.3 is -0.44999999999999996, an ulp off -9/20; x = u^20 still applies
+        rep = hardy_check(ONE, 1.5, 0.5, -0.3)
+        assert rep.converged is True
+        assert rep.lhs == pytest.approx(0.5**0.55 / 0.55, rel=1e-13)
+
     def test_constant_interval(self):
         rep = hardy_check(ONE, 2, 1.0, 0.0)
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)

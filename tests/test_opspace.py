@@ -70,6 +70,13 @@ class TestBoundedness:
         report = boundedness_report(entries, 2, 0, 2, 1.0)
         assert any(row["label"] == "zero" for row in report.degenerate)
 
+    def test_round_trip_failure_names_the_entry(self, monkeypatch):
+        from radsob.profile import CorpusEntry
+
+        monkeypatch.setattr(TraceExtPair, "backward", lambda self, ft: RadialField(self.d, ONE))
+        with pytest.raises(AssertionError, match="round trip failed for gauss$"):
+            boundedness_report([CorpusEntry("gauss", GAUSS)], 2, 0, 2, 1.0)
+
 
 class TestPair:
     def test_validation(self):

@@ -87,7 +87,9 @@ class TestPowerWeight:
         with pytest.raises(ValueError):
             integrate_power_weight(lambda x: x, -1.0, 1.0)
 
-    @pytest.mark.parametrize("gamma", [-0.3, -0.7, -0.37, 0.55, 1.25, 0.123456789])
+    @pytest.mark.parametrize(
+        "gamma", [-0.3, -0.7, -0.37, 3 * -0.1, 1.5 * -0.3, 0.55, 1.25, 0.123456789]
+    )
     def test_fractional_weights_converge(self, gamma):
         res = integrate_power_weight(lambda x: 1.0 + x, gamma, 2.0, tol=1e-13)
         want = 2.0 ** (gamma + 1) / (gamma + 1) + 2.0 ** (gamma + 2) / (gamma + 2)
@@ -96,12 +98,13 @@ class TestPowerWeight:
 
     @pytest.mark.parametrize(
         "gamma, m",
-        [(-0.5, 2), (1.5, 2), (-0.3, 10), (-0.7, 10), (0.55, 20), (1.25, 4), (0.37, 100),
-         (0.123456789, 2)],
+        [(-0.5, 2), (1.5, 2), (-0.3, 10), (-0.7, 10), (-0.37, 100), (3 * -0.1, 10),
+         (1.5 * -0.3, 20), (0.55, 2), (1.25, 2), (0.37, 2), (-0.123456789, 2),
+         (-0.9999999999999999, 2**53)],
     )
     def test_substitution_exponent(self, gamma, m, monkeypatch):
-        # x = u^m: m = 2 at half-integers, else the denominator of gamma + 1 when it is at
-        # most 100, else the least integer >= max(2, 1/(gamma + 1))
+        # x = u^m: for gamma < 0 the denominator of gamma + 1 when gamma is within a few
+        # ulp of a rational with denominator at most 100, else max(2, ceil(1/(gamma + 1)))
         seen = []
 
         def spy(g, a, b, tol, max_depth):
