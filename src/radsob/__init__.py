@@ -72,9 +72,7 @@ from .quad import (
     QuadratureConvergenceError,
     SphereSampler,
     integrate_1d,
-    integrate_halfline,
     integrate_power_weight,
-    mc_sphere_integral,
     sphere_area,
     sphere_monomial_moment,
     truncation_point,

@@ -6,9 +6,9 @@ norm tables), ``corot`` (corotational norm tables), ``moments`` (exact
 sphere monomial moments).
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 bad
-configuration, 3 enumeration budget exceeded, 4 numerical failure (a
-quadrature that cannot meet its tolerance).  stdout carries only the
-report; diagnostics go to stderr.
+configuration, 3 enumeration budget exceeded, 4 numerical failure (an
+unmet quadrature tolerance, or a float overflow outside a report entry).
+stdout carries only the report; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
-    except QuadratureConvergenceError as exc:
+    except (QuadratureConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -43,6 +43,7 @@ from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi
 from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
 from .quad import (
     QuadResult,
+    _fsum,
     composite_nodes,
     integrate_1d,
     integrate_power_weight,
@@ -133,22 +134,21 @@ def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
     """(coeff, power, rate) dominating |sum_i w_i x^(e_i) prof_i(x)|^p for |w_i| <= bound_i.
 
     ``parts`` lists the (prof_i, bound_i, e_i); a plain profile is
-    [(prof, 1, 0)].  The bound is coeff * (1 + x^power) * exp(-rate * x^2)
-    for profiles in rho, or exp(-rate * x) for squared-argument profiles;
-    rate comes from the smallest decay over all terms and must be positive
-    for half-line use.
+    [(prof, 1, 0)].  The bound is coeff * (1 + x^power) * exp(-rate * x^q)
+    with the profiles' argument power q; rate comes from the smallest decay
+    over all terms and must be positive for half-line use.  A coefficient
+    beyond the float range is inf.
     """
     live = [(prof, bound, e) for prof, bound, e in parts if not prof.is_zero]
     if not live:
         return 0.0, 0, math.inf
-    c = float(sum(bound * prof.coeff_abs_sum for prof, bound, _ in live)) ** p
+    try:
+        c = float(sum(bound * prof.coeff_abs_sum for prof, bound, _ in live)) ** p
+    except OverflowError:
+        c = math.inf
     power = math.ceil(max(prof.max_power + e for prof, _, e in live) * p)
     rate = p * float(min(prof.min_decay for prof, _, _ in live))
     return c * 2 ** max(p - 1.0, 0.0), power, rate
-
-
-def _decay_kind(prof) -> str:
-    return "exp" if isinstance(prof, SquaredProfile) else "gauss"
 
 
 def _is_even_power(p: float) -> bool:
@@ -201,7 +201,8 @@ def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
                 # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)  # 0 by underflow on tiny values: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -239,7 +240,7 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...]:
             if xs[i] > 0.0:
                 out.append(float(xs[i]))
             continue
-        if v0 * v1 < 0.0:
+        if v0 < 0.0 < v1 or v1 < 0.0 < v0:  # not v0 * v1 < 0, which underflows on tiny values
             out.append(_brent_root(prof.eval, xs[i], xs[i + 1]))
     return tuple(out)
 
@@ -301,7 +302,7 @@ def _weighted_lp_power(
             rate,
             coeff,
             power + max(0, math.ceil(gamma)),
-            _decay_kind(prof),
+            prof._q,
         )
     else:
         ueff = upper
@@ -375,7 +376,7 @@ def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float
             parts.append(w * v)
             # plus the rounding of the float angular entry (|S^(d-1)| included), the product and the sum
             err += abs(w) * (e + 8 * _EPS * abs(v))
-    return math.fsum(parts), err
+    return _fsum(parts), err
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,7 @@ def _ball_def_exact(
     f = field.profile
     if p == 2:
         squares = [_form_square(angular_matrix(d, n), f, r) for n in orders]
-        value, err = _pth_root(math.fsum(v for v, _ in squares), sum(e for _, e in squares), 2)
+        value, err = _pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2)
         return NormValue(value, err)
     if list(orders) == [0]:
         # order zero is the plain L^p norm: the angular integral is exact for any p
@@ -462,7 +463,7 @@ def _ball_def_mc(
             )
             if rate <= 0:
                 raise ValueError("half-line integration requires a decaying profile")
-            T, tail = truncation_point(1e-10 * (1.0 + coeff), rate, coeff, power + d - 1, "gauss")
+            T, tail = truncation_point(1e-10 * (1.0 + coeff), rate, coeff, power + d - 1, f._q)
             R = max(R, T)
             tail_total += tail
 
@@ -795,7 +796,7 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
 
 def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
     squares = [_form_square(corot_angular_matrix(F.d, n), F.profile, r) for n in range(k + 1)]
-    value, err = _pth_root(math.fsum(v for v, _ in squares), sum(e for _, e in squares), 2)
+    value, err = _pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2)
     return NormValue(value, err)
 
 
@@ -837,8 +838,8 @@ class NormReport:
     """Per-(profile, route) values with pairwise ratio summaries.
 
     Serialises to JSON as {"params": ..., "entries": [...], "ratios":
-    [{"pair", "min", "max"}, ...], "degenerate": [...]}; CSV flattening
-    writes the entries table only.
+    [{"pair", "min", "max"}, ...], "degenerate": [...]}, with null for a
+    non-finite entry value or err; CSV writes the entries table only.
     """
 
     params: dict
@@ -853,8 +854,8 @@ class NormReport:
                 {
                     "label": e.label,
                     "route": e.route,
-                    "value": e.value,
-                    "err": e.err,
+                    "value": e.value if math.isfinite(e.value) else None,
+                    "err": e.err if math.isfinite(e.err) else None,
                     "method": e.method,
                 }
                 for e in self.entries
@@ -898,8 +899,8 @@ def _corpus_table(
     becomes a ratio row with the min and max of (numerator /
     denominator)^power over the profiles, or nulls when none qualifies.  Zero profiles, and profiles
     for which ``inadmissible`` returns a reason, get no entries; profiles
-    with a non-finite, unconverged or zero norm keep their entries but stay
-    out of the ratios.  All of them are listed under ``degenerate``.
+    with a non-finite (value or err), unconverged or zero norm keep their
+    entries but stay out of the ratios.  All of them are listed under ``degenerate``.
     """
     report = NormReport(params)
     ratios: dict[str, list[float]] = {name: [] for name, _, _, _ in pairs}
@@ -911,7 +912,7 @@ def _corpus_table(
             for route, method, nv in routes(entry):
                 report.entries.append(ReportEntry(entry.label, route, nv.value, nv.err, method))
                 values[route] = nv
-            if not all(math.isfinite(v.value) for v in values.values()):
+            if not all(math.isfinite(v.value) and math.isfinite(v.err) for v in values.values()):
                 reason = "non-finite norm"
             elif not all(v.converged for v in values.values()):
                 reason = "unconverged quadrature"

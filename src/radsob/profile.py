@@ -45,7 +45,11 @@ def _canonical_terms(terms: Iterable[Sequence]) -> tuple[Term, ...]:
 
 
 class _TermSum:
-    """Shared mechanics of the two term-list function classes."""
+    """Sums of terms c * x^a * exp(-b * x^q); each subclass fixes the argument power q.
+
+    Subclasses bind ``eval`` and ``derivative`` in their own namespace, where
+    the benchmark tracer wraps them per class.
+    """
 
     __slots__ = ("terms",)
 
@@ -120,9 +124,49 @@ class _TermSum:
 
     __rmul__ = __mul__
 
+    def _eval(self, x):
+        """Value at x; accepts a float or an ndarray and matches the input shape."""
+        arr = np.asarray(x, dtype=float)
+        out = np.zeros_like(arr)
+        for c, a, b in self.terms:
+            term = np.full_like(arr, float(c))
+            if a:
+                term = term * arr**a
+            if b:
+                arg = -float(b) * arr  # -b x^q as (-b x) x ..., one rounding per factor
+                for _ in range(1, self._q):
+                    arg = arg * arr
+                term = term * np.exp(arg)
+            out = out + term
+        if np.ndim(x) == 0:
+            return float(out)
+        return out
+
+    def _derivative(self, j: int = 1):
+        """Exact j-th derivative; the class is closed under differentiation.
+
+        d/dx c x^a e^(-b x^q) = c a x^(a-1) e^(-b x^q) - q b c x^(a+q-1) e^(-b x^q).
+        """
+        if j < 0:
+            raise ValueError("derivative order must be >= 0")
+        q, out = self._q, self
+        for _ in range(j):
+            terms: list[Term] = []
+            for c, a, b in out.terms:
+                if a:
+                    terms.append((c * a, a - 1, b))
+                if b:
+                    terms.append((-q * b * c, a + q - 1, b))
+            out = type(self)(terms)
+        return out
+
 
 class Profile(_TermSum):
     """f(rho) = sum of c * rho^a * exp(-b * rho^2) on [0, infinity)."""
+
+    _q = 2
+    eval = _TermSum._eval
+    derivative = _TermSum._derivative
 
     @property
     def parity(self) -> str | None:
@@ -141,69 +185,13 @@ class Profile(_TermSum):
     def is_even(self) -> bool:
         return all(a % 2 == 0 for _, a, _ in self.terms)
 
-    def eval(self, rho):
-        """Value at rho; accepts a float or an ndarray and matches the input shape."""
-        r = np.asarray(rho, dtype=float)
-        out = np.zeros_like(r)
-        for c, a, b in self.terms:
-            term = np.full_like(r, float(c))
-            if a:
-                term = term * r**a
-            if b:
-                term = term * np.exp(-float(b) * r * r)
-            out = out + term
-        if np.ndim(rho) == 0:
-            return float(out)
-        return out
-
-    def derivative(self, j: int = 1) -> "Profile":
-        """Exact j-th derivative; the class is closed under differentiation."""
-        if j < 0:
-            raise ValueError("derivative order must be >= 0")
-        out = self
-        for _ in range(j):
-            terms: list[Term] = []
-            for c, a, b in out.terms:
-                if a:
-                    terms.append((c * a, a - 1, b))
-                if b:
-                    terms.append((-2 * b * c, a + 1, b))
-            out = Profile(terms)
-        return out
-
 
 class SquaredProfile(_TermSum):
     """f~(s) = sum of c * s^a * exp(-b * s) on [0, infinity)."""
 
-    def eval(self, s):
-        """Value at s; accepts a float or an ndarray and matches the input shape."""
-        x = np.asarray(s, dtype=float)
-        out = np.zeros_like(x)
-        for c, a, b in self.terms:
-            term = np.full_like(x, float(c))
-            if a:
-                term = term * x**a
-            if b:
-                term = term * np.exp(-float(b) * x)
-            out = out + term
-        if np.ndim(s) == 0:
-            return float(out)
-        return out
-
-    def derivative(self, j: int = 1) -> "SquaredProfile":
-        """Exact j-th derivative."""
-        if j < 0:
-            raise ValueError("derivative order must be >= 0")
-        out = self
-        for _ in range(j):
-            terms: list[Term] = []
-            for c, a, b in out.terms:
-                if a:
-                    terms.append((c * a, a - 1, b))
-                if b:
-                    terms.append((-b * c, a, b))
-            out = SquaredProfile(terms)
-        return out
+    _q = 1
+    eval = _TermSum._eval
+    derivative = _TermSum._derivative
 
 
 def to_squared(f: Profile) -> SquaredProfile:

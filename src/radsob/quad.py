@@ -4,17 +4,17 @@ Provides adaptive 1D quadrature on intervals (composite 15-node
 Gauss-Legendre panels with bisection refinement), rigorous truncation of
 half-line integrals from analytic envelopes, closed-form radial moments of
 products of Gaussian-type term lists with explicit rounding bounds, exact
-surface areas and monomial moments of the unit sphere, and a seeded Monte
-Carlo sphere integrator for exponents without a closed angular form.
+surface areas and monomial moments of the unit sphere, and seeded uniform
+samples of the sphere for exponents without a closed angular form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,6 +40,14 @@ class QuadResult:
     error_estimate: float
     subdivisions: int
     converged: bool = True
+
+
+def _fsum(parts: list[float]) -> float:
+    """math.fsum, or the plain float sum (inf or NaN) where fsum overflows or meets inf - inf."""
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return sum(parts)
 
 
 def _panel(g: Callable, a: float, b: float) -> float:
@@ -80,7 +88,8 @@ def integrate_1d(
     the panel values).  The returned ``error_estimate`` sums the accepted
     discrepancies, which conservatively bounds the true error for smooth
     integrands; ``converged`` is False if any panel hit ``max_depth`` or the
-    total estimate exceeds ``tol``.
+    total estimate exceeds ``tol``.  The first non-finite panel sum ends it
+    with a NaN value, an infinite error estimate and ``converged`` False.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"bad interval [{a}, {b}]")
@@ -96,6 +105,8 @@ def integrate_1d(
         state["panels"] += 2
         fine = left + right
         err = abs(fine - coarse)
+        if not math.isfinite(err):
+            raise FloatingPointError
         noise = 5e-15 * (abs(left) + abs(right) + abs(coarse))
         if err <= tol * (hi - lo) / span or err <= noise:
             return fine, err
@@ -106,7 +117,10 @@ def integrate_1d(
         v2, e2 = recurse(mid, hi, right, depth + 1)
         return v1 + v2, e1 + e2
 
-    value, err = recurse(a, b, _panel(g, a, b), 1)
+    try:
+        value, err = recurse(a, b, _panel(g, a, b), 1)
+    except FloatingPointError:
+        return QuadResult(math.nan, math.inf, state["panels"], False)
     converged = state["depth_ok"] and err <= tol
     return QuadResult(value, err, state["panels"], converged)
 
@@ -154,65 +168,34 @@ def truncation_point(
     rate: float,
     env_coeff: float,
     env_power: int,
-    decay: str = "gauss",
+    q: int,
 ) -> tuple[float, float]:
     """Truncation point T and tail bound for a dominated half-line integrand.
 
-    The integrand is assumed bounded by env_coeff * (1 + u^env_power) * E(u)
-    with E(u) = exp(-rate * u^2) ("gauss") or exp(-rate * u) ("exp"),
-    rate > 0.  Returns (T, tail) with the analytic tail bound tail <= tol / 2.
+    The integrand is assumed bounded by env_coeff * (1 + u^env_power) *
+    exp(-rate * u^q) with rate > 0 and q >= 1 (q = 2 for profiles in rho,
+    q = 1 for squared-argument profiles).  Returns (T, tail) with the
+    analytic tail bound tail <= tol / 2, or (1, inf) when the envelope
+    overflows and no bound is known.
     """
     if rate <= 0:
         raise ValueError("decay rate must be > 0")
     if env_coeff < 0:
         raise ValueError("envelope coefficient must be >= 0")
     half = rate / 2.0
-    if decay == "gauss":
-        # int_T^inf u^M e^{-r u^2} du <= e^{-r T^2 / 2} * (1/2) Gamma((M+1)/2) / (r/2)^((M+1)/2)
-        k0 = 0.5 * math.gamma(0.5) / half**0.5
-        km = 0.5 * math.gamma((env_power + 1) / 2.0) / half ** ((env_power + 1) / 2.0)
-    elif decay == "exp":
-        k0 = 1.0 / half
-        km = math.gamma(env_power + 1.0) / half ** (env_power + 1)
-    else:
-        raise ValueError(f"unknown decay kind {decay!r}")
-    K = env_coeff * (k0 + km)
+    # int_T^inf u^m e^(-r u^q) du <= e^(-r T^q / 2) Gamma((m+1)/q) / (q (r/2)^((m+1)/q))
+    moments = [math.gamma((m + 1) / q) / (q * half ** ((m + 1) / q)) for m in (0, env_power)]
+    K = env_coeff * sum(moments)
     bound = tol / 2.0
     if K <= bound or env_coeff == 0:
         return 1.0, min(K, bound)
-    if decay == "gauss":
-        T = math.sqrt(2.0 * math.log(K / bound) / rate)
-    else:
-        T = 2.0 * math.log(K / bound) / rate
-    T = max(T, 1.0)
-    tail = K * math.exp(-half * T * T) if decay == "gauss" else K * math.exp(-half * T)
-    return T, tail
-
-
-def integrate_halfline(
-    g: Callable,
-    tol: float,
-    rate: float,
-    env_coeff: float = 1.0,
-    env_power: int = 0,
-    decay: str = "gauss",
-    weight_gamma: float = 0.0,
-) -> QuadResult:
-    """Integral of x^weight_gamma * g(x) over (0, infinity).
-
-    ``g`` must be dominated by env_coeff * (1 + x^env_power) * E(x) with the
-    decay kind and rate of :func:`truncation_point`; the weight exponent is
-    folded into the envelope when choosing the truncation point.  The tail
-    bound is added to the reported error estimate.
-    """
-    power = env_power + max(0, math.ceil(weight_gamma))
-    T, tail = truncation_point(tol, rate, env_coeff, power, decay)
-    if weight_gamma:
-        res = integrate_power_weight(g, weight_gamma, T, tol / 2.0)
-    else:
-        res = integrate_1d(g, 0.0, T, tol / 2.0)
-    err = res.error_estimate + tail
-    return QuadResult(res.value, err, res.subdivisions, res.converged and err <= tol)
+    if math.isinf(K):
+        return 1.0, math.inf
+    Tq = 2.0 * math.log(K / bound) / rate
+    # sqrt is correctly rounded, pow need not be
+    T = max(math.sqrt(Tq) if q == 2 else Tq ** (1.0 / q), 1.0)
+    # -(r/2) T^q rounded as (-(r/2) T) T ..., as a term's eval rounds it
+    return T, K * math.exp(-half * T ** (q - 1) * T)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +289,7 @@ def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
             parts.append(part)
             # coefficient conversions, products and the final rounded sum
             err += abs(part) * (rel + 3 * _EPS)
-    return math.fsum(parts), err
+    return _fsum(parts), err
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +367,3 @@ class SphereSampler:
         pts = z / norms
         pts.flags.writeable = False
         return pts
-
-    def substream(self, task_index: int) -> "SphereSampler":
-        """Deterministic independent sampler for a parallel sub-task."""
-        derived = int(np.random.SeedSequence([self.seed, task_index]).generate_state(1)[0])
-        return replace(self, seed=derived)
-
-
-def mc_sphere_integral(g: Callable, sampler: SphereSampler) -> QuadResult:
-    """Monte Carlo surface integral of g over the unit sphere.
-
-    Returns |S^(d-1)| times the sample mean of g, with the standard error of
-    the mean (scaled by the area) as error estimate.
-    """
-    if sampler.n == 0:
-        raise ValueError("sample count must be > 0")
-    area = sphere_area(sampler.d)
-    vals = np.asarray(g(sampler.points), dtype=float)
-    if vals.shape != (sampler.n,):
-        raise ValueError(f"integrand must return {sampler.n} values, got shape {vals.shape}")
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(sampler.n)) if sampler.n > 1 else math.inf
-    return QuadResult(area * mean, area * se, 0, True)

@@ -6,7 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import time
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from radsob import norms
 from radsob.cli import RunConfig, main
@@ -247,6 +252,77 @@ class TestStrictJson:
         assert doc["entries"] == []
         assert [row["label"] for row in doc["degenerate"]] == ["one"]
         assert all(row["min"] is None and row["max"] is None for row in doc["ratios"])
+
+
+class TestNonFiniteNorms:
+    """Coefficients whose norms overflow (or underflow) the float range end as
+    flagged report entries or as a numerical failure, never as a hang, a
+    configuration error or invalid JSON."""
+
+    COMMANDS = [
+        ["equiv", "--dim", "2", "--k", "1"],
+        ["equiv", "--dim", "2", "--k", "0", "--p", "3"],
+        ["equiv", "--dim", "3", "--k", "1", "--radius", "inf"],
+        ["equiv", "--dim", "3", "--k", "1", "--p", "3", "--method", "monte-carlo",
+         "--samples", "200"],
+        ["corot", "--dim", "2", "--k", "1"],
+    ]
+
+    @staticmethod
+    def check_run(capsys, argv, limit_s=10.0):
+        start = time.monotonic()
+        with np.errstate(all="ignore"):
+            rc, out, err = run_cli(capsys, argv)
+        assert time.monotonic() - start < limit_s, argv
+        assert "Traceback" not in err
+        if rc == 4:
+            assert out == ""
+            return None
+        assert rc == 0, (argv, err)
+        doc = json.loads(out, parse_constant=reject_constant)
+        flagged = {row["label"] for row in doc["degenerate"]}
+        for e in doc["entries"]:
+            if e["value"] is None or e["err"] is None:
+                assert e["label"] in flagged, (argv, e)
+        return doc
+
+    @pytest.mark.parametrize("argv", [COMMANDS[0], COMMANDS[4], COMMANDS[2]])
+    def test_overflowing_profile_is_flagged(self, capsys, tmp_path, argv):
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"terms": [[1e200, 0, 1]], "label": "big"}]')
+        doc = self.check_run(capsys, argv + ["--corpus", str(path)])
+        assert doc is not None
+        assert doc["degenerate"] == [{"label": "big", "reason": "non-finite norm"}]
+        assert all(e["value"] is None for e in doc["entries"])
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.booleans(),
+                    st.integers(min_value=-300, max_value=300),
+                    st.sampled_from([0, 2, 4]),
+                    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+                ),
+                min_size=1,
+                max_size=2,
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_extreme_coefficients(self, capsys, tmp_path_factory, profiles):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.json"
+        entries = [
+            CorpusEntry(f"p{i}", Profile([((-1 if neg else 1) * Fraction(10) ** e, a, b)
+                                          for neg, e, a, b in terms]))
+            for i, terms in enumerate(profiles)
+        ]
+        save_corpus(entries, path)
+        for argv in self.COMMANDS:
+            self.check_run(capsys, argv + ["--corpus", str(path)])
 
 
 class TestCorot:

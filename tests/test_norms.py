@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -135,6 +136,17 @@ class TestLpRadial:
         assert rel_diff(v_def, v_sq) <= 1e-12
         assert rel_diff(v_def, v_d) <= 1e-12
 
+    def test_kink_found_at_tiny_scale(self):
+        # values near 1e-170, whose products underflow to zero, keep their sign change
+        scale = Fraction(1, 10**170)
+        f = Profile([(Fraction(-1, 8), 4, 1), (Fraction(13, 8), 6, 1)])
+        tiny = Profile([(c * scale, a, b) for c, a, b in f.terms])
+        assert norms._sign_changes(tiny, 0.5) == pytest.approx(norms._sign_changes(f, 0.5))
+        assert len(norms._sign_changes(f, 0.5)) == 1
+        got = lp_radial(RadialField(2, tiny), 1, 0.5, tol=1e-12)
+        for g, w in zip(got, lp_radial(RadialField(2, f), 1, 0.5, tol=1e-12)):
+            assert rel_diff(g / float(scale), w) <= 1e-12
+
 
 class TestBallDefinition:
     def test_k0_reduces_to_lp(self, corpus):
@@ -173,6 +185,13 @@ class TestBallDefinition:
         a = sobolev_ball_definition(field, 1, 3, 1.0, **kwargs)
         b = sobolev_ball_definition(field, 1, 3, 1.0, **kwargs)
         assert a == b
+
+    def test_monte_carlo_needs_two_samples(self):
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                sobolev_ball_definition(
+                    RadialField(2, GAUSS), 1, 3, 1.0, method="monte-carlo", samples=samples
+                )
 
     @pytest.mark.parametrize("d, k", [(3, 3), (5, 4)])
     def test_monte_carlo_halfline_envelope_dominates(self, d, k, monkeypatch):
@@ -693,7 +712,7 @@ class TestClosedFormRoute:
 
         for module, name in [(norms, "integrate_1d"), (norms, "integrate_power_weight"),
                              (norms, "rough_scale"), (quad, "integrate_1d"),
-                             (quad, "integrate_halfline")]:
+                             (norms, "truncation_point")]:
             monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(_TermSum, "__mul__", forbidden)
         monkeypatch.setattr(_TermSum, "__rmul__", forbidden)
@@ -701,6 +720,43 @@ class TestClosedFormRoute:
         assert _ball_def_exact(RadialField(3, f), range(3), 2.0, 1.0, 1e-10).value > 0
         assert _ball_def_exact(RadialField(3, f), [2], 2.0, math.inf, 1e-10).value > 0
         assert _corot_lhs_detail(CorotField(3, f), 2, 1.0).value > 0
+
+
+class TestOverflow:
+    BIG = Profile([(10**200, 0, 1)])
+    BIG_MIXED = Profile([(10**200, 0, 1), (-(10**200), 2, 1)])
+
+    def test_envelope_beyond_float_range_is_inf(self):
+        assert norms._gauss_envelope([(self.BIG, 1, 0)], 2.0)[0] == math.inf
+        assert norms._gauss_envelope([(Profile([(10**400, 0, 1)]), 1, 0)], 1.0)[0] == math.inf
+
+    def test_closed_form_overflow_is_nan_not_an_error(self):
+        # the pair contributions overflow to +inf and -inf
+        value, err = quad.radial_moment(self.BIG_MIXED, self.BIG_MIXED, 1, 1.0)
+        assert math.isnan(value) and err == math.inf
+        nv = _corot_lhs_detail(CorotField(2, self.BIG_MIXED), 1, 1.0)
+        assert not math.isfinite(nv.value)
+
+    def test_quadrature_route_overflow_is_flagged(self):
+        with np.errstate(all="ignore"):
+            nv = norms._profile_d_detail(self.BIG, 2, [1], 2.0, 1.0, "p-power", 1e-10)
+        assert math.isnan(nv.value) and not nv.converged
+
+    def test_report_writes_null_and_flags_the_profile(self):
+        with np.errstate(all="ignore"):
+            report = equivalence_report([CorpusEntry("big", self.BIG)], 2, 1, 2.0, 1.0)
+        doc = json.loads(report.to_json())
+        assert doc["degenerate"] == [{"label": "big", "reason": "non-finite norm"}]
+        assert all(e["value"] is None and e["err"] is None for e in doc["entries"])
+
+    def test_infinite_error_alone_is_flagged(self):
+        def routes(entry):
+            return [("a", "m", NormValue(1.0, math.inf)), ("b", "m", NormValue(1.0, 0.0))]
+
+        report = norms._corpus_table({}, [CorpusEntry("x", GAUSS)], routes, [("a/b", "a", "b", 1)])
+        assert report.degenerate == [{"label": "x", "reason": "non-finite norm"}]
+        assert json.loads(report.to_json())["entries"][0] == {
+            "label": "x", "route": "a", "value": 1.0, "err": None, "method": "m"}
 
 
 def _scan_brackets(prof, upper, monkeypatch):
@@ -772,6 +828,8 @@ class TestBrentRoot:
             (lambda x: x**9 - 1e-4, 0.0, 1.0),
             (lambda x: math.expm1(20 * (x - 0.7)), 0.0, 1.0),
             (lambda x: math.atan(x - 0.3), -5.0, 20.0),
+            # values so small that the interpolation denominator underflows to zero
+            (lambda x: 1e-120 * (x * x - 0.5), 0.0, 1.0),
         ],
     )
     def test_same_steps_as_reference(self, f, a, b):

@@ -86,6 +86,65 @@ class TestDerivative:
             for j in (1, 3, 5, 7):
                 assert entry.profile.derivative(j).eval_at_zero_exact() == Fraction(0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.fractions(min_value=-8, max_value=8, max_denominator=50).filter(bool),
+        st.integers(min_value=0, max_value=9),
+        st.fractions(min_value=0, max_value=5, max_denominator=50),
+    )
+    def test_term_rule_for_both_classes(self, c, a, b):
+        # d/dx c x^a e^(-b x^q) = c a x^(a-1) e^(-b x^q) - q b c x^(a+q-1) e^(-b x^q)
+        assert Profile([(c, a, b)]).derivative() == Profile(
+            [(c * a, max(a - 1, 0), b), (-2 * b * c, a + 1, b)]
+        )
+        assert SquaredProfile([(c, a, b)]).derivative() == SquaredProfile(
+            [(c * a, max(a - 1, 0), b), (-b * c, a, b)]
+        )
+
+    def test_derivative_matches_finite_differences(self):
+        h = 1e-5
+        for f in (Profile([(3, 4, Fraction(3, 7)), (-1, 0, Fraction(5, 3))]),
+                  SquaredProfile([(3, 4, Fraction(3, 7)), (-1, 0, Fraction(5, 3))])):
+            x = np.linspace(0.2, 2.0, 7)
+            fd = (f.eval(x + h) - f.eval(x - h)) / (2 * h)
+            assert np.allclose(f.derivative().eval(x), fd, rtol=1e-8, atol=1e-9)
+
+
+class TestEval:
+    # At the builtin decays {1/2, 1, 2}, -b*r*r and -b*(r*r) round alike, so only
+    # non-dyadic decays show the order in which a term's exponent is rounded.
+    R = np.linspace(0.05, 3.0, 200)
+
+    @pytest.mark.parametrize("b", [Fraction(3, 7), Fraction(5, 3)])
+    @pytest.mark.parametrize("a", [0, 1, 4])
+    def test_profile_term_is_bit_identical_to_formula(self, a, b):
+        c, r = 1.375, self.R
+        assert not np.array_equal(-float(b) * r * r, -float(b) * (r * r))
+        want = c * r**a * np.exp(-float(b) * r * r)
+        assert Profile([(Fraction(c), a, b)]).eval(r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [Fraction(3, 7), Fraction(5, 3)])
+    @pytest.mark.parametrize("a", [0, 1, 4])
+    def test_squared_term_is_bit_identical_to_formula(self, a, b):
+        c, s = 1.375, self.R
+        want = c * s**a * np.exp(-float(b) * s)
+        assert SquaredProfile([(Fraction(c), a, b)]).eval(s).tobytes() == want.tobytes()
+
+    def test_term_sum_adds_in_term_order(self):
+        terms = [(Fraction(-5, 8), 2, Fraction(3, 7)), (Fraction(3, 2), 0, Fraction(5, 3)),
+                 (Fraction(1, 4), 6, 0)]
+        r = self.R
+        want = np.zeros_like(r)
+        for c, a, b in Profile(terms).terms:
+            want = want + float(c) * r**a * np.exp(-float(b) * r * r)
+        assert np.array_equal(Profile(terms).eval(r), want)
+
+    def test_scalar_in_scalar_out(self):
+        f = Profile([(2, 2, Fraction(3, 7))])
+        got = f.eval(1.3)
+        assert isinstance(got, float)
+        assert got == f.eval(np.array([1.3]))[0]
+
 
 class TestRadialDerivation:
     def test_rho2(self):
