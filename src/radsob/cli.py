@@ -232,7 +232,11 @@ def _suite_hardy(args, checks: list) -> None:
     p_grid = (1.0, 2.0, 3.0)
     r_grid = (0.5, 1.0, 2.0)
 
-    def check(name: str, rep: norms.InequalityReport) -> None:
+    def check(name: str, inequality, *args) -> None:
+        try:
+            rep = inequality(*args)
+        except OverflowError as exc:
+            raise OverflowError(f"{name}: a value overflowed the float range") from exc
         if not rep.converged:
             raise QuadratureConvergenceError(f"{name}: a quadrature missed its tol", rep.quad_err)
         checks.append({"name": name, "pass": rep.slack >= -slack_tol, "error": min(rep.slack, 0.0)})
@@ -249,11 +253,11 @@ def _suite_hardy(args, checks: list) -> None:
             for r in r_grid:
                 for entry in corpus:
                     tag = f"p={p:g} s={s:g} r={r:g} {entry.label}"
-                    check(f"hardy {tag}", norms.hardy_check(entry.profile, p, r, s))
-                    check(f"boundary {tag}", norms.boundary_check(entry.profile, p, r, s))
+                    check(f"hardy {tag}", norms.hardy_check, entry.profile, p, r, s)
+                    check(f"boundary {tag}", norms.boundary_check, entry.profile, p, r, s)
             for entry in profile.halfline_corpus(corpus):
-                rep = norms.hardy_check(entry.profile, p, math.inf, s)
-                check(f"hardy-halfline p={p:g} s={s:g} {entry.label}", rep)
+                name = f"hardy-halfline p={p:g} s={s:g} {entry.label}"
+                check(name, norms.hardy_check, entry.profile, p, math.inf, s)
 
 
 def _suite_gram(args, checks: list) -> None:

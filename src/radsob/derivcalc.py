@@ -5,8 +5,8 @@ sum of polynomial factors times powers of the radial derivation applied to f;
 summed over all derivatives of one order, the squared factors integrate over
 the sphere to an exact rational angular matrix of the p = 2 norm.
 The backward direction inverts that expansion: an exact rational Gram matrix
-built over all coordinate tuples of a given length yields recovery
-coefficients q_alpha with
+over all coordinate tuples of a given length, summed per multi-index with
+multiplicity n!/alpha!, yields recovery coefficients q_alpha with
 
     |x|^n (D^n f)(|x|) = sum over |alpha| = n of q_alpha(x/|x|) d^alpha f(|x|).
 
@@ -16,22 +16,14 @@ Everything up to final evaluation is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .indexpoly import (
-    DIndex,
-    MonomialPoly,
-    MultiIndex,
-    collapse,
-    enumerate_dindex,
-    enumerate_multi,
-    multi_factorial,
-)
+from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi, multi_factorial
 from .profile import RadialField, d_op
 from .quad import sphere_area, sphere_moment_ratio
 
@@ -214,41 +206,30 @@ def corot_angular_matrix(d: int, n: int) -> AngularMatrix:
 # Gram matrix
 # ---------------------------------------------------------------------------
 
-def _invert_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+def _invert_exact(
+    rows: Sequence[Sequence[Fraction]], name: str
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """Inverse and leading principal minors of a positive definite matrix, exactly.
+
+    One Gauss-Jordan pass without row exchanges: the k-th pivot is the ratio
+    of the k-th to the (k-1)-th leading minor, so the minors are the running
+    products of the pivots, and a pivot <= 0 means the matrix ``name`` is
+    not positive definite.
+    """
     k = len(rows)
     aug = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(rows)]
+    minors = []
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
         pivot = aug[col][col]
+        if pivot <= 0:
+            raise ValueError(f"{name} is not positive definite")
+        minors.append(pivot * (minors[-1] if minors else 1))
         aug[col] = [v / pivot for v in aug[col]]
         for r in range(k):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
-def _det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    mat = [list(r) for r in rows]
-    k = len(mat)
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, k):
-            if mat[r][col]:
-                factor = mat[r][col] * inv
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[col])]
-    return det
+    return tuple(tuple(row[k:]) for row in aug), tuple(minors)
 
 
 @dataclass(frozen=True)
@@ -265,6 +246,7 @@ class GramMatrix:
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
     inverse: tuple[tuple[Fraction, ...], ...]
+    _minors: tuple[Fraction, ...] = dataclass_field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -272,16 +254,12 @@ class GramMatrix:
 
     def leading_minors(self) -> list[Fraction]:
         """Determinants of the leading principal blocks (all positive for SPD)."""
-        return [
-            _det_exact([row[: k + 1] for row in self.entries[: k + 1]])
-            for k in range(self.size)
-        ]
+        return list(self._minors)
 
     def as_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
 
 
-@lru_cache(maxsize=None)
 def _p_vector_at_basis(d: int, alpha: MultiIndex, jmax: int) -> tuple[Fraction, ...]:
     """(p^0, ..., p^jmax) of the monomial x^alpha evaluated at e_d, exactly.
 
@@ -301,32 +279,25 @@ def _p_vector_at_basis(d: int, alpha: MultiIndex, jmax: int) -> tuple[Fraction, 
 
 @lru_cache(maxsize=None)
 def _gram(d: int, n: int) -> GramMatrix:
-    jmax = n // 2
-    size = jmax + 1
+    # the coordinate tuples collapsing to alpha all give the monomial x^alpha;
+    # there are n!/alpha! of them
+    size = n // 2 + 1
+    nfact = math.factorial(n)
     acc = [[Fraction(0)] * size for _ in range(size)]
-    for index in enumerate_dindex(d, n):
-        vec = _p_vector_at_basis(d, collapse(index, d), jmax)
-        for i in range(size):
-            if vec[i] == 0:
-                continue
-            for j in range(i, size):
-                acc[i][j] += vec[i] * vec[j]
-    for i in range(size):
-        for j in range(i):
-            acc[i][j] = acc[j][i]
+    for alpha in enumerate_multi(d, n):
+        vec = _p_vector_at_basis(d, alpha, size - 1)
+        weight = nfact // multi_factorial(alpha)
+        for i, vi in enumerate(vec):
+            if vi:  # the whole vector is zero unless every coordinate but the last has even order
+                for j, vj in enumerate(vec):
+                    acc[i][j] += weight * vi * vj
     entries = tuple(tuple(row) for row in acc)
-    gram = GramMatrix(d, n, entries, _invert_exact(entries))
-    if any(m <= 0 for m in gram.leading_minors()):
-        raise ValueError(f"Gram matrix for (d={d}, n={n}) is not positive definite")
-    return gram
+    inverse, minors = _invert_exact(entries, f"Gram matrix for (d={d}, n={n})")
+    return GramMatrix(d, n, entries, inverse, minors)
 
 
-def gram_matrix(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> GramMatrix:
-    """Exact Gram matrix for dimension d >= 2 and derivative order n >= 1.
-
-    Enumerates all d**n coordinate tuples directly; raises
-    :class:`BudgetExceededError` when d**n exceeds ``budget``.
-    """
+def _check_order(d: int, n: int, budget: int) -> None:
+    """Reject d < 2 or n < 1, and raise :class:`BudgetExceededError` when d**n exceeds ``budget``."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if n < 1:
@@ -334,6 +305,16 @@ def gram_matrix(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Gra
     required = d**n
     if required > budget:
         raise BudgetExceededError(d, n, required, budget)
+
+
+def gram_matrix(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> GramMatrix:
+    """Exact Gram matrix for dimension d >= 2 and derivative order n >= 1.
+
+    The d**n coordinate tuples are summed as the binomial(n + d - 1, d - 1)
+    multi-indices they collapse to, each weighted by its n!/alpha! tuples;
+    raises :class:`BudgetExceededError` when d**n exceeds ``budget``.
+    """
+    _check_order(d, n, budget)
     return _gram(d, n)
 
 
@@ -406,13 +387,7 @@ def recovery_coeffs(
     d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> RecoveryCoeffs:
     """Recovery coefficients q_alpha for all |alpha| = n in dimension d."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    required = d**n
-    if required > budget:
-        raise BudgetExceededError(d, n, required, budget)
+    _check_order(d, n, budget)
     return _recovery(d, n)
 
 

@@ -275,6 +275,7 @@ def _piecewise_weighted(
     return QuadResult(total, err, panels, converged)
 
 
+@lru_cache(maxsize=8192)
 def _weighted_lp_power(
     prof,
     p: float,
@@ -282,7 +283,10 @@ def _weighted_lp_power(
     upper: float,
     rel_tol: float,
 ) -> QuadResult:
-    """Integral of x^gamma |prof(x)|^p over (0, upper), upper may be inf."""
+    """Integral of x^gamma |prof(x)|^p over (0, upper), upper may be inf.
+
+    Memoised: routes and checks that need the same integral share one quadrature.
+    """
     if prof.is_zero:
         return QuadResult(0.0, 0.0, 0, True)
 
@@ -710,13 +714,21 @@ class InequalityReport:
     converged: bool
 
 
-def _check_hardy_params(p: float, s: float, r: float) -> None:
+def _hardy_integrals(f, p: float, r: float, s: float, tol: float):
+    """The integrals int_0^r x^(ps) |f|^p and int_0^r x^(p(s+1)) |f'|^p, and whether both converged.
+
+    Checks p >= 1, s > -1/p and r > 0 (or inf) first.  The Hardy and the
+    boundary estimates are both built from these two integrals.
+    """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if s <= -1.0 / p:
         raise ValueError(f"need s > -1/p = {-1.0 / p}, got {s}")
     if not math.isinf(r) and r <= 0:
         raise ValueError(f"need r > 0, got {r}")
+    zeroth = _weighted_lp_power(f, p, p * s, r, tol)
+    grad = _weighted_lp_power(f.derivative(), p, p * (s + 1.0), r, tol)
+    return zeroth, grad, zeroth.converged and grad.converged
 
 
 def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> InequalityReport:
@@ -732,11 +744,8 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
     SquaredProfile.  Returns the evaluated sides; slack >= 0 up to
     quadrature error.
     """
-    _check_hardy_params(p, s, r)
+    lhs_res, grad_res, converged = _hardy_integrals(f, p, r, s, tol)
     const = p / (p * s + 1.0)
-    fp = f.derivative()
-    lhs_res = _weighted_lp_power(f, p, p * s, r, tol)
-    grad_res = _weighted_lp_power(fp, p, p * (s + 1.0), r, tol)
     if math.isinf(r):
         boundary = 0.0
         variant = "hardy-halfline"
@@ -755,7 +764,7 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
         rhs=rhs,
         slack=rhs - lhs_res.value,
         quad_err=lhs_res.error_estimate + const**p * grad_res.error_estimate,
-        converged=lhs_res.converged and grad_res.converged,
+        converged=converged,
     )
 
 
@@ -765,12 +774,9 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
         |f(r)|^p <= (2^(p-1) (s+1)^p / r^(ps+1)) int_0^r x^(ps) |f|^p
                     + (2^(p-1) / r^(ps+1)) int_0^r x^(p(s+1)) |f'|^p
     """
-    _check_hardy_params(p, s, r)
     if math.isinf(r):
         raise ValueError("the boundary estimate needs a finite radius")
-    fp = f.derivative()
-    zeroth_res = _weighted_lp_power(f, p, p * s, r, tol)
-    grad_res = _weighted_lp_power(fp, p, p * (s + 1.0), r, tol)
+    zeroth_res, grad_res, converged = _hardy_integrals(f, p, r, s, tol)
     front = 2.0 ** (p - 1.0) / r ** (p * s + 1.0)
     zeroth = front * (s + 1.0) ** p * zeroth_res.value
     gradient = front * grad_res.value
@@ -786,7 +792,7 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
         rhs=rhs,
         slack=rhs - lhs,
         quad_err=front * ((s + 1.0) ** p * zeroth_res.error_estimate + grad_res.error_estimate),
-        converged=zeroth_res.converged and grad_res.converged,
+        converged=converged,
     )
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quad import QuadratureConvergenceError, integrate_1d
+from .quad import QuadratureConvergenceError, integrate_1d, rough_scale
 
 Term = tuple[Fraction, int, Fraction]  # (coefficient, power, decay rate)
 
@@ -247,8 +247,10 @@ def whitney_derivative(f: Profile, n: int, rho: float, tol: float = 1e-10) -> fl
     """Numeric value of f~^(n)(rho^2) from an integral over the even profile alone.
 
     Evaluates (1 / (2^(2n-1) (n-1)!)) * int_0^1 (1 - t^2)^(n-1) f^(2n)(t*rho) dt
-    by adaptive quadrature.  Raises QuadratureConvergenceError with the achieved
-    error estimate if the quadrature does not converge to ``tol``.
+    by adaptive quadrature.  ``tol`` is relative to a one-panel estimate of
+    the integral of the integrand's absolute value (absolute when that is
+    below 1).  Raises QuadratureConvergenceError with the achieved error
+    estimate if the quadrature does not converge to it.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -262,7 +264,7 @@ def whitney_derivative(f: Profile, n: int, rho: float, tol: float = 1e-10) -> fl
     def integrand(t):
         return (1.0 - t * t) ** (n - 1) * f2n.eval(t * rho)
 
-    res = integrate_1d(integrand, 0.0, 1.0, tol=tol)
+    res = integrate_1d(integrand, 0.0, 1.0, tol=tol * max(1.0, rough_scale(integrand, 0.0, 1.0)))
     if not res.converged:
         raise QuadratureConvergenceError(
             "quadrature for the squared-argument derivative did not converge",

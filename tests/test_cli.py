@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,14 @@ class TestGram:
         assert out == ""
         assert "budget" in err
 
+    def test_d5_n8_output_is_pinned(self, capsys):
+        # sha256 of the output of the tuple-by-tuple build
+        rc, out, _ = run_cli(capsys, ["gram", "--dim", "5", "--order", "8"])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "92a72ee08afd63dc893663f4a2f2db77841dc4d43ca3bd9c7d1242933fe5448c"
+        )
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, ["gram", "--dim", "4", "--order", "4"])
         _, out2, _ = run_cli(capsys, ["gram", "--dim", "4", "--order", "4"])
@@ -120,6 +129,35 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0
         assert json.loads(out)["passed"] is True
+
+    def test_hardy_single_s_output_is_pinned(self, capsys):
+        # sha256 of the output when each check ran its own two quadratures
+        rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3776fd4114faba170bbcd055069899eb9f381f9cc5d618114e0b61791068501f"
+        )
+
+    def test_hardy_overflow_names_the_check(self, capsys, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"terms": [[1e200, 0, 1]], "label": "big"}]')
+        with np.errstate(all="ignore"):
+            rc, out, err = run_cli(capsys, ["verify", "hardy", "--corpus", str(path)])
+        assert rc == 4
+        assert out == ""
+        assert err == "error: hardy p=2 s=-0.25 r=0.5 big: a value overflowed the float range\n"
+
+    def test_whitney_tolerance_is_relative(self, capsys, tmp_path):
+        # an integrand of size 1e6 rounds at ~1e-10, the default tol taken as absolute
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"terms": [[1000000, 0, 1]], "label": "mega"}]')
+        rc, out, _ = run_cli(capsys, ["verify", "whitney", "--corpus", str(path)])
+        assert rc == 0
+        assert json.loads(out)["passed"] is True
+        rc, out, err = run_cli(capsys, ["verify", "whitney", "--corpus", str(path), "--tol", "1e-30"])
+        assert rc == 4
+        assert out == ""
+        assert "did not converge" in err
 
 
 class TestEquiv:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from radsob.derivcalc import (
     BudgetExceededError,
+    _invert_exact,
     angular_matrix,
     corot_angular_matrix,
     forward_terms,
@@ -104,7 +106,46 @@ class TestProfileDerivativeFromPartials:
             profile_derivative_from_partials(RadialField(2, RHO2), 1, (0.0, 0.0))
 
 
+def leibniz_det(rows):
+    """Determinant by the Leibniz formula: a signed sum over all permutations."""
+    k = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 class TestGram:
+    @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+    def test_entries_equal_the_tuple_sum(self, d, n):
+        # the defining sum over all d**n coordinate tuples, evaluated exactly at e_d
+        e_d = (0,) * (d - 1) + (1,)
+        size = n // 2 + 1
+        want = [[Fraction(0)] * size for _ in range(size)]
+        for index in enumerate_dindex(d, n):
+            vec = [p_poly(index, j, d).eval_exact(e_d) for j in range(size)]
+            for i in range(size):
+                for j in range(size):
+                    want[i][j] += vec[i] * vec[j]
+        assert gram_matrix(d, n).entries == tuple(tuple(row) for row in want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_leading_minors_equal_leibniz_determinants(self, d, n):
+        gram = gram_matrix(d, n)
+        assert gram.size <= 5
+        want = [leibniz_det([row[:k] for row in gram.entries[:k]]) for k in range(1, gram.size + 1)]
+        assert gram.leading_minors() == want
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 1]], [[0, 1], [1, 0]], [[-1]]])
+    def test_elimination_rejects_non_positive_definite(self, rows):
+        with pytest.raises(ValueError, match="^M is not positive definite$"):
+            _invert_exact([[Fraction(v) for v in row] for row in rows], "M")
+
     def test_order_one(self):
         for d in (2, 3, 4, 5):
             assert gram_matrix(d, 1).entries == ((Fraction(1),),)

@@ -434,6 +434,32 @@ class TestHardy:
             hardy_check(ONE, 0.5, 1.0, 0.0)
 
 
+class TestWeightedIntegralMemo:
+    def test_hardy_and_boundary_share_their_integrals(self, monkeypatch):
+        calls = []
+        for name in ("integrate_power_weight", "integrate_1d"):
+            real = getattr(norms, name)
+
+            def spy(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(norms, name, spy)
+        norms._weighted_lp_power.cache_clear()
+        f = Profile([(1, 0, 1), (-2, 2, 0)])  # one sign change in (0, 1), so p = 3 splits there
+        hardy_check(f, 3.0, 1.0, 0.5)
+        after_hardy = len(calls)
+        assert after_hardy == 3  # f in two pieces (split at its sign change), f' in one
+        boundary_check(f, 3.0, 1.0, 0.5)
+        assert len(calls) == after_hardy
+
+    def test_lp_radial_def_and_d_share_one_quadrature(self):
+        norms._weighted_lp_power.cache_clear()
+        lp_radial(RadialField(3, Profile([(1, 0, 1), (-2, 2, 0)])), 3.0, 1.0)
+        info = norms._weighted_lp_power.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+
 class TestBoundary:
     def test_constant_equality(self):
         rep = boundary_check(ONE, 1, 1.0, 0.0)
