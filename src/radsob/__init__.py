@@ -38,7 +38,6 @@ from .norms import (
     CorotField,
     InequalityReport,
     NormReport,
-    WeightFamily,
     boundary_check,
     corot_lhs,
     corot_report,

@@ -422,11 +422,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_ignored_flags(args) -> None:
+    """Refuse a --format or --method that the command would silently ignore."""
+    if args.format == "csv" and args.command not in ("equiv", "corot"):
+        raise ValueError(f"{args.command} writes JSON only; --format csv is not supported")
+    if args.method == "monte-carlo" and args.command != "equiv":
+        raise ValueError(f"--method monte-carlo applies to equiv only, not to {args.command}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         RunConfig.from_args(args)  # validates the shared parameters of every command
+        _reject_ignored_flags(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

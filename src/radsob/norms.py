@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +39,11 @@ from .derivcalc import (
     corot_angular_matrix,
     forward_terms,
 )
-from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi
+from .indexpoly import MonomialPoly, enumerate_multi
 from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
 from .quad import (
     QuadResult,
+    QuadratureConvergenceError,
     _fsum,
     composite_nodes,
     integrate_1d,
@@ -76,31 +77,12 @@ class NormValue(NamedTuple):
     converged: bool = True
 
 
-@dataclass(frozen=True)
-class WeightFamily:
-    """Weight exponents of the two profile routes for given (d, k, p).
-
-    Route D uses the exponent (d-1)/p + j on (0, r); the squared route uses
-    (d-2)/(2p) + j/2 on (0, r^2), equivalently the weight s^((d-2+pj)/2)
-    inside the p-th power.  All exponents are >= 0 for d >= 2, p >= 1.
-    """
-
-    d: int
-    k: int
-    p: float
-
-    def __post_init__(self):
-        if self.d < 2 or self.k < 0 or self.p < 1:
-            raise ValueError(f"invalid weight family (d={self.d}, k={self.k}, p={self.p})")
-
-    def route_d_exponent(self, j: int) -> float:
-        return (self.d - 1) / self.p + j
-
-    def route_squared_exponent(self, j: int) -> float:
-        return (self.d - 2) / (2 * self.p) + j / 2
-
-    def weight_exponent(self, j: int) -> float:
-        return (self.d - 2 + self.p * j) / 2
+def _converged_values(name: str, *nvs: NormValue) -> tuple[float, ...]:
+    """The values of ``nvs``, or QuadratureConvergenceError with the err of an unconverged one."""
+    for nv in nvs:
+        if not nv.converged:
+            raise QuadratureConvergenceError(f"{name}: a quadrature missed its tol", nv.err)
+    return tuple(nv.value for nv in nvs)
 
 
 class CorotField:
@@ -245,17 +227,53 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _piecewise_weighted(
-    core: Callable,
+def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tuple[float, float]:
+    """Truncation point T and tail bound of a half-line integral of x^extra_power |sum parts|^p.
+
+    ``parts`` are as for ``_gauss_envelope``, whose bound of the integrand
+    ``truncation_point`` cuts at a tail below ``tol`` / 2; q is the
+    profiles' argument power.  Every half-line route cuts here.
+    """
+    coeff, power, rate = _gauss_envelope(parts, p)
+    if rate <= 0:
+        raise ValueError("half-line integration requires a decaying profile")
+    return truncation_point(tol, rate, coeff, power + extra_power, q)
+
+
+@lru_cache(maxsize=8192)
+def _weighted_lp_power(
+    prof,
+    p: float,
     gamma: float,
     upper: float,
-    abs_tol: float,
-    kinks: Sequence[float],
+    rel_tol: float,
 ) -> QuadResult:
-    """Integral of x^gamma * core(x) over (0, upper), split at the kinks."""
+    """Integral of x^gamma |prof(x)|^p over (0, upper), upper may be inf.
+
+    The interval is split at the sign changes of prof, the kinks of |prof|^p
+    for odd or fractional p.  Memoised: routes and checks that need the same
+    integral share one quadrature.
+    """
+    if prof.is_zero:
+        return QuadResult(0.0, 0.0, 0, True)
+
+    def core(x):
+        return np.abs(prof.eval(x)) ** p
+
+    def weighted(x):
+        return x ** max(gamma, 0.0) * core(x)
+
+    tail = 0.0
+    if math.isinf(upper):
+        upper, tail = _halfline_cut(
+            [(prof, 1, 0)], p, max(0, math.ceil(gamma)), prof._q,
+            1e-14 * max(rough_scale(weighted, 0.0, 2.0), 1e-10),
+        )
+    scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0), _TINY)
+    abs_tol = rel_tol * scale
+    kinks = () if _is_even_power(p) else _sign_changes(prof, upper)
     edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
-    total = 0.0
-    err = 0.0
+    total = err = 0.0
     panels = 0
     converged = True
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -272,52 +290,7 @@ def _piecewise_weighted(
         err += res.error_estimate
         panels += res.subdivisions
         converged = converged and res.converged
-    return QuadResult(total, err, panels, converged)
-
-
-@lru_cache(maxsize=8192)
-def _weighted_lp_power(
-    prof,
-    p: float,
-    gamma: float,
-    upper: float,
-    rel_tol: float,
-) -> QuadResult:
-    """Integral of x^gamma |prof(x)|^p over (0, upper), upper may be inf.
-
-    Memoised: routes and checks that need the same integral share one quadrature.
-    """
-    if prof.is_zero:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    def core(x):
-        return np.abs(prof.eval(x)) ** p
-
-    def weighted(x):
-        return x ** max(gamma, 0.0) * core(x)
-
-    tail = 0.0
-    if math.isinf(upper):
-        coeff, power, rate = _gauss_envelope([(prof, 1, 0)], p)
-        if rate <= 0:
-            raise ValueError("half-line integration requires a decaying profile")
-        ueff, tail = truncation_point(
-            1e-14 * max(rough_scale(weighted, 0.0, 2.0), 1e-10),
-            rate,
-            coeff,
-            power + max(0, math.ceil(gamma)),
-            prof._q,
-        )
-    else:
-        ueff = upper
-    scale = max(
-        rough_scale(weighted, 0.0, ueff),
-        rough_scale(weighted, 0.0, max(ueff / 4.0, ueff * 0.1)),
-        _TINY,
-    )
-    kinks = () if _is_even_power(p) else _sign_changes(prof, ueff)
-    res = _piecewise_weighted(core, gamma, ueff, rel_tol * scale, kinks)
-    return QuadResult(res.value, res.error_estimate + tail, res.subdivisions, res.converged)
+    return QuadResult(total, err + tail, panels, converged)
 
 
 def _pth_root(powsum: float, err_pow: float, p: float) -> tuple[float, float]:
@@ -325,11 +298,14 @@ def _pth_root(powsum: float, err_pow: float, p: float) -> tuple[float, float]:
 
     First-order rule err_pow * value / (p * powsum), or err_pow^(1/p) at a
     zero sum; a negative sum (quadrature noise around zero) counts as zero.
+    value and powsum enter scaled by the power of two of value, which rounds
+    alike and keeps err_pow * value from overflowing where the error is finite.
     """
     powsum = max(powsum, 0.0)
     value = powsum ** (1.0 / p)
     if powsum > 0:
-        return value, err_pow * value / (p * powsum)
+        e = math.frexp(value)[1]
+        return value, err_pow * math.ldexp(value, -e) / (p * math.ldexp(powsum, -e))
     return value, err_pow ** (1.0 / p)
 
 
@@ -340,24 +316,8 @@ def _scale_power(nv: NormValue, c: float, p: float) -> NormValue:
 
 
 # ---------------------------------------------------------------------------
-# Expansion of partial derivatives into polynomial x profile terms
+# The d-dimensional definition route
 # ---------------------------------------------------------------------------
-
-class PolyProfileTerm(NamedTuple):
-    """One summand poly(x) * radial(|x|) with ``poly`` homogeneous of ``degree``."""
-
-    poly: MonomialPoly
-    radial: Profile
-    degree: int
-
-
-def _alpha_terms(d: int, alpha: MultiIndex, f: Profile) -> list[PolyProfileTerm]:
-    """Expansion of d^alpha f(|x|) as a list of polynomial x profile terms."""
-    out = []
-    for j, poly in forward_terms(d, tuple(alpha)):
-        out.append(PolyProfileTerm(poly, d_op(f, j), poly.homogeneous_degree()))
-    return out
-
 
 def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float]:
     """Squared L^2 norm over the ball (or space) of all derivatives of one order.
@@ -383,9 +343,11 @@ def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float
     return _fsum(parts), err
 
 
-# ---------------------------------------------------------------------------
-# The d-dimensional definition route
-# ---------------------------------------------------------------------------
+def _form_norm(mats: Iterable[AngularMatrix], f: Profile, r: float) -> NormValue:
+    """The p = 2 norm whose square is the sum of the quadratic forms of ``mats`` on f."""
+    squares = [_form_square(mat, f, r) for mat in mats]
+    return NormValue(*_pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2))
+
 
 def _ball_def_exact(
     field: RadialField, orders: Sequence[int], p: float, r: float, rel_tol: float
@@ -393,9 +355,7 @@ def _ball_def_exact(
     d = field.d
     f = field.profile
     if p == 2:
-        squares = [_form_square(angular_matrix(d, n), f, r) for n in orders]
-        value, err = _pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2)
-        return NormValue(value, err)
+        return _form_norm((angular_matrix(d, n) for n in orders), f, r)
     if list(orders) == [0]:
         # order zero is the plain L^p norm: the angular integral is exact for any p
         res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
@@ -406,24 +366,27 @@ def _ball_def_exact(
 
 
 def _mc_accumulate(
-    terms: Sequence[PolyProfileTerm],
+    terms: Sequence[tuple[MonomialPoly, Profile, int]],
     V: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
     d: int,
     p: float,
 ) -> np.ndarray:
-    """Per-sample radial integrals of rho^(d-1) |sum_t s_t(rho) V_t|^p."""
+    """Per-sample radial integrals of rho^(d-1) |sum_t rho^deg_t g_t(rho) V_t|^p.
+
+    ``terms`` are the (poly_t, g_t, deg_t); row t of ``V`` is poly_t at the samples.
+    """
     acc = np.zeros(V.shape[1])
     block = 64
     for start in range(0, len(nodes), block):
         nd = nodes[start : start + block]
         wt = weights[start : start + block]
         S = np.empty((len(nd), len(terms)))
-        for t_i, t in enumerate(terms):
-            col = t.radial.eval(nd)
-            if t.degree:
-                col = col * nd**t.degree
+        for t_i, (_, radial, degree) in enumerate(terms):
+            col = radial.eval(nd)
+            if degree:
+                col = col * nd**degree
             S[:, t_i] = col
         U = S @ V
         np.abs(U, out=U)
@@ -439,35 +402,39 @@ def _ball_def_mc(
     r: float,
     seed: int,
     samples: int,
-    rel_tol: float,
 ) -> NormValue:
     d = field.d
     f = field.profile
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
-    sampler = SphereSampler(d, seed, samples)
-    pts = sampler.points
+    pts = SphereSampler(d, seed, samples).points
 
-    # the nonzero summands poly(x) * radial(|x|) of each d^alpha f, alpha of every order
-    all_terms: list[list[PolyProfileTerm]] = []
+    # each d^alpha f, alpha of every order n, as its nonzero summands poly(x) (D^j f)(|x|)
+    # with poly homogeneous of degree 2j - n
+    alphas = []
     for n in orders:
         for alpha in enumerate_multi(d, n):
-            live = [t for t in _alpha_terms(d, alpha, f) if not t.radial.is_zero]
-            if live:
-                all_terms.append(live)
+            terms = [(poly, d_op(f, j), 2 * j - n) for j, poly in forward_terms(d, tuple(alpha))
+                     if not d_op(f, j).is_zero]
+            if terms:
+                alphas.append(terms)
+
+    def angular(terms):
+        # the polys at the sample points, one alpha at a time: the rows of all
+        # alphas take 51 MB at d = 3, k = 3 and 200 000 samples
+        return np.stack([poly.eval_many(pts) for poly, _, _ in terms])
 
     tail_total = 0.0
     R = r
     if math.isinf(r):
         R = 1.0
-        for terms in all_terms:
+        panel = composite_nodes(0.0, 2.0, 1)
+        for terms in alphas:
+            # the tail is relative to a one-panel estimate on [0, 2] of the sample-mean integrand;
             # on the unit sphere |poly| is at most its absolute coefficient sum
-            coeff, power, rate = _gauss_envelope(
-                [(t.radial, sum(map(abs, t.poly.coeffs.values())), t.degree) for t in terms], p
-            )
-            if rate <= 0:
-                raise ValueError("half-line integration requires a decaying profile")
-            T, tail = truncation_point(1e-10 * (1.0 + coeff), rate, coeff, power + d - 1, f._q)
+            scale = float(_mc_accumulate(terms, angular(terms), *panel, d, p).mean())
+            parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
+            T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
             R = max(R, T)
             tail_total += tail
 
@@ -475,16 +442,18 @@ def _ball_def_mc(
     coarse = composite_nodes(0.0, R, _MC_COARSE_PANELS)
     acc = np.zeros(samples)
     quad_err = tail_total
-    for terms in all_terms:
-        V = np.stack([t.poly.eval_many(pts) for t in terms])
-        acc_alpha = _mc_accumulate(terms, V, fine[0], fine[1], d, p)
-        acc_coarse = _mc_accumulate(terms, V, coarse[0], coarse[1], d, p)
+    for terms in alphas:
+        V = angular(terms)
+        acc_alpha = _mc_accumulate(terms, V, *fine, d, p)
+        acc_coarse = _mc_accumulate(terms, V, *coarse, d, p)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
         acc += acc_alpha
 
     area = sphere_area(d)
     pow_mean = area * float(acc.mean())
-    se_pow = area * float(acc.std(ddof=1)) / math.sqrt(samples)
+    # the std of acc scaled by an exact power of two, as squares of values near 1e300 overflow
+    e = math.frexp(float(acc.max()))[1]
+    se_pow = area * math.ldexp(float(np.ldexp(acc, -e).std(ddof=1)), e) / math.sqrt(samples)
     value, err = _pth_root(pow_mean, se_pow + area * quad_err, p)
     return NormValue(value, err, _pth_root(pow_mean, se_pow, p)[1])
 
@@ -502,7 +471,7 @@ def _ball_def_detail(
     if method == "exact-angular":
         return _ball_def_exact(field, orders, p, r, rel_tol)
     if method == "monte-carlo":
-        return _ball_def_mc(field, orders, p, r, seed, samples, rel_tol)
+        return _ball_def_mc(field, orders, p, r, seed, samples)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -525,7 +494,8 @@ def sobolev_ball_definition(
     """
     if k < 0 or p < 1 or (not math.isinf(r) and r <= 0):
         raise ValueError("need k >= 0, p >= 1, r > 0")
-    return _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol).value
+    nv = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
+    return _converged_values("sobolev_ball_definition", nv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +514,22 @@ def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValu
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
+def _profile_route(
+    pieces: list, d: int, p: float, upper: float, aggregation: str, rel_tol: float
+) -> NormValue:
+    """The aggregated L^p(0, upper) norms of x^(gamma/p) g over the (g, gamma) pieces."""
+    if d < 2 or p < 1 or not pieces:
+        raise ValueError(f"need d >= 2, p >= 1 and k >= 0, got d={d}, p={p}, {len(pieces)} orders")
+    quads = [_weighted_lp_power(g, p, gamma, upper, rel_tol) for g, gamma in pieces]
+    return _aggregate(quads, p, aggregation)
+
+
 def _profile_d_detail(
     f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float
 ) -> NormValue:
-    WeightFamily(d, max(orders), p)  # validates (d, p)
-    pieces = []
-    for j in orders:
-        gamma = float(d - 1 + j * Fraction(p))  # p ((d-1)/p + j), rounded once
-        pieces.append(_weighted_lp_power(d_op(f, j), p, gamma, r, rel_tol))
-    return _aggregate(pieces, p, aggregation)
+    # the weight is p ((d-1)/p + j), rounded once
+    pieces = [(d_op(f, j), float(d - 1 + j * Fraction(p))) for j in orders]
+    return _profile_route(pieces, d, p, r, aggregation, rel_tol)
 
 
 def sobolev_profile_D(
@@ -573,7 +550,8 @@ def sobolev_profile_D(
     """
     if not f.is_even:
         raise ValueError("requires an even profile")
-    return _profile_d_detail(f, d, range(k + 1), p, r, aggregation, tol).value
+    nv = _profile_d_detail(f, d, range(k + 1), p, r, aggregation, tol)
+    return _converged_values("sobolev_profile_D", nv)[0]
 
 
 def _profile_squared_detail(
@@ -585,12 +563,9 @@ def _profile_squared_detail(
     aggregation: str,
     rel_tol: float,
 ) -> NormValue:
-    WeightFamily(d, max(orders), p)  # validates (d, p)
-    pieces = []
-    for j in orders:
-        gamma = float((d - 2 + j * Fraction(p)) / 2)  # p ((d-2)/(2p) + j/2), rounded once
-        pieces.append(_weighted_lp_power(ft.derivative(j), p, gamma, r_squared, rel_tol))
-    return _aggregate(pieces, p, aggregation)
+    # the weight is p ((d-2)/(2p) + j/2), rounded once
+    pieces = [(ft.derivative(j), float((d - 2 + j * Fraction(p)) / 2)) for j in orders]
+    return _profile_route(pieces, d, p, r_squared, aggregation, rel_tol)
 
 
 def sobolev_profile_squared(
@@ -607,7 +582,8 @@ def sobolev_profile_squared(
     The j-th summand is the L^p(0, r^2) norm of s^((d-2)/(2p) + j/2) f~^(j)(s).
     ``r_squared`` may be ``math.inf`` for decaying profiles.
     """
-    return _profile_squared_detail(ft, d, range(k + 1), p, r_squared, aggregation, tol).value
+    nv = _profile_squared_detail(ft, d, range(k + 1), p, r_squared, aggregation, tol)
+    return _converged_values("sobolev_profile_squared", nv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +594,18 @@ class LpDetail(NamedTuple):
     value_def: NormValue
     value_D: NormValue
     value_squared: NormValue
+
+
+def _route_triple(
+    f: Profile, d: int, orders: Sequence[int], p: float, r: float, method: str, seed: int,
+    samples: int, aggregation: str, rel_tol: float,
+) -> LpDetail:
+    """The def, D and squared routes of f(|x|) in R^d over the given derivative orders."""
+    return LpDetail(
+        _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, rel_tol),
+        _profile_d_detail(f, d, orders, p, r, aggregation, rel_tol),
+        _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, rel_tol),
+    )
 
 
 def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDetail:
@@ -639,8 +627,7 @@ def lp_radial(
     """
     if p < 1 or (not math.isinf(r) and r <= 0):
         raise ValueError("need p >= 1 and r > 0")
-    detail = _lp_detail(field, p, r, tol)
-    return (detail.value_def.value, detail.value_D.value, detail.value_squared.value)
+    return _converged_values("lp_radial", *_lp_detail(field, p, r, tol))
 
 
 def _homogeneous_detail(
@@ -662,10 +649,8 @@ def _homogeneous_detail(
     """
     if math.isinf(r) and not f.is_zero and not (f.min_decay and f.min_decay > 0):
         raise ValueError("norms over all of space require strictly positive decay in every term")
+    v_def, v_D, v_sq = _route_triple(f, d, [k], p, r, method, seed, samples, "p-power", rel_tol)
     area = sphere_area(d)
-    v_def = _ball_def_detail(RadialField(d, f), [k], p, r, method, seed, samples, rel_tol)
-    v_D = _profile_d_detail(f, d, [k], p, r, "p-power", rel_tol)
-    v_sq = _profile_squared_detail(to_squared(f), d, [k], p, r * r, "p-power", rel_tol)
     return LpDetail(v_def, _scale_power(v_D, area, p), _scale_power(v_sq, area / 2.0, p))
 
 
@@ -688,7 +673,7 @@ def homogeneous_norm(
     """
     prof = f.profile if isinstance(f, RadialField) else f
     detail = _homogeneous_detail(prof, d, k, p, math.inf, method, seed, samples, tol)
-    return (detail.value_def.value, detail.value_D.value, detail.value_squared.value)
+    return _converged_values("homogeneous_norm", *detail)
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +786,7 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
 # ---------------------------------------------------------------------------
 
 def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
-    squares = [_form_square(corot_angular_matrix(F.d, n), F.profile, r) for n in range(k + 1)]
-    value, err = _pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2)
-    return NormValue(value, err)
+    return _form_norm((corot_angular_matrix(F.d, n) for n in range(k + 1)), F.profile, r)
 
 
 def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
@@ -985,10 +968,9 @@ def equivalence_report(
     orders = [k] if halfline else range(k + 1)
 
     def routes(entry: CorpusEntry):
-        f = entry.profile
-        v_def = _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, tol)
-        v_D = _profile_d_detail(f, d, orders, p, r, aggregation, tol)
-        v_sq = _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, tol)
+        v_def, v_D, v_sq = _route_triple(
+            entry.profile, d, orders, p, r, method, seed, samples, aggregation, tol
+        )
         return [("def", method, v_def), ("D", "exact-angular", v_D),
                 ("squared", "exact-angular", v_sq)]
 

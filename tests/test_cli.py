@@ -277,6 +277,44 @@ class TestExitCodes:
         assert exit_code(["equiv", "--dim", "2", "--k", "0"] + flags) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--dim", "2", "--order", "2", "--format", "csv"],
+            ["moments", "--format", "csv"],
+            ["verify", "gram", "--format", "csv"],
+            ["corot", "--dim", "2", "--k", "1", "--method", "monte-carlo"],
+            ["gram", "--method", "monte-carlo"],
+            ["moments", "--method", "monte-carlo"],
+            ["verify", "gram", "--method", "monte-carlo"],
+        ],
+    )
+    def test_flag_the_command_ignores_is_config_error(self, capsys, argv):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and ("--format csv" in err or "--method" in err)
+
+
+class TestPinnedOutputs:
+    """sha256 of stdout before the routes were composed from shared pieces."""
+
+    PINS = [
+        (["equiv", "--dim", "4", "--k", "2", "--radius", "inf"],
+         "816448c600dc05cb7295cc85795c152c53e97420c16a3846591ac9a296c44c6e"),
+        (["corot", "--dim", "3", "--k", "2"],
+         "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1"),
+        (["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
+          "--samples", "500", "--seed", "1"],
+         "8c917519d4af6efef13a0ff43fae4d0657604437d0510273af31c4631c3d1267"),
+    ]
+
+    @pytest.mark.parametrize("argv, sha", PINS)
+    def test_output_is_pinned(self, capsys, argv, sha):
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestStrictJson:
     def test_empty_ratio_set_is_null(self, capsys, tmp_path):
@@ -332,6 +370,17 @@ class TestNonFiniteNorms:
         assert doc is not None
         assert doc["degenerate"] == [{"label": "big", "reason": "non-finite norm"}]
         assert all(e["value"] is None for e in doc["entries"])
+
+    def test_monte_carlo_errors_stay_finite(self, capsys, tmp_path):
+        # err_pow * value and the squared samples overflowed while every error is representable
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"terms": [[1e200, 0, 1]], "label": "big"}]')
+        argv = ["equiv", "--dim", "3", "--k", "1", "--p", "1.5", "--radius", "inf",
+                "--method", "monte-carlo", "--samples", "200", "--corpus", str(path)]
+        doc = self.check_run(capsys, argv)
+        assert doc is not None and doc["degenerate"] == []
+        assert len(doc["entries"]) == 3
+        assert all(math.isfinite(e["err"]) and e["err"] > 0 for e in doc["entries"])
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -14,8 +14,6 @@ from radsob.indexpoly import enumerate_multi
 from radsob.norms import (
     CorotField,
     NormValue,
-    WeightFamily,
-    _alpha_terms,
     _ball_def_detail,
     _ball_def_exact,
     _corot_lhs_detail,
@@ -36,7 +34,14 @@ from radsob.norms import (
 )
 from radsob.opspace import boundedness_report
 from radsob.profile import CorpusEntry, Profile, RadialField, _TermSum, d_op, to_squared
-from radsob.quad import QuadResult, SphereSampler, integrate_1d, sphere_area, sphere_monomial_moment
+from radsob.quad import (
+    QuadResult,
+    QuadratureConvergenceError,
+    SphereSampler,
+    integrate_1d,
+    sphere_area,
+    sphere_monomial_moment,
+)
 
 ONE = Profile([(1, 0, 0)])
 RHO2 = Profile([(1, 2, 0)])
@@ -54,20 +59,16 @@ def rel_diff(a, b):
 
 
 class TestWeightFamily:
-    def test_exponents_nonnegative(self):
-        for d in (2, 3, 4, 5):
-            for p in (1.0, 2.0, 3.0):
-                wf = WeightFamily(d, 6, p)
-                for j in range(7):
-                    assert wf.route_d_exponent(j) >= 0
-                    assert wf.route_squared_exponent(j) >= 0
-                    assert wf.weight_exponent(j) >= 0
+    """The (d, p) preconditions of the weighted profile routes."""
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            WeightFamily(1, 0, 2.0)
-        with pytest.raises(ValueError):
-            WeightFamily(2, 0, 0.5)
+        for route, g in [(sobolev_profile_D, GAUSS), (sobolev_profile_squared, to_squared(GAUSS))]:
+            with pytest.raises(ValueError):
+                route(g, 1, 0, 2.0, 1.0)
+            with pytest.raises(ValueError):
+                route(g, 2, 0, 0.5, 1.0)
+            with pytest.raises(ValueError):
+                route(g, 2, -1, 2.0, 1.0)
 
 
 class TestLpRadial:
@@ -206,20 +207,29 @@ class TestBallDefinition:
             return envelopes[-1]
 
         monkeypatch.setattr(norms, "_gauss_envelope", spy)
-        norms._ball_def_mc(RadialField(d, f), [k], p, math.inf, 1, 16, 1e-10)
+        norms._ball_def_mc(RadialField(d, f), [k], p, math.inf, 1, 16)
         pts = SphereSampler(d, 7, 4000).points
         rho = np.linspace(0.0, 6.0, 241)
         alphas = enumerate_multi(d, k)
         assert len(envelopes) == len(alphas)
         for alpha, (coeff, power, rate) in zip(alphas, envelopes):
-            terms = _alpha_terms(d, alpha, f)
-            V = np.stack([t.poly.eval_many(pts) for t in terms])
-            S = np.stack([t.radial.eval(rho) * rho**t.degree for t in terms], axis=1)
+            terms = [(poly, d_op(f, j)) for j, poly in forward_terms(d, alpha)]
+            V = np.stack([poly.eval_many(pts) for poly, _ in terms])
+            S = np.stack(
+                [g.eval(rho) * rho ** poly.homogeneous_degree() for poly, g in terms], axis=1
+            )
             worst = (np.abs(S @ V) ** p).max(axis=1)
             assert np.all(worst <= coeff * (1.0 + rho**power) * np.exp(-rate * rho**2))
             # at p = 1 the coefficient covers each term's largest angular factor
             angular = np.abs(V).max(axis=1)
-            assert coeff >= sum(a * float(t.radial.coeff_abs_sum) for a, t in zip(angular, terms))
+            assert coeff >= sum(a * float(g.coeff_abs_sum) for a, (_, g) in zip(angular, terms))
+
+    def test_monte_carlo_halfline_tail_is_relative_to_the_integral(self, corpus):
+        # a tail cut relative to the envelope coefficient left err at 2.08 and 2.35 times mc_se
+        profiles = {entry.label: entry.profile for entry in corpus}
+        for label in ("seed04", "seed07"):
+            nv = norms._ball_def_mc(RadialField(3, profiles[label]), [3], 3.0, math.inf, 20240001, 300)
+            assert nv.err <= 1.1 * nv.mc_se, label
 
     def test_monte_carlo_halfline(self):
         field = RadialField(3, GAUSS)
@@ -322,6 +332,46 @@ class TestPthRoot:
         assert _pth_root(0.0, 8e-12, 3.0) == (0.0, pytest.approx(2e-4, rel=1e-12))
         # a negative sum is quadrature noise around zero
         assert _pth_root(-1e-20, 1e-12, 2.0) == (0.0, pytest.approx(1e-6, rel=1e-12))
+
+    def test_error_does_not_overflow_where_it_is_representable(self):
+        # err_pow * value is 1.6e488, the error itself 1.6e188
+        value, err = _pth_root(6.4e299, 2.1e288, 1.5)
+        assert math.isfinite(err)
+        assert err == pytest.approx(2.1e288 / 1.5 * 6.4e299 ** (1 / 1.5 - 1), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=1e-100, max_value=1e100),
+        st.floats(min_value=1e-30, max_value=1e30),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
+    )
+    def test_power_of_two_scaling_rounds_like_the_plain_rule(self, powsum, err_pow, p):
+        # where err_pow * value neither overflows nor underflows, the bits are those of the plain rule
+        value, err = _pth_root(powsum, err_pow, p)
+        assert value == powsum ** (1.0 / p)
+        assert err == err_pow * value / (p * powsum)
+
+
+class TestUnconvergedQuadratureRaises:
+    """The public routes raise with the achieved err instead of returning an unconverged value."""
+
+    CALLS = {
+        "sobolev_ball_definition": lambda: sobolev_ball_definition(
+            RadialField(2, GAUSS), 0, 3.0, 1.0, tol=1e-30
+        ),
+        "sobolev_profile_D": lambda: sobolev_profile_D(GAUSS, 2, 1, 2.0, 1.0, tol=1e-30),
+        "sobolev_profile_squared": lambda: sobolev_profile_squared(
+            to_squared(GAUSS), 2, 1, 2.0, 1.0, tol=1e-30
+        ),
+        "lp_radial": lambda: lp_radial(RadialField(2, GAUSS), 2.0, 1.0, tol=1e-30),
+        "homogeneous_norm": lambda: homogeneous_norm(GAUSS, 2, 1, 2.0, tol=1e-30),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises_at_an_unmeetable_tol(self, name):
+        with pytest.raises(QuadratureConvergenceError, match=f"^{name}: ") as info:
+            self.CALLS[name]()
+        assert 0 < info.value.estimate < math.inf
 
 
 class TestHomogeneous:
