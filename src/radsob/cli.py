@@ -14,7 +14,6 @@ stdout carries only the report; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -36,10 +35,6 @@ _EXIT_BUDGET = 3
 _EXIT_NUMERICAL = 4
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -51,8 +46,8 @@ def _parse_radius(value: str) -> float:
     if value.strip().lower() in ("inf", "infinity"):
         return math.inf
     r = float(value)
-    if not math.isfinite(r) or r <= 0:
-        raise argparse.ArgumentTypeError("radius must be positive or 'inf'")
+    if not math.isfinite(r):
+        raise argparse.ArgumentTypeError("radius must be a finite number or 'inf'")
     return r
 
 
@@ -89,18 +84,13 @@ class RunConfig:
     s: float | None = None
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
-        if self.order < 0 or self.k < 0:
-            raise ValueError("orders must be >= 0")
-        for name in ("p", "tol", "s"):
+        norms._check_domain(self.dim, self.k, self.p, self.radius)
+        if self.order < 0:
+            raise ValueError(f"need order >= 0, got {self.order}")
+        for name in ("tol", "s"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.p < 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
-        if math.isnan(self.radius) or self.radius <= 0:
-            raise ValueError("radius must be positive or inf")
         if self.method not in ("exact-angular", "monte-carlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.format not in ("json", "csv"):
@@ -153,7 +143,7 @@ def _cmd_gram(args) -> int:
         "gamma": [[rational_to_json(v) for v in row] for row in gram.entries],
         "gamma_inv": [[rational_to_json(v) for v in row] for row in gram.inverse],
     }
-    _emit(_json_dumps(doc), args.out)
+    _emit(norms._json_dumps(doc), args.out)
     return _EXIT_OK
 
 
@@ -164,7 +154,7 @@ def _cmd_moments(args) -> int:
         for beta in enumerate_multi(d, args.order)
     ]
     doc = {"d": d, "order": args.order, "area": sphere_area(d), "moments": rows}
-    _emit(_json_dumps(doc), args.out)
+    _emit(norms._json_dumps(doc), args.out)
     return _EXIT_OK
 
 
@@ -326,7 +316,7 @@ def _cmd_verify(args) -> int:
         "checks": checks,
         "passed": passed,
     }
-    _emit(_json_dumps(doc), args.out)
+    _emit(norms._json_dumps(doc), args.out)
     return _EXIT_OK if passed else _EXIT_VERIFY_FAILED
 
 

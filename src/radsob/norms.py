@@ -112,6 +112,27 @@ class CorotField:
 # Shared integration helpers
 # ---------------------------------------------------------------------------
 
+def _check_domain(d=None, k=None, p=None, r=None, method=None) -> None:
+    """Raise ValueError unless each parameter given (not None) lies in the routes' domain.
+
+    That is d >= 2, k >= 0, a finite p >= 1, r > 0 or r = inf, a known method,
+    and p = 2 or k = 0 for ``exact-angular``.  Every public entry point calls
+    this before any quadrature or radial moment runs.
+    """
+    if d is not None and d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    if k is not None and k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if p is not None and not 1 <= p < math.inf:
+        raise ValueError(f"need a finite p >= 1, got {p}")
+    if r is not None and not r > 0:
+        raise ValueError(f"need r > 0 or r = inf, got {r}")
+    if method not in (None, "exact-angular", "monte-carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact-angular" and p != 2 and k != 0:
+        raise ValueError("the exact-angular method requires p = 2 (or order k = 0)")
+
+
 def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
     """(coeff, power, rate) dominating |sum_i w_i x^(e_i) prof_i(x)|^p for |w_i| <= bound_i.
 
@@ -234,9 +255,9 @@ def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tupl
     ``truncation_point`` cuts at a tail below ``tol`` / 2; q is the
     profiles' argument power.  Every half-line route cuts here.
     """
-    coeff, power, rate = _gauss_envelope(parts, p)
-    if rate <= 0:
+    if not all(prof.decays for prof, _, _ in parts):
         raise ValueError("half-line integration requires a decaying profile")
+    coeff, power, rate = _gauss_envelope(parts, p)
     return truncation_point(tol, rate, coeff, power + extra_power, q)
 
 
@@ -492,8 +513,7 @@ def sobolev_ball_definition(
     handles any p >= 1 with a seeded sphere sample.  ``r`` may be
     ``math.inf`` for decaying profiles.
     """
-    if k < 0 or p < 1 or (not math.isinf(r) and r <= 0):
-        raise ValueError("need k >= 0, p >= 1, r > 0")
+    _check_domain(field.d, k, p, r, method)
     nv = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
     return _converged_values("sobolev_ball_definition", nv)[0]
 
@@ -502,26 +522,20 @@ def sobolev_ball_definition(
 # The two profile routes
 # ---------------------------------------------------------------------------
 
-def _aggregate(pieces: list[QuadResult], p: float, aggregation: str) -> NormValue:
-    converged = all(res.converged for res in pieces)
-    if aggregation == "p-power":
-        powsum = sum(max(res.value, 0.0) for res in pieces)
-        value, err = _pth_root(powsum, sum(res.error_estimate for res in pieces), p)
-        return NormValue(value, err, 0.0, converged)
-    if aggregation == "sum-of-norms":
-        roots = [_pth_root(res.value, res.error_estimate, p) for res in pieces]
-        return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
-    raise ValueError(f"unknown aggregation {aggregation!r}")
-
-
 def _profile_route(
-    pieces: list, d: int, p: float, upper: float, aggregation: str, rel_tol: float
+    pieces: list, p: float, upper: float, aggregation: str, rel_tol: float
 ) -> NormValue:
     """The aggregated L^p(0, upper) norms of x^(gamma/p) g over the (g, gamma) pieces."""
-    if d < 2 or p < 1 or not pieces:
-        raise ValueError(f"need d >= 2, p >= 1 and k >= 0, got d={d}, p={p}, {len(pieces)} orders")
     quads = [_weighted_lp_power(g, p, gamma, upper, rel_tol) for g, gamma in pieces]
-    return _aggregate(quads, p, aggregation)
+    converged = all(res.converged for res in quads)
+    if aggregation == "p-power":
+        powsum = sum(max(res.value, 0.0) for res in quads)
+        value, err = _pth_root(powsum, sum(res.error_estimate for res in quads), p)
+        return NormValue(value, err, 0.0, converged)
+    if aggregation == "sum-of-norms":
+        roots = [_pth_root(res.value, res.error_estimate, p) for res in quads]
+        return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
+    raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
 def _profile_d_detail(
@@ -529,7 +543,7 @@ def _profile_d_detail(
 ) -> NormValue:
     # the weight is p ((d-1)/p + j), rounded once
     pieces = [(d_op(f, j), float(d - 1 + j * Fraction(p))) for j in orders]
-    return _profile_route(pieces, d, p, r, aggregation, rel_tol)
+    return _profile_route(pieces, p, r, aggregation, rel_tol)
 
 
 def sobolev_profile_D(
@@ -548,8 +562,7 @@ def sobolev_profile_D(
     powers)^(1/p) form.  No sphere-area factor is included.  ``r`` may be
     ``math.inf`` for decaying profiles.
     """
-    if not f.is_even:
-        raise ValueError("requires an even profile")
+    _check_domain(d, k, p, r)
     nv = _profile_d_detail(f, d, range(k + 1), p, r, aggregation, tol)
     return _converged_values("sobolev_profile_D", nv)[0]
 
@@ -565,7 +578,7 @@ def _profile_squared_detail(
 ) -> NormValue:
     # the weight is p ((d-2)/(2p) + j/2), rounded once
     pieces = [(ft.derivative(j), float((d - 2 + j * Fraction(p)) / 2)) for j in orders]
-    return _profile_route(pieces, d, p, r_squared, aggregation, rel_tol)
+    return _profile_route(pieces, p, r_squared, aggregation, rel_tol)
 
 
 def sobolev_profile_squared(
@@ -582,6 +595,7 @@ def sobolev_profile_squared(
     The j-th summand is the L^p(0, r^2) norm of s^((d-2)/(2p) + j/2) f~^(j)(s).
     ``r_squared`` may be ``math.inf`` for decaying profiles.
     """
+    _check_domain(d, k, p, r_squared)
     nv = _profile_squared_detail(ft, d, range(k + 1), p, r_squared, aggregation, tol)
     return _converged_values("sobolev_profile_squared", nv)[0]
 
@@ -625,8 +639,7 @@ def lp_radial(
     (|S^(d-1)|/2)^(1/p), which agree up to the combined quadrature error.
     Away from p = 2, def and D share one quadrature; squared is independent.
     """
-    if p < 1 or (not math.isinf(r) and r <= 0):
-        raise ValueError("need p >= 1 and r > 0")
+    _check_domain(p=p, r=r)
     return _converged_values("lp_radial", *_lp_detail(field, p, r, tol))
 
 
@@ -647,7 +660,7 @@ def _homogeneous_detail(
     must then decay).  The p-th powers of the D and squared routes carry
     |S^(d-1)| and |S^(d-1)|/2, the constants that make all three equal at k = 0.
     """
-    if math.isinf(r) and not f.is_zero and not (f.min_decay and f.min_decay > 0):
+    if math.isinf(r) and not f.decays:
         raise ValueError("norms over all of space require strictly positive decay in every term")
     v_def, v_D, v_sq = _route_triple(f, d, [k], p, r, method, seed, samples, "p-power", rel_tol)
     area = sphere_area(d)
@@ -671,6 +684,7 @@ def homogeneous_norm(
     the sphere-area constants, so at k = 0 all three coincide exactly.
     Requires every profile term to decay.
     """
+    _check_domain(d, k, p, method=method)
     prof = f.profile if isinstance(f, RadialField) else f
     detail = _homogeneous_detail(prof, d, k, p, math.inf, method, seed, samples, tol)
     return _converged_values("homogeneous_norm", *detail)
@@ -702,15 +716,12 @@ class InequalityReport:
 def _hardy_integrals(f, p: float, r: float, s: float, tol: float):
     """The integrals int_0^r x^(ps) |f|^p and int_0^r x^(p(s+1)) |f'|^p, and whether both converged.
 
-    Checks p >= 1, s > -1/p and r > 0 (or inf) first.  The Hardy and the
+    Checks the domain of (p, r) and s > -1/p first.  The Hardy and the
     boundary estimates are both built from these two integrals.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    _check_domain(p=p, r=r)
     if s <= -1.0 / p:
         raise ValueError(f"need s > -1/p = {-1.0 / p}, got {s}")
-    if not math.isinf(r) and r <= 0:
-        raise ValueError(f"need r > 0, got {r}")
     zeroth = _weighted_lp_power(f, p, p * s, r, tol)
     grad = _weighted_lp_power(f.derivative(), p, p * (s + 1.0), r, tol)
     return zeroth, grad, zeroth.converged and grad.converged
@@ -797,21 +808,24 @@ def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
     closed-form radial moments.  ``tol`` is accepted for signature
     compatibility; the value is accurate to rounding.
     """
-    if k < 0 or r <= 0:
-        raise ValueError("need k >= 0 and r > 0")
+    _check_domain(k=k, r=r)
     return _corot_lhs_detail(F, k, r).value
 
 
 def corot_rhs(f: Profile, d: int, k: int, r: float, tol: float = 1e-10) -> float:
     """H^k norm over the ball in dimension d + 2 of the radial extension of f."""
-    if k < 0 or r <= 0:
-        raise ValueError("need k >= 0 and r > 0")
+    _check_domain(d, k, r=r)
     return _ball_def_exact(RadialField(d + 2, f), range(k + 1), 2.0, r, tol).value
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+def _json_dumps(obj) -> str:
+    """Strict JSON (no NaN or inf) with sorted keys and compact separators, newline-terminated."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
 
 @dataclass
 class ReportEntry:
@@ -854,10 +868,7 @@ class NormReport:
         }
 
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
-            + "\n"
-        )
+        return _json_dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -941,14 +952,7 @@ def equivalence_report(
     the half-line; they and the other degenerate profiles are listed under
     ``degenerate`` (see ``_corpus_table``).
     """
-    if method not in ("exact-angular", "monte-carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if p < 1:
-        raise ValueError("need p >= 1")
-    if method == "exact-angular" and p != 2 and k >= 1:
-        raise ValueError("the exact-angular method requires p = 2 when k >= 1")
-    if not math.isinf(r) and r <= 0:
-        raise ValueError("need r > 0")
+    _check_domain(d, k, p, r, method)
     if aggregation not in ("sum-of-norms", "p-power"):
         raise ValueError(f"unknown aggregation {aggregation!r}")
 
@@ -975,9 +979,7 @@ def equivalence_report(
                 ("squared", "exact-angular", v_sq)]
 
     def no_decay(f: Profile) -> str | None:
-        if f.min_decay and f.min_decay > 0:
-            return None
-        return "no decay; not admissible on the half-line"
+        return None if f.decays else "no decay; not admissible on the half-line"
 
     pairs = [("def/D", "def", "D", 1), ("def/squared", "def", "squared", 1),
              ("D/squared", "D", "squared", 1)]
@@ -992,8 +994,7 @@ def corot_report(
     tol: float = 1e-10,
 ) -> NormReport:
     """Corotational H^k norms against the (d+2)-dimensional radial norms."""
-    if d < 2 or k < 0 or r <= 0:
-        raise ValueError("need d >= 2, k >= 0, r > 0")
+    _check_domain(d, k, r=r)
 
     def routes(entry: CorpusEntry):
         lhs = _corot_lhs_detail(CorotField(d, entry.profile), k, r)

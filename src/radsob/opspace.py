@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .norms import NormReport, _ball_def_detail, _corpus_table, _profile_squared_detail
+from .norms import NormReport, _ball_def_detail, _check_domain, _corpus_table, _profile_squared_detail
 from .profile import CorpusEntry, RadialField, SquaredProfile, from_squared, to_squared
 
 
@@ -23,8 +23,6 @@ def trace(field: RadialField) -> SquaredProfile:
 
 def extend(ft: SquaredProfile, d: int) -> RadialField:
     """The radial field in R^d generated by an interval profile (even by construction)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     return RadialField(d, from_squared(ft))
 
 
@@ -38,8 +36,7 @@ class TraceExtPair:
     r: float
 
     def __post_init__(self):
-        if self.d < 2 or self.k < 0 or self.p < 1 or self.r <= 0:
-            raise ValueError("need d >= 2, k >= 0, p >= 1, r > 0")
+        _check_domain(self.d, self.k, self.p, self.r)
 
     def forward(self, field: RadialField) -> SquaredProfile:
         return trace(field)
@@ -80,6 +77,7 @@ def boundedness_report(
     and profiles with a non-finite, unconverged or zero norm are listed
     under ``degenerate``, as in every norm report.
     """
+    _check_domain(d, k, p, r, method)
     pair = TraceExtPair(d, k, p, r)
     params = {"report": "boundedness", "d": d, "k": k, "p": p, "r": r, "method": method, "tol": tol}
 

@@ -71,6 +71,11 @@ class _TermSum:
         return min(b for _, _, b in self.terms)
 
     @property
+    def decays(self) -> bool:
+        """Whether every term decays (b > 0), as integrals over the half-line require."""
+        return all(b > 0 for _, _, b in self.terms)
+
+    @property
     def coeff_abs_sum(self) -> Fraction:
         return sum((abs(c) for c, _, _ in self.terms), Fraction(0))
 
@@ -361,7 +366,7 @@ def halfline_corpus(entries: Sequence[CorpusEntry] | None = None) -> list[Corpus
     """Corpus entries whose every term decays, i.e. admissible on (0, infinity)."""
     if entries is None:
         entries = builtin_corpus()
-    return [e for e in entries if not e.profile.is_zero and e.profile.min_decay > 0]
+    return [e for e in entries if not e.profile.is_zero and e.profile.decays]
 
 
 def rational_to_json(x: Fraction) -> int | str:
@@ -389,13 +394,16 @@ def save_corpus(entries: Sequence[CorpusEntry], path: str | Path) -> None:
 def load_corpus(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus file written by :func:`save_corpus` (or by hand).
 
-    Coefficients and decay rates may be JSON numbers or "p/q" strings.
+    Coefficients and decay rates may be JSON numbers or "p/q" strings, and must be finite.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ValueError("corpus file must contain a JSON array")
     entries = []
     for item in doc:
+        label = str(item["label"])
+        if any(isinstance(v, float) and not math.isfinite(v) for term in item["terms"] for v in term):
+            raise ValueError(f"corpus entry {label!r}: every term number must be finite")
         terms = [(Fraction(c), int(a), Fraction(b)) for c, a, b in item["terms"]]
-        entries.append(CorpusEntry(str(item["label"]), Profile(terms)))
+        entries.append(CorpusEntry(label, Profile(terms)))
     return entries

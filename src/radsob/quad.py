@@ -264,12 +264,14 @@ def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
     own, without forming the product list: with s = m + a1 + a2 + 1 and
     b = b1 + b2 it contributes c1 c2 gamma(s/2, b r^2) / (2 b^(s/2)), or
     c1 c2 Gamma(s/2) / (2 b^(s/2)) when r = inf, or c1 c2 r^s / s when
-    b = 0.  A non-decaying pair on the half-line raises ValueError.
+    b = 0.  An r that is not > 0 or a non-decaying half-line pair raises ValueError.
 
     Returns (value, err): err bounds the rounding error of value, each
     contribution's relative bound (a few eps, growing with s and b r^2)
     times its absolute value, summed.
     """
+    if not r > 0:
+        raise ValueError(f"need r > 0 or r = inf, got {r}")
     halfline = math.isinf(r)
     parts = []
     err = 0.0

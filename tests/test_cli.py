@@ -277,6 +277,16 @@ class TestExitCodes:
         assert exit_code(["equiv", "--dim", "2", "--k", "0"] + flags) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("term", ["[1e400, 0, 1]", "[1, 0, 1e400]"], ids=["coeff", "decay"])
+    def test_non_finite_corpus_number_is_config_error(self, capsys, tmp_path, term):
+        # JSON reads 1e400 as inf, which has no exact Fraction
+        path = tmp_path / "corpus.json"
+        path.write_text(f'[{{"terms": [{term}], "label": "huge"}}]')
+        rc, out, err = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1", "--corpus", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "'huge'" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

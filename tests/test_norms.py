@@ -71,6 +71,64 @@ class TestWeightFamily:
                 route(g, 2, -1, 2.0, 1.0)
 
 
+_CORPUS = [CorpusEntry("gauss", GAUSS)]
+
+# each public entry point: the domain parameters it takes, and a call at (d, k, p, r)
+_ENTRY_POINTS = {
+    "sobolev_ball_definition": (
+        "kpr", lambda d, k, p, r: sobolev_ball_definition(RadialField(3, GAUSS), k, p, r)),
+    "sobolev_ball_definition-mc": ("kpr", lambda d, k, p, r: sobolev_ball_definition(
+        RadialField(3, GAUSS), k, p, r, method="monte-carlo", samples=10)),
+    "sobolev_profile_D": ("dkpr", lambda d, k, p, r: sobolev_profile_D(GAUSS, d, k, p, r)),
+    "sobolev_profile_squared": (
+        "dkpr", lambda d, k, p, r: sobolev_profile_squared(to_squared(GAUSS), d, k, p, r)),
+    "lp_radial": ("pr", lambda d, k, p, r: lp_radial(RadialField(3, GAUSS), p, r)),
+    "homogeneous_norm": ("dkp", lambda d, k, p, r: homogeneous_norm(GAUSS, d, k, p)),
+    "hardy_check": ("pr", lambda d, k, p, r: hardy_check(GAUSS, p, r, 0.5)),
+    "boundary_check": ("pr", lambda d, k, p, r: boundary_check(GAUSS, p, r, 0.5)),
+    "corot_lhs": ("kr", lambda d, k, p, r: corot_lhs(CorotField(3, GAUSS), k, r)),
+    "corot_rhs": ("dkr", lambda d, k, p, r: corot_rhs(GAUSS, d, k, r)),
+    "equivalence_report": ("dkpr", lambda d, k, p, r: equivalence_report(_CORPUS, d, k, p, r)),
+    "corot_report": ("dkr", lambda d, k, p, r: corot_report(_CORPUS, d, k, r)),
+    "TraceExtPair": ("dkpr", lambda d, k, p, r: opspace.TraceExtPair(d, k, p, r)),
+    "boundedness_report": ("dkpr", lambda d, k, p, r: boundedness_report(_CORPUS, d, k, p, r)),
+}
+_BAD_VALUES = {
+    "r": [math.nan, -math.inf, 0.0, -1.0],
+    "p": [math.nan, math.inf, 0.5],
+    "d": [1],
+    "k": [-1],
+}
+
+
+class TestDomain:
+    """Every entry point rejects (d, k, p, r) outside the shared domain before any integral."""
+
+    @pytest.mark.parametrize(
+        "name, param, value",
+        [
+            pytest.param(name, param, value, id=f"{name}-{param}={value}")
+            for name, (params, _) in _ENTRY_POINTS.items()
+            for param in params
+            for value in _BAD_VALUES[param]
+        ],
+    )
+    def test_rejected_before_any_quadrature(self, monkeypatch, name, param, value):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an integral ran before the parameter check")
+
+        for mod in (quad, norms):
+            monkeypatch.setattr(mod, "radial_moment", refuse)
+            monkeypatch.setattr(mod, "integrate_1d", refuse)
+        call = _ENTRY_POINTS[name][1]
+        with pytest.raises(ValueError):
+            call(**{"d": 3, "k": 1, "p": 2.0, "r": 1.0, param: value})
+        assert calls == []
+
+
 class TestLpRadial:
     def test_constant_ball_volume(self):
         v = lp_radial(RadialField(3, ONE), 2, 1.0)

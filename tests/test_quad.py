@@ -335,6 +335,13 @@ class TestRadialMoment:
         with pytest.raises(ValueError, match="decaying"):
             radial_moment(Profile([(1, 0, 0)]), Profile([(1, 2, 1), (1, 0, 0)]), 2, math.inf)
 
+    @pytest.mark.parametrize("r", [math.nan, -1.0, 0.0])
+    def test_radius_not_positive_rejected(self, r):
+        # a NaN radius would otherwise never end the incomplete-gamma series
+        gauss = Profile([(1, 0, 1)])
+        with pytest.raises(ValueError, match="need r > 0"):
+            radial_moment(gauss, gauss, 2, r)
+
 
 class TestSphereMomentRatio:
     @pytest.mark.parametrize("d", [2, 3, 5])
