@@ -112,12 +112,12 @@ class CorotField:
 # Shared integration helpers
 # ---------------------------------------------------------------------------
 
-def _check_domain(d=None, k=None, p=None, r=None, method=None) -> None:
+def _check_domain(d=None, k=None, p=None, r=None, method=None, aggregation=None) -> None:
     """Raise ValueError unless each parameter given (not None) lies in the routes' domain.
 
-    That is d >= 2, k >= 0, a finite p >= 1, r > 0 or r = inf, a known method,
-    and p = 2 or k = 0 for ``exact-angular``.  Every public entry point calls
-    this before any quadrature or radial moment runs.
+    That is d >= 2, k >= 0, a finite p >= 1, r > 0 or r = inf, a known method
+    and aggregation, and p = 2 or k = 0 for ``exact-angular``.  Every public
+    entry point calls this before any quadrature or radial moment runs.
     """
     if d is not None and d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -129,8 +129,10 @@ def _check_domain(d=None, k=None, p=None, r=None, method=None) -> None:
         raise ValueError(f"need r > 0 or r = inf, got {r}")
     if method not in (None, "exact-angular", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "exact-angular" and p != 2 and k != 0:
+    if method == "exact-angular" and p not in (None, 2) and k not in (None, 0):
         raise ValueError("the exact-angular method requires p = 2 (or order k = 0)")
+    if aggregation not in (None, "sum-of-norms", "p-power"):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
 def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
@@ -377,13 +379,12 @@ def _ball_def_exact(
     f = field.profile
     if p == 2:
         return _form_norm((angular_matrix(d, n) for n in orders), f, r)
-    if list(orders) == [0]:
-        # order zero is the plain L^p norm: the angular integral is exact for any p
-        res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
-        area = sphere_area(d)
-        value, err = _pth_root(area * res.value, area * res.error_estimate, p)
-        return NormValue(value, err, 0.0, res.converged)
-    raise ValueError("the exact-angular method requires p = 2 (or order k = 0)")
+    # at p != 2 the domain check admits only order zero, the plain L^p norm:
+    # its angular integral is exact
+    res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
+    area = sphere_area(d)
+    value, err = _pth_root(area * res.value, area * res.error_estimate, p)
+    return NormValue(value, err, 0.0, res.converged)
 
 
 def _mc_accumulate(
@@ -491,9 +492,7 @@ def _ball_def_detail(
 ) -> NormValue:
     if method == "exact-angular":
         return _ball_def_exact(field, orders, p, r, rel_tol)
-    if method == "monte-carlo":
-        return _ball_def_mc(field, orders, p, r, seed, samples)
-    raise ValueError(f"unknown method {method!r}")
+    return _ball_def_mc(field, orders, p, r, seed, samples)
 
 
 def sobolev_ball_definition(
@@ -532,10 +531,8 @@ def _profile_route(
         powsum = sum(max(res.value, 0.0) for res in quads)
         value, err = _pth_root(powsum, sum(res.error_estimate for res in quads), p)
         return NormValue(value, err, 0.0, converged)
-    if aggregation == "sum-of-norms":
-        roots = [_pth_root(res.value, res.error_estimate, p) for res in quads]
-        return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+    roots = [_pth_root(res.value, res.error_estimate, p) for res in quads]
+    return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
 
 
 def _profile_d_detail(
@@ -562,7 +559,7 @@ def sobolev_profile_D(
     powers)^(1/p) form.  No sphere-area factor is included.  ``r`` may be
     ``math.inf`` for decaying profiles.
     """
-    _check_domain(d, k, p, r)
+    _check_domain(d, k, p, r, aggregation=aggregation)
     nv = _profile_d_detail(f, d, range(k + 1), p, r, aggregation, tol)
     return _converged_values("sobolev_profile_D", nv)[0]
 
@@ -595,7 +592,7 @@ def sobolev_profile_squared(
     The j-th summand is the L^p(0, r^2) norm of s^((d-2)/(2p) + j/2) f~^(j)(s).
     ``r_squared`` may be ``math.inf`` for decaying profiles.
     """
-    _check_domain(d, k, p, r_squared)
+    _check_domain(d, k, p, r_squared, aggregation=aggregation)
     nv = _profile_squared_detail(ft, d, range(k + 1), p, r_squared, aggregation, tol)
     return _converged_values("sobolev_profile_squared", nv)[0]
 
@@ -890,23 +887,27 @@ def _corpus_table(
     corpus: Sequence[CorpusEntry],
     routes: Callable[[CorpusEntry], Sequence[tuple[str, str, NormValue]]],
     pairs: Sequence[tuple[str, str, str, int]],
-    inadmissible: Callable[[Profile], str | None] | None = None,
 ) -> NormReport:
     """The report of a set of norm routes over a corpus, with ratio ranges.
 
     ``routes(entry)`` gives one (route, method, NormValue) per route of the
     entry's profile.  Each pair (name, numerator, denominator, power)
     becomes a ratio row with the min and max of (numerator /
-    denominator)^power over the profiles, or nulls when none qualifies.  Zero profiles, and profiles
-    for which ``inadmissible`` returns a reason, get no entries; profiles
+    denominator)^power over the profiles, or nulls when none qualifies.
+    ``params["r"]`` is the radius (finite when absent); at r = inf the report
+    writes it as "inf", and a profile without decay is not admissible on the
+    half-line.  Zero and inadmissible profiles get no entries; profiles
     with a non-finite (value or err), unconverged or zero norm keep their
     entries but stay out of the ratios.  All of them are listed under ``degenerate``.
     """
-    report = NormReport(params)
+    halfline = math.isinf(params.get("r", 0.0))
+    report = NormReport(dict(params, r="inf") if halfline else params)
     ratios: dict[str, list[float]] = {name: [] for name, _, _, _ in pairs}
     for entry in corpus:
         f = entry.profile
-        reason = "zero profile" if f.is_zero else (inadmissible(f) if inadmissible else None)
+        reason = ("zero profile" if f.is_zero
+                  else "no decay; not admissible on the half-line" if halfline and not f.decays
+                  else None)
         if not reason:
             values = {}
             for route, method, nv in routes(entry):
@@ -948,28 +949,24 @@ def equivalence_report(
     For finite r the routes are the full order-k ball norms; with
     r = math.inf only the top order enters (the 1D routes then carry no
     sphere-area constants either way, so the k = 0 ratio def/D equals
-    |S^(d-1)|^(1/p) exactly).  Non-decaying profiles are not admissible on
-    the half-line; they and the other degenerate profiles are listed under
-    ``degenerate`` (see ``_corpus_table``).
+    |S^(d-1)|^(1/p) exactly).  Degenerate profiles, those without decay at
+    r = math.inf among them, are listed under ``degenerate`` (see
+    ``_corpus_table``).
     """
-    _check_domain(d, k, p, r, method)
-    if aggregation not in ("sum-of-norms", "p-power"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-
-    halfline = math.isinf(r)
+    _check_domain(d, k, p, r, method, aggregation)
     params = {
         "report": "equivalence",
         "d": d,
         "k": k,
         "p": p,
-        "r": "inf" if halfline else r,
+        "r": r,
         "method": method,
         "seed": seed,
         "samples": samples,
         "tol": tol,
         "aggregation": aggregation,
     }
-    orders = [k] if halfline else range(k + 1)
+    orders = [k] if math.isinf(r) else range(k + 1)
 
     def routes(entry: CorpusEntry):
         v_def, v_D, v_sq = _route_triple(
@@ -978,12 +975,9 @@ def equivalence_report(
         return [("def", method, v_def), ("D", "exact-angular", v_D),
                 ("squared", "exact-angular", v_sq)]
 
-    def no_decay(f: Profile) -> str | None:
-        return None if f.decays else "no decay; not admissible on the half-line"
-
     pairs = [("def/D", "def", "D", 1), ("def/squared", "def", "squared", 1),
              ("D/squared", "D", "squared", 1)]
-    return _corpus_table(params, corpus, routes, pairs, no_decay if halfline else None)
+    return _corpus_table(params, corpus, routes, pairs)
 
 
 def corot_report(
@@ -993,7 +987,10 @@ def corot_report(
     r: float,
     tol: float = 1e-10,
 ) -> NormReport:
-    """Corotational H^k norms against the (d+2)-dimensional radial norms."""
+    """Corotational H^k norms against the (d+2)-dimensional radial norms.
+
+    ``r`` may be ``math.inf``; the degenerate profiles are as in ``_corpus_table``.
+    """
     _check_domain(d, k, r=r)
 
     def routes(entry: CorpusEntry):

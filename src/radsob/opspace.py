@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .norms import NormReport, _ball_def_detail, _check_domain, _corpus_table, _profile_squared_detail
+from .norms import (
+    NormReport,
+    _ball_def_detail,
+    _check_domain,
+    _converged_values,
+    _corpus_table,
+    _profile_squared_detail,
+)
 from .profile import CorpusEntry, RadialField, SquaredProfile, from_squared, to_squared
 
 
@@ -46,16 +53,16 @@ class TraceExtPair:
 
     def field_norm(self, field: RadialField, method: str = "exact-angular",
                    seed: int = 0, samples: int = 0, tol: float = 1e-10) -> float:
-        detail = _ball_def_detail(
-            field, range(self.k + 1), self.p, self.r, method, seed, samples, tol
-        )
-        return detail.value
+        _check_domain(self.d, self.k, self.p, self.r, method)
+        nv = _ball_def_detail(field, range(self.k + 1), self.p, self.r, method, seed, samples, tol)
+        return _converged_values("TraceExtPair.field_norm", nv)[0]
 
     def interval_norm(self, ft: SquaredProfile, tol: float = 1e-10) -> float:
         """Weighted interval norm on (0, r^2) in its p-power form."""
-        return _profile_squared_detail(
+        nv = _profile_squared_detail(
             ft, self.d, range(self.k + 1), self.p, self.r * self.r, "p-power", tol
-        ).value
+        )
+        return _converged_values("TraceExtPair.interval_norm", nv)[0]
 
 
 def boundedness_report(
@@ -74,8 +81,9 @@ def boundedness_report(
     For each profile, records the weighted interval norm of the trace, the
     ball norm of the field, and their ratio both ways; at k = 0 the ratio
     trace-over-field equals (2 / |S^(d-1)|)^(1/p) exactly.  Zero profiles
-    and profiles with a non-finite, unconverged or zero norm are listed
-    under ``degenerate``, as in every norm report.
+    and profiles with a non-finite, unconverged or zero norm, or without
+    decay at r = math.inf, are listed under ``degenerate``, as in every norm
+    report.
     """
     _check_domain(d, k, p, r, method)
     pair = TraceExtPair(d, k, p, r)

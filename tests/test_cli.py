@@ -434,6 +434,15 @@ class TestCorot:
         rc, out, err = run_cli(capsys, ["corot", "--p", "3"])
         assert rc == 2
 
+    def test_halfline_radius(self, capsys):
+        rc, out, _ = run_cli(capsys, ["corot", "--dim", "2", "--k", "1", "--radius", "inf"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["params"]["r"] == "inf"
+        assert {row["reason"] for row in doc["degenerate"]} == {
+            "no decay; not admissible on the half-line"}
+        assert doc["entries"]
+
 
 class TestMoments:
     def test_order_two(self, capsys):

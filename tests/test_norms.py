@@ -73,22 +73,26 @@ class TestWeightFamily:
 
 _CORPUS = [CorpusEntry("gauss", GAUSS)]
 
-# each public entry point: the domain parameters it takes, and a call at (d, k, p, r)
+# each public entry point: the domain parameters it takes (a is the aggregation),
+# and a call at (d, k, p, r)
 _ENTRY_POINTS = {
     "sobolev_ball_definition": (
         "kpr", lambda d, k, p, r: sobolev_ball_definition(RadialField(3, GAUSS), k, p, r)),
     "sobolev_ball_definition-mc": ("kpr", lambda d, k, p, r: sobolev_ball_definition(
         RadialField(3, GAUSS), k, p, r, method="monte-carlo", samples=10)),
-    "sobolev_profile_D": ("dkpr", lambda d, k, p, r: sobolev_profile_D(GAUSS, d, k, p, r)),
+    "sobolev_profile_D": ("dkpra", lambda d, k, p, r, a="sum-of-norms": sobolev_profile_D(
+        GAUSS, d, k, p, r, aggregation=a)),
     "sobolev_profile_squared": (
-        "dkpr", lambda d, k, p, r: sobolev_profile_squared(to_squared(GAUSS), d, k, p, r)),
+        "dkpra", lambda d, k, p, r, a="sum-of-norms": sobolev_profile_squared(
+            to_squared(GAUSS), d, k, p, r, aggregation=a)),
     "lp_radial": ("pr", lambda d, k, p, r: lp_radial(RadialField(3, GAUSS), p, r)),
     "homogeneous_norm": ("dkp", lambda d, k, p, r: homogeneous_norm(GAUSS, d, k, p)),
     "hardy_check": ("pr", lambda d, k, p, r: hardy_check(GAUSS, p, r, 0.5)),
     "boundary_check": ("pr", lambda d, k, p, r: boundary_check(GAUSS, p, r, 0.5)),
     "corot_lhs": ("kr", lambda d, k, p, r: corot_lhs(CorotField(3, GAUSS), k, r)),
     "corot_rhs": ("dkr", lambda d, k, p, r: corot_rhs(GAUSS, d, k, r)),
-    "equivalence_report": ("dkpr", lambda d, k, p, r: equivalence_report(_CORPUS, d, k, p, r)),
+    "equivalence_report": ("dkpra", lambda d, k, p, r, a="sum-of-norms": equivalence_report(
+        _CORPUS, d, k, p, r, aggregation=a)),
     "corot_report": ("dkr", lambda d, k, p, r: corot_report(_CORPUS, d, k, r)),
     "TraceExtPair": ("dkpr", lambda d, k, p, r: opspace.TraceExtPair(d, k, p, r)),
     "boundedness_report": ("dkpr", lambda d, k, p, r: boundedness_report(_CORPUS, d, k, p, r)),
@@ -98,6 +102,7 @@ _BAD_VALUES = {
     "p": [math.nan, math.inf, 0.5],
     "d": [1],
     "k": [-1],
+    "a": ["typo"],
 }
 
 
@@ -779,6 +784,36 @@ class TestCorpusTable:
         assert rep.degenerate == [{"label": "broken", "reason": reason}]
         assert {e.label for e in rep.entries} == {"gauss", "broken"}
         assert rep.ratios == gauss_only
+
+
+class TestHalflineReports:
+    """At r = inf every report lists the profiles without decay and writes the radius as "inf"."""
+
+    NO_DECAY = "no decay; not admissible on the half-line"
+    # report -> builder at radius r
+    AT_RADIUS = {
+        "corot": lambda c, r: corot_report(c, 2, 1, r),
+        "boundedness": lambda c, r: boundedness_report(c, 3, 1, 2.0, r),
+    }
+
+    @pytest.mark.parametrize("report", sorted(AT_RADIUS))
+    def test_profiles_without_decay_are_degenerate(self, report, corpus):
+        rep = self.AT_RADIUS[report](corpus, math.inf)
+        no_decay = [e.label for e in corpus if not e.profile.decays]
+        assert len(no_decay) == 8
+        assert rep.degenerate == [{"label": label, "reason": self.NO_DECAY} for label in no_decay]
+        assert {e.label for e in rep.entries}.isdisjoint(no_decay)
+        assert json.loads(rep.to_json())["params"]["r"] == "inf"
+
+    @pytest.mark.parametrize("report", sorted(AT_RADIUS))
+    def test_matches_a_far_radius(self, report, decaying_corpus):
+        # every decay rate is >= 1/2, so the integrands beyond rho = 12 are below e^(-72)
+        far, inf = (self.AT_RADIUS[report](decaying_corpus, r) for r in (12.0, math.inf))
+        assert inf.degenerate == far.degenerate == []
+        assert json.loads(inf.to_json())["params"]["r"] == "inf"
+        for a, b in zip(inf.entries, far.entries, strict=True):
+            assert (a.label, a.route) == (b.label, b.route)
+            assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
 def quadrature_square(d, expansions, f, r):

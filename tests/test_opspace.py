@@ -5,7 +5,7 @@ import pytest
 
 from radsob.opspace import TraceExtPair, boundedness_report, extend, trace
 from radsob.profile import Profile, RadialField, SquaredProfile, to_squared
-from radsob.quad import sphere_area
+from radsob.quad import QuadratureConvergenceError, sphere_area
 
 ONE = Profile([(1, 0, 0)])
 RHO2 = Profile([(1, 2, 0)])
@@ -90,3 +90,23 @@ class TestPair:
         field = RadialField(3, GAUSS)
         ratio = pair.interval_norm(pair.forward(field)) / pair.field_norm(field)
         assert ratio == pytest.approx(math.sqrt(2.0 / sphere_area(3)), rel=1e-10)
+
+    CALLS = {
+        "field_norm": lambda: TraceExtPair(2, 0, 3.0, 1.0).field_norm(
+            RadialField(2, GAUSS), tol=1e-30),
+        "interval_norm": lambda: TraceExtPair(3, 2, 3.0, 1.0).interval_norm(
+            to_squared(GAUSS), tol=1e-30),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_accessors_raise_at_an_unmeetable_tol(self, name):
+        with pytest.raises(QuadratureConvergenceError, match=f"^TraceExtPair.{name}: ") as info:
+            self.CALLS[name]()
+        assert 0 < info.value.estimate < math.inf
+
+    def test_field_norm_checks_the_method(self):
+        pair = TraceExtPair(3, 1, 3.0, 1.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            pair.field_norm(RadialField(3, GAUSS), method="typo")
+        with pytest.raises(ValueError, match="exact-angular"):
+            pair.field_norm(RadialField(3, GAUSS))
