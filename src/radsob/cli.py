@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,22 +100,7 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            dim=args.dim,
-            order=args.order,
-            k=args.k,
-            p=args.p,
-            radius=args.radius,
-            method=args.method,
-            seed=args.seed,
-            samples=args.samples,
-            tol=args.tol,
-            corpus=args.corpus,
-            format=args.format,
-            budget=args.budget,
-            s=getattr(args, "s", None),
-        )
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -316,6 +301,11 @@ def _cmd_verify(args) -> int:
     return _EXIT_OK if passed else _EXIT_VERIFY_FAILED
 
 
+def _emit_report(report: norms.NormReport, args) -> int:
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    return _EXIT_OK
+
+
 def _cmd_equiv(args) -> int:
     corpus = _load_corpus(args.corpus)
     report = norms.equivalence_report(
@@ -329,9 +319,7 @@ def _cmd_equiv(args) -> int:
         samples=args.samples,
         tol=args.tol,
     )
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(text, args.out)
-    return _EXIT_OK
+    return _emit_report(report, args)
 
 
 def _cmd_corot(args) -> int:
@@ -339,9 +327,7 @@ def _cmd_corot(args) -> int:
         raise ValueError("corotational norms are defined for p = 2 only")
     corpus = _load_corpus(args.corpus)
     report = norms.corot_report(corpus, args.dim, args.k, args.radius, tol=args.tol)
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(text, args.out)
-    return _EXIT_OK
+    return _emit_report(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -356,30 +342,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--dim", type=int, default=3, help="space dimension d")
-        sp.add_argument("--order", type=int, default=0, help="derivative order n")
-        sp.add_argument("--k", type=int, default=2, help="Sobolev order k")
-        sp.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent p")
-        sp.add_argument(
-            "--radius", type=_parse_radius, default=1.0, help="ball radius r ('inf' allowed)"
-        )
-        sp.add_argument(
-            "--method",
-            choices=("exact-angular", "monte-carlo"),
-            default="exact-angular",
-        )
-        sp.add_argument("--seed", type=int, default=norms.DEFAULT_SEED)
-        sp.add_argument("--samples", type=int, default=norms.DEFAULT_SAMPLES)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--corpus", default="builtin", help="'builtin' or a corpus JSON path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--dim", type=int, help="space dimension d")
+        sp.add_argument("--order", type=int, help="derivative order n")
+        sp.add_argument("--k", type=int, help="Sobolev order k")
+        sp.add_argument("--p", type=float, help="Lebesgue exponent p")
+        sp.add_argument("--radius", type=_parse_radius, help="ball radius r ('inf' allowed)")
+        sp.add_argument("--method", choices=("exact-angular", "monte-carlo"))
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--samples", type=int)
+        sp.add_argument("--tol", type=float)
+        sp.add_argument("--corpus", help="'builtin' or a corpus JSON path")
+        sp.add_argument("--format", choices=("json", "csv"))
         sp.add_argument("--out", default=None, help="write the report to this path")
-        sp.add_argument(
-            "--budget",
-            type=int,
-            default=derivcalc.DEFAULT_ENUMERATION_BUDGET,
-            help="coordinate-tuple enumeration budget",
-        )
+        sp.add_argument("--budget", type=int, help="coordinate-tuple enumeration budget")
+        # every flag's default is its RunConfig field's (s included, set by verify's --s)
+        sp.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.name != "command"})
 
     sp_gram = sub.add_parser("gram", help="print an exact Gram matrix and its inverse")
     common(sp_gram)
@@ -388,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_verify = sub.add_parser("verify", help="run a named verification suite")
     sp_verify.add_argument("suite", choices=sorted(_SUITES))
     common(sp_verify)
-    sp_verify.add_argument("--s", type=float, default=None, help="weight exponent for the hardy suite")
+    sp_verify.add_argument("--s", type=float, help="weight exponent for the hardy suite")
     sp_verify.set_defaults(func=_cmd_verify)
 
     sp_equiv = sub.add_parser("equiv", help="three-route norm equivalence table")

@@ -56,20 +56,21 @@ def forward_terms(d: int, alpha: MultiIndex) -> tuple[tuple[int, MonomialPoly], 
 
         d^alpha f(|x|) = sum_j P_j(x) * (D^j f)(|x|).
 
-    Each P_j is homogeneous of degree 2j - n.
+    Each P_j is homogeneous of degree 2j - n.  This is the one producer of
+    the P_j: the angular matrices, the Monte Carlo route, the partial
+    derivatives and the recovery coefficients all read them from here.
     """
     n = sum(alpha)
     if len(alpha) != d:
         raise ValueError(f"multi-index has {len(alpha)} entries, expected {d}")
-    if n == 0:
-        return ((0, MonomialPoly.constant(d, 1)),)
-    mono = MonomialPoly.monomial(d, alpha)
+    poly = MonomialPoly.monomial(d, alpha)
     out = []
-    for j in range(math.ceil(n / 2), n + 1):
-        poly = mono.laplacian_power(n - j) * Fraction(1, 2 ** (n - j) * math.factorial(n - j))
-        if not poly.is_zero:
-            out.append((j, poly))
-    return tuple(out)
+    for i in range(n // 2 + 1):  # one Laplacian chain: poly = Laplacian^i x^alpha
+        scaled = poly * Fraction(1, 2**i * math.factorial(i))
+        if not scaled.is_zero:
+            out.append((n - i, scaled))
+        poly = poly.laplacian()
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +97,6 @@ def partial_derivative(field: RadialField, alpha: MultiIndex, x: Sequence[float]
     if pt.shape != (field.d,) or len(alpha) != field.d:
         raise ValueError(f"point and multi-index must live in R^{field.d}")
     rho = float(np.linalg.norm(pt))
-    if sum(alpha) == 0:
-        return field.profile.eval(rho)
     total = 0.0
     for j, poly in forward_terms(field.d, tuple(alpha)):
         total += poly.eval(pt) * d_op(field.profile, j).eval(rho)
@@ -116,8 +115,6 @@ def profile_derivative_from_partials(field: RadialField, j: int, x: Sequence[flo
     rho = float(np.linalg.norm(pt))
     if rho == 0.0:
         raise ValueError("recovery from partial derivatives requires x != 0")
-    if j == 0:
-        return field.profile.eval(rho)
     total = 0.0
     jfact = math.factorial(j)
     for alpha in enumerate_multi(field.d, j):
@@ -370,15 +367,11 @@ def _recovery(d: int, n: int) -> RecoveryCoeffs:
     nfact = math.factorial(n)
     polys: dict[MultiIndex, MonomialPoly] = {}
     for alpha in enumerate_multi(d, n):
-        mono = MonomialPoly.monomial(d, alpha)
         acc = MonomialPoly.zero(d)
-        poly = mono
-        for j in range(n // 2 + 1):
-            scaled = poly * Fraction(1, 2**j * math.factorial(j))
-            if not scaled.is_zero:
-                lift = (n + 2 * j - (n % 2)) // 2  # homogenise to the target degree
-                acc = acc + ginv0[j] * (scaled * r2**lift)
-            poly = poly.laplacian()
+        for j, scaled in forward_terms(d, alpha):
+            i = n - j  # scaled = Laplacian^i x^alpha / (2^i i!)
+            lift = (n + 2 * i - (n % 2)) // 2  # homogenise to the target degree
+            acc = acc + ginv0[i] * (scaled * r2**lift)
         polys[alpha] = Fraction(nfact, multi_factorial(alpha)) * acc
     return RecoveryCoeffs(d, n, polys)
 

@@ -305,8 +305,6 @@ def _weighted_lp_power(
         piece_tol = abs_tol * (hi - lo) / upper
         if lo == 0.0:
             res = integrate_power_weight(core, gamma, hi, piece_tol)
-        elif gamma == 0.0:
-            res = integrate_1d(core, lo, hi, piece_tol)
         else:
             res = integrate_1d(lambda x: x**gamma * core(x), lo, hi, piece_tol)
         total += res.value

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .norms import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     NormReport,
     _ball_def_detail,
     _check_domain,
@@ -52,7 +54,8 @@ class TraceExtPair:
         return extend(ft, self.d)
 
     def field_norm(self, field: RadialField, method: str = "exact-angular",
-                   seed: int = 0, samples: int = 0, tol: float = 1e-10) -> float:
+                   seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
+                   tol: float = 1e-10) -> float:
         _check_domain(self.d, self.k, self.p, self.r, method)
         nv = _ball_def_detail(field, range(self.k + 1), self.p, self.r, method, seed, samples, tol)
         return _converged_values("TraceExtPair.field_norm", nv)[0]
@@ -72,8 +75,8 @@ def boundedness_report(
     p: float,
     r: float,
     method: str = "exact-angular",
-    seed: int = 0,
-    samples: int = 0,
+    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = 1e-10,
 ) -> NormReport:
     """Norm ratios of the trace and extension over a corpus.
@@ -86,13 +89,12 @@ def boundedness_report(
     report.
     """
     _check_domain(d, k, p, r, method)
-    pair = TraceExtPair(d, k, p, r)
     params = {"report": "boundedness", "d": d, "k": k, "p": p, "r": r, "method": method, "tol": tol}
 
     def routes(entry: CorpusEntry):
         field = RadialField(d, entry.profile)
-        ft = pair.forward(field)
-        if pair.backward(ft) != field:
+        ft = trace(field)
+        if extend(ft, d) != field:
             raise AssertionError(f"trace/extend round trip failed for {entry.label}")
         v_field = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
         v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)

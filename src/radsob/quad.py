@@ -87,7 +87,9 @@ def integrate_1d(
     the panel's proportional share of ``tol`` (or the float64 noise floor of
     the panel values).  The returned ``error_estimate`` sums the accepted
     discrepancies, which conservatively bounds the true error for smooth
-    integrands; ``converged`` is False if any panel hit ``max_depth`` or the
+    integrands; each is floored at 4 eps times the absolute values of its
+    two half-panel sums, their rounding, so that an unmeetable ``tol`` is
+    flagged.  ``converged`` is False if any panel hit ``max_depth`` or the
     total estimate exceeds ``tol``.  The first non-finite panel sum ends it
     with a NaN value, an infinite error estimate and ``converged`` False.
     """
@@ -104,7 +106,9 @@ def integrate_1d(
         right = _panel(g, mid, hi)
         state["panels"] += 2
         fine = left + right
-        err = abs(fine - coarse)
+        # floored at the rounding of the two panel sums: fine and coarse can agree
+        # to the bit, and a zero estimate would meet any tol
+        err = max(abs(fine - coarse), 4 * _EPS * (abs(left) + abs(right)))
         if not math.isfinite(err):
             raise FloatingPointError
         noise = 5e-15 * (abs(left) + abs(right) + abs(coarse))
@@ -149,7 +153,7 @@ def integrate_power_weight(
         raise ValueError("upper limit must be > 0")
     if gamma == int(gamma) and gamma >= 0:
         gi = int(gamma)
-        return integrate_1d(lambda x: x**gi * g(x) if gi else g(x), 0.0, upper, tol, max_depth)
+        return integrate_1d(lambda x: x**gi * g(x), 0.0, upper, tol, max_depth)
     short = Fraction(gamma).limit_denominator(_SHORT_DENOMINATOR)
     if -1 < short < 0 and abs(float(short) - gamma) <= 4 * math.ulp(gamma):
         m, expo = short.denominator, short.numerator + short.denominator - 1

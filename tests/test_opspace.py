@@ -1,8 +1,10 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
+from radsob import norms, opspace
 from radsob.opspace import TraceExtPair, boundedness_report, extend, trace
 from radsob.profile import Profile, RadialField, SquaredProfile, to_squared
 from radsob.quad import QuadratureConvergenceError, sphere_area
@@ -73,7 +75,7 @@ class TestBoundedness:
     def test_round_trip_failure_names_the_entry(self, monkeypatch):
         from radsob.profile import CorpusEntry
 
-        monkeypatch.setattr(TraceExtPair, "backward", lambda self, ft: RadialField(self.d, ONE))
+        monkeypatch.setattr(opspace, "extend", lambda ft, d: RadialField(d, ONE))
         with pytest.raises(AssertionError, match="round trip failed for gauss$"):
             boundedness_report([CorpusEntry("gauss", GAUSS)], 2, 0, 2, 1.0)
 
@@ -103,6 +105,13 @@ class TestPair:
         with pytest.raises(QuadratureConvergenceError, match=f"^TraceExtPair.{name}: ") as info:
             self.CALLS[name]()
         assert 0 < info.value.estimate < math.inf
+
+    @pytest.mark.parametrize("fn", [TraceExtPair.field_norm, boundedness_report])
+    def test_monte_carlo_defaults_are_the_norms_defaults(self, fn):
+        # the signature, since a Monte Carlo run at the default sample count is too slow here
+        params = inspect.signature(fn).parameters
+        assert params["seed"].default == norms.DEFAULT_SEED
+        assert params["samples"].default == norms.DEFAULT_SAMPLES
 
     def test_field_norm_checks_the_method(self):
         pair = TraceExtPair(3, 1, 3.0, 1.0)

@@ -57,6 +57,22 @@ class TestIntegrate1d:
         assert res.converged
         assert res.error_estimate <= 1e-11
 
+    def test_estimate_floored_at_rounding(self):
+        # a constant's fine and coarse panel sums agree to the bit; an estimate of
+        # exactly zero would meet any tol
+        res = integrate_1d(np.ones_like, 0.0, 1.0, tol=1e-30)
+        assert not res.converged
+        assert 0 < res.error_estimate <= 1e-15
+
+    def test_depth_exhaustion_is_unconverged(self):
+        # the kink at 1/3 keeps its panel above its share of tol at every depth while
+        # the total estimate meets tol, so only the exhausted depth flags the result
+        tol = 1e-4
+        res = integrate_1d(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, tol=tol, max_depth=2)
+        assert res.converged is False
+        assert 0 < res.error_estimate <= tol
+        assert math.isfinite(res.value)
+
     def test_determinism(self):
         f = lambda x: np.exp(-x) * np.cos(5 * x)
         a = integrate_1d(f, 0.0, 3.0, tol=1e-12)
