@@ -264,6 +264,7 @@ def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tupl
 
 
 @lru_cache(maxsize=8192)
+@np.errstate(over="ignore")  # a power beyond the float range is inf: reports flag the norm
 def _weighted_lp_power(
     prof,
     p: float,
@@ -415,6 +416,21 @@ def _mc_accumulate(
     return acc
 
 
+def _mc_angular(
+    terms: Sequence[tuple[MonomialPoly, Profile, int]], pts: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """(V, w) with per-sample integrals of ``terms`` on a rule w * _mc_accumulate(terms, V, rule).
+
+    One summand factors, |rho^deg g(rho) poly(omega)|^p = |rho^deg g(rho)|^p |poly(omega)|^p,
+    so its integral is one Gauss sum (V = [[1]]) times w = |poly|^p at the samples ``pts``.
+    Otherwise row t of V is poly_t at the samples and w = 1.
+    """
+    if len(terms) > 1:
+        return np.stack([poly.eval_many(pts) for poly, _, _ in terms]), 1.0
+    with np.errstate(over="ignore"):
+        return np.ones((1, 1)), np.abs(terms[0][0].eval_many(pts)) ** p
+
+
 def _ball_def_mc(
     field: RadialField,
     orders: Sequence[int],
@@ -439,20 +455,27 @@ def _ball_def_mc(
             if terms:
                 alphas.append(terms)
 
-    def angular(terms):
-        # the polys at the sample points, one alpha at a time: the rows of all
-        # alphas take 51 MB at d = 3, k = 3 and 200 000 samples
-        return np.stack([poly.eval_many(pts) for poly, _, _ in terms])
+    def per_sample(terms, V, w, rule):
+        # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
+        with np.errstate(over="ignore", invalid="ignore"):
+            return w * _mc_accumulate(terms, V, *rule, d, p)
 
     tail_total = 0.0
     R = r
+    # the tail panel hands the (V, w) of one-summand alphas, one row each, on to the rules; a
+    # multi-summand V is built again, as the rows of all alphas take 51 MB at d = 3, k = 3 and
+    # 200 000 samples
+    kept = {}
     if math.isinf(r):
         R = 1.0
         panel = composite_nodes(0.0, 2.0, 1)
-        for terms in alphas:
+        for i, terms in enumerate(alphas):
+            V, w = _mc_angular(terms, pts, p)
+            if len(terms) == 1:
+                kept[i] = V, w
             # the tail is relative to a one-panel estimate on [0, 2] of the sample-mean integrand;
             # on the unit sphere |poly| is at most its absolute coefficient sum
-            scale = float(_mc_accumulate(terms, angular(terms), *panel, d, p).mean())
+            scale = float(per_sample(terms, V, w, panel).mean())
             parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
             T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
             R = max(R, T)
@@ -462,10 +485,10 @@ def _ball_def_mc(
     coarse = composite_nodes(0.0, R, _MC_COARSE_PANELS)
     acc = np.zeros(samples)
     quad_err = tail_total
-    for terms in alphas:
-        V = angular(terms)
-        acc_alpha = _mc_accumulate(terms, V, *fine, d, p)
-        acc_coarse = _mc_accumulate(terms, V, *coarse, d, p)
+    for i, terms in enumerate(alphas):
+        V, w = kept.pop(i, None) or _mc_angular(terms, pts, p)
+        acc_alpha = per_sample(terms, V, w, fine)
+        acc_coarse = per_sample(terms, V, w, coarse)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
         acc += acc_alpha
 
@@ -473,7 +496,8 @@ def _ball_def_mc(
     pow_mean = area * float(acc.mean())
     # the std of acc scaled by an exact power of two, as squares of values near 1e300 overflow
     e = math.frexp(float(acc.max()))[1]
-    se_pow = area * math.ldexp(float(np.ldexp(acc, -e).std(ddof=1)), e) / math.sqrt(samples)
+    with np.errstate(invalid="ignore"):  # an inf sample makes the std NaN, and the norm is flagged
+        se_pow = area * math.ldexp(float(np.ldexp(acc, -e).std(ddof=1)), e) / math.sqrt(samples)
     value, err = _pth_root(pow_mean, se_pow + area * quad_err, p)
     return NormValue(value, err, _pth_root(pow_mean, se_pow, p)[1])
 

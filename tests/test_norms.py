@@ -301,6 +301,89 @@ class TestBallDefinition:
         assert abs(exact.value - mc.value) <= 4 * max(mc.mc_se, 1e-12)
 
 
+class TestFactoredMonteCarlo:
+    """A one-summand d^alpha f integrates as |poly(w)|^p times one sample-free Gauss sum;
+    a multi-summand one keeps the full nodes x samples kernel."""
+
+    CASES = [(3, 1), (3, 2), (5, 2)]
+    SAMPLES = 300
+
+    @staticmethod
+    def alpha_terms(f, d, n):
+        """The nonzero summands (poly, D^j f, 2j - n) of each d^alpha f of order n."""
+        out = []
+        for alpha in enumerate_multi(d, n):
+            terms = [(poly, d_op(f, j), 2 * j - n) for j, poly in forward_terms(d, tuple(alpha))
+                     if not d_op(f, j).is_zero]
+            if terms:
+                out.append(terms)
+        return out
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_factored_integrals_match_the_full_kernel(self, corpus, d, n, p):
+        pts = SphereSampler(d, 11, self.SAMPLES).points
+        rules = [
+            quad.composite_nodes(0.0, 1.0, norms._MC_FINE_PANELS),
+            quad.composite_nodes(0.0, 1.0, norms._MC_COARSE_PANELS),
+            quad.composite_nodes(0.0, 2.0, 1),  # the half-line scale panel
+        ]
+        checked = 0
+        for entry in corpus:
+            for terms in self.alpha_terms(entry.profile, d, n):
+                if len(terms) > 1:
+                    continue
+                V, w = norms._mc_angular(terms, pts, p)
+                assert V.shape == (1, 1)
+                full = np.stack([terms[0][0].eval_many(pts)])
+                for rule in rules:
+                    got = w * norms._mc_accumulate(terms, V, *rule, d, p)
+                    want = norms._mc_accumulate(terms, full, *rule, d, p)
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), entry.label
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("r", [1.0, math.inf])
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_only_multi_summand_alphas_reach_the_kernel_with_samples(
+        self, corpus, monkeypatch, d, n, r
+    ):
+        calls = []
+        real = norms._mc_accumulate
+
+        def spy(terms, V, nodes, weights, d, p):
+            calls.append((len(terms), V.shape))
+            return real(terms, V, nodes, weights, d, p)
+
+        monkeypatch.setattr(norms, "_mc_accumulate", spy)
+        entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
+        for entry in entries:
+            norms._ball_def_mc(RadialField(d, entry.profile), [n], 3.0, r, 1, self.SAMPLES)
+        assert calls
+        for count, shape in calls:
+            assert shape == ((1, 1) if count == 1 else (count, self.SAMPLES))
+        # alpha = (2, 0, ...) has two summands from n = 2 on
+        assert any(count > 1 for count, _ in calls) == (n >= 2)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("r", [1.0, math.inf])
+    def test_estimator_matches_the_unfactored_kernel(self, corpus, monkeypatch, p, r):
+        def unfactored(terms, pts, p):
+            return np.stack([poly.eval_many(pts) for poly, _, _ in terms]), 1.0
+
+        def run(entry):
+            field = RadialField(3, entry.profile)
+            return norms._ball_def_mc(field, range(3), p, r, 1, self.SAMPLES)
+
+        entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
+        factored = [run(e) for e in entries]
+        monkeypatch.setattr(norms, "_mc_angular", unfactored)
+        for entry, nv in zip(entries, factored):
+            ref = run(entry)
+            assert rel_diff(nv.value, ref.value) <= 1e-14, entry.label
+            assert rel_diff(nv.mc_se, ref.mc_se) <= 1e-10, entry.label
+
+
 class TestProfileRoutes:
     def test_route_d_hand_value(self):
         v = sobolev_profile_D(RHO2, 2, 1, 2, 1.0)
