@@ -60,6 +60,8 @@ DEFAULT_SAMPLES = 200_000
 
 _MC_FINE_PANELS = 32
 _MC_COARSE_PANELS = 12
+# samples per block of the Monte Carlo samples x nodes grid; larger blocks raise the peak RSS
+_MC_SAMPLE_BLOCK = 256
 _TINY = 1e-60
 _EPS = 2.0**-52
 
@@ -386,49 +388,38 @@ def _ball_def_exact(
     return NormValue(value, err, 0.0, res.converged)
 
 
-def _mc_accumulate(
+def _mc_integrals(
     terms: Sequence[tuple[MonomialPoly, Profile, int]],
-    V: np.ndarray,
+    pts: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
     d: int,
     p: float,
 ) -> np.ndarray:
-    """Per-sample radial integrals of rho^(d-1) |sum_t rho^deg_t g_t(rho) V_t|^p.
+    """Per-sample radial integrals of rho^(d-1) |sum_t rho^deg_t g_t(rho) poly_t(omega)|^p.
 
-    ``terms`` are the (poly_t, g_t, deg_t); row t of ``V`` is poly_t at the samples.
+    ``terms`` are the (poly_t, g_t, deg_t) and ``pts`` the sample directions omega.  One
+    summand factors into one Gauss sum of |rho^deg g(rho)|^p times |poly(omega)|^p.  Otherwise
+    the samples x nodes grid is summed in blocks of samples, so memory does not grow with their
+    number.  The result does not depend on the block size (two or more): no block has one
+    sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
+    differently), and einsum, unlike gemv, sums every row alike.
     """
-    acc = np.zeros(V.shape[1])
-    block = 64
-    for start in range(0, len(nodes), block):
-        nd = nodes[start : start + block]
-        wt = weights[start : start + block]
-        S = np.empty((len(nd), len(terms)))
-        for t_i, (_, radial, degree) in enumerate(terms):
-            col = radial.eval(nd)
-            if degree:
-                col = col * nd**degree
-            S[:, t_i] = col
-        U = S @ V
-        np.abs(U, out=U)
-        U **= p
-        acc += (wt * nd ** (d - 1)) @ U
-    return acc
-
-
-def _mc_angular(
-    terms: Sequence[tuple[MonomialPoly, Profile, int]], pts: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """(V, w) with per-sample integrals of ``terms`` on a rule w * _mc_accumulate(terms, V, rule).
-
-    One summand factors, |rho^deg g(rho) poly(omega)|^p = |rho^deg g(rho)|^p |poly(omega)|^p,
-    so its integral is one Gauss sum (V = [[1]]) times w = |poly|^p at the samples ``pts``.
-    Otherwise row t of V is poly_t at the samples and w = 1.
-    """
-    if len(terms) > 1:
-        return np.stack([poly.eval_many(pts) for poly, _, _ in terms]), 1.0
-    with np.errstate(over="ignore"):
-        return np.ones((1, 1)), np.abs(terms[0][0].eval_many(pts)) ** p
+    S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
+    wt = weights * nodes ** (d - 1)
+    # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(terms) == 1:
+            return float(wt @ np.abs(S[0]) ** p) * np.abs(terms[0][0].eval_many(pts)) ** p
+        V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
+        acc = np.empty(len(V))
+        edges = [*range(0, len(V) - 1, _MC_SAMPLE_BLOCK), len(V)]
+        for lo, hi in zip(edges, edges[1:]):
+            U = V[lo:hi] @ S
+            np.abs(U, out=U)
+            U **= p
+            acc[lo:hi] = np.einsum("bn,n->b", U, wt)
+        return acc
 
 
 def _ball_def_mc(
@@ -455,27 +446,15 @@ def _ball_def_mc(
             if terms:
                 alphas.append(terms)
 
-    def per_sample(terms, V, w, rule):
-        # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
-        with np.errstate(over="ignore", invalid="ignore"):
-            return w * _mc_accumulate(terms, V, *rule, d, p)
-
     tail_total = 0.0
     R = r
-    # the tail panel hands the (V, w) of one-summand alphas, one row each, on to the rules; a
-    # multi-summand V is built again, as the rows of all alphas take 51 MB at d = 3, k = 3 and
-    # 200 000 samples
-    kept = {}
     if math.isinf(r):
         R = 1.0
         panel = composite_nodes(0.0, 2.0, 1)
-        for i, terms in enumerate(alphas):
-            V, w = _mc_angular(terms, pts, p)
-            if len(terms) == 1:
-                kept[i] = V, w
+        for terms in alphas:
             # the tail is relative to a one-panel estimate on [0, 2] of the sample-mean integrand;
             # on the unit sphere |poly| is at most its absolute coefficient sum
-            scale = float(per_sample(terms, V, w, panel).mean())
+            scale = float(_mc_integrals(terms, pts, *panel, d, p).mean())
             parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
             T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
             R = max(R, T)
@@ -485,10 +464,9 @@ def _ball_def_mc(
     coarse = composite_nodes(0.0, R, _MC_COARSE_PANELS)
     acc = np.zeros(samples)
     quad_err = tail_total
-    for i, terms in enumerate(alphas):
-        V, w = kept.pop(i, None) or _mc_angular(terms, pts, p)
-        acc_alpha = per_sample(terms, V, w, fine)
-        acc_coarse = per_sample(terms, V, w, coarse)
+    for terms in alphas:
+        acc_alpha = _mc_integrals(terms, pts, *fine, d, p)
+        acc_coarse = _mc_integrals(terms, pts, *coarse, d, p)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
         acc += acc_alpha
 

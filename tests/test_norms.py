@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -302,8 +303,9 @@ class TestBallDefinition:
 
 
 class TestFactoredMonteCarlo:
-    """A one-summand d^alpha f integrates as |poly(w)|^p times one sample-free Gauss sum;
-    a multi-summand one keeps the full nodes x samples kernel."""
+    """One kernel per alpha and rule: a one-summand d^alpha f integrates as |poly(w)|^p times
+    one sample-free Gauss sum; a multi-summand one sums the samples x nodes grid in blocks of
+    samples."""
 
     CASES = [(3, 1), (3, 2), (5, 2)]
     SAMPLES = 300
@@ -319,26 +321,31 @@ class TestFactoredMonteCarlo:
                 out.append(terms)
         return out
 
+    @staticmethod
+    def unfactored(terms, pts, nodes, weights, d, p):
+        """(weights nodes^(d-1)) @ |S @ V|^p over the whole nodes x samples grid at once."""
+        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms], axis=1)
+        V = np.stack([poly.eval_many(pts) for poly, _, _ in terms])
+        return (weights * nodes ** (d - 1)) @ np.abs(S @ V) ** p
+
+    RULES = [
+        quad.composite_nodes(0.0, 1.0, norms._MC_FINE_PANELS),
+        quad.composite_nodes(0.0, 1.0, norms._MC_COARSE_PANELS),
+        quad.composite_nodes(0.0, 2.0, 1),  # the half-line scale panel
+    ]
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("d, n", CASES)
     def test_factored_integrals_match_the_full_kernel(self, corpus, d, n, p):
         pts = SphereSampler(d, 11, self.SAMPLES).points
-        rules = [
-            quad.composite_nodes(0.0, 1.0, norms._MC_FINE_PANELS),
-            quad.composite_nodes(0.0, 1.0, norms._MC_COARSE_PANELS),
-            quad.composite_nodes(0.0, 2.0, 1),  # the half-line scale panel
-        ]
         checked = 0
         for entry in corpus:
             for terms in self.alpha_terms(entry.profile, d, n):
                 if len(terms) > 1:
                     continue
-                V, w = norms._mc_angular(terms, pts, p)
-                assert V.shape == (1, 1)
-                full = np.stack([terms[0][0].eval_many(pts)])
-                for rule in rules:
-                    got = w * norms._mc_accumulate(terms, V, *rule, d, p)
-                    want = norms._mc_accumulate(terms, full, *rule, d, p)
+                for rule in self.RULES:
+                    got = norms._mc_integrals(terms, pts, *rule, d, p)
+                    want = self.unfactored(terms, pts, *rule, d, p)
                     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), entry.label
                 checked += 1
         assert checked > 0
@@ -348,40 +355,88 @@ class TestFactoredMonteCarlo:
     def test_only_multi_summand_alphas_reach_the_kernel_with_samples(
         self, corpus, monkeypatch, d, n, r
     ):
-        calls = []
-        real = norms._mc_accumulate
+        """Each alpha gets one kernel call per rule and on the half-line scale panel, and only
+        a multi-summand one sums the samples x nodes grid, in blocks of samples."""
+        calls, blocks = [], []
+        real_kernel, real_einsum = norms._mc_integrals, np.einsum
 
-        def spy(terms, V, nodes, weights, d, p):
-            calls.append((len(terms), V.shape))
-            return real(terms, V, nodes, weights, d, p)
+        def kernel(terms, pts, nodes, weights, d, p):
+            calls.append((len(terms), len(nodes)))
+            return real_kernel(terms, pts, nodes, weights, d, p)
 
-        monkeypatch.setattr(norms, "_mc_accumulate", spy)
+        def einsum(spec, U, wt):
+            blocks.append((len(calls) - 1, U.shape))
+            return real_einsum(spec, U, wt)
+
+        monkeypatch.setattr(norms, "_mc_integrals", kernel)
+        monkeypatch.setattr(np, "einsum", einsum)
         entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
+        alphas = 0
         for entry in entries:
             norms._ball_def_mc(RadialField(d, entry.profile), [n], 3.0, r, 1, self.SAMPLES)
-        assert calls
-        for count, shape in calls:
-            assert shape == ((1, 1) if count == 1 else (count, self.SAMPLES))
+            alphas += len(self.alpha_terms(entry.profile, d, n))
+        assert len(calls) == (3 if math.isinf(r) else 2) * alphas
+        for i, (count, nodes) in enumerate(calls):
+            shapes = [shape for call, shape in blocks if call == i]
+            if count == 1:
+                assert shapes == []
+            else:
+                assert sum(rows for rows, _ in shapes) == self.SAMPLES
+                assert all(rows <= norms._MC_SAMPLE_BLOCK and cols == nodes for rows, cols in shapes)
+                assert len(shapes) > 1
         # alpha = (2, 0, ...) has two summands from n = 2 on
         assert any(count > 1 for count, _ in calls) == (n >= 2)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("d, n", CASES[1:])
+    def test_multi_summand_integrals_do_not_depend_on_the_block_size(
+        self, corpus, monkeypatch, d, n, p
+    ):
+        # 1025 samples: a multiple of neither block size, one past a multiple of the default
+        samples = 1025
+        pts = SphereSampler(d, 11, samples).points
+        default = norms._MC_SAMPLE_BLOCK
+        assert samples % 7 and samples % default
+        checked = 0
+        for entry in corpus:
+            for terms in self.alpha_terms(entry.profile, d, n):
+                if len(terms) == 1:
+                    continue
+                for rule in self.RULES:
+                    monkeypatch.setattr(norms, "_MC_SAMPLE_BLOCK", default)
+                    want = norms._mc_integrals(terms, pts, *rule, d, p)
+                    monkeypatch.setattr(norms, "_MC_SAMPLE_BLOCK", 7)
+                    assert np.array_equal(norms._mc_integrals(terms, pts, *rule, d, p), want)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("r", [1.0, math.inf])
     def test_estimator_matches_the_unfactored_kernel(self, corpus, monkeypatch, p, r):
-        def unfactored(terms, pts, p):
-            return np.stack([poly.eval_many(pts) for poly, _, _ in terms]), 1.0
-
         def run(entry):
             field = RadialField(3, entry.profile)
             return norms._ball_def_mc(field, range(3), p, r, 1, self.SAMPLES)
 
         entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
         factored = [run(e) for e in entries]
-        monkeypatch.setattr(norms, "_mc_angular", unfactored)
+        monkeypatch.setattr(norms, "_mc_integrals", self.unfactored)
         for entry, nv in zip(entries, factored):
             ref = run(entry)
             assert rel_diff(nv.value, ref.value) <= 1e-14, entry.label
             assert rel_diff(nv.mc_se, ref.mc_se) <= 1e-10, entry.label
+
+    def test_peak_memory_does_not_grow_with_the_samples(self):
+        # d^2 f of rho^4 exp(-2 rho^2) has multi-summand alphas; the nodes x samples grid of
+        # one rule at 40 000 samples alone would take 154 MB
+        field = RadialField(3, Profile([(3, 4, 2)]))
+        norms._ball_def_mc(field, [2], 3.0, 1.0, 1, 1000)  # warm the caches
+        tracemalloc.start()
+        try:
+            norms._ball_def_mc(field, [2], 3.0, 1.0, 1, 40_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestProfileRoutes:
