@@ -51,7 +51,7 @@ class _TermSum:
     the benchmark tracer wraps them per class.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_floats")
 
     def __init__(self, terms: Iterable[Sequence] = ()):
         object.__setattr__(self, "terms", _canonical_terms(terms))
@@ -129,19 +129,30 @@ class _TermSum:
 
     __rmul__ = __mul__
 
+    def _float_terms(self) -> tuple[tuple[float, int, float], ...]:
+        """The terms with float c and b, converted on first use: a coefficient beyond the
+        float range raises OverflowError from ``eval``, not from the constructor."""
+        try:
+            return self._floats
+        except AttributeError:
+            floats = tuple((float(c), a, float(b)) for c, a, b in self.terms)
+            object.__setattr__(self, "_floats", floats)
+            return floats
+
     def _eval(self, x):
         """Value at x; accepts a float or an ndarray and matches the input shape."""
         arr = np.asarray(x, dtype=float)
         out = np.zeros_like(arr)
-        for c, a, b in self.terms:
-            term = np.full_like(arr, float(c))
-            if a:
-                term = term * arr**a
+        decay = {}  # b -> exp(-b x^q), shared by the terms of one decay rate
+        for c, a, b in self._float_terms():
+            term = c * arr**a if a else np.full_like(arr, c)
             if b:
-                arg = -float(b) * arr  # -b x^q as (-b x) x ..., one rounding per factor
-                for _ in range(1, self._q):
-                    arg = arg * arr
-                term = term * np.exp(arg)
+                if b not in decay:
+                    arg = -b * arr  # -b x^q as (-b x) x ..., one rounding per factor
+                    for _ in range(1, self._q):
+                        arg = arg * arr
+                    decay[b] = np.exp(arg)
+                term = term * decay[b]
             out = out + term
         if np.ndim(x) == 0:
             return float(out)

@@ -22,6 +22,7 @@ from numpy.polynomial.legendre import leggauss
 _NODES, _WEIGHTS = leggauss(15)
 _EPS = 2.0**-52
 _SHORT_DENOMINATOR = 100  # largest m that integrate_power_weight takes from gamma's rational form
+_MAX_PANELS = 1 << 14  # panel budget of one integrate_1d call
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -54,6 +55,15 @@ def _panel(g: Callable, a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(_WEIGHTS, g(mid + half * _NODES)))
+
+
+def _panel_pair(g: Callable, lo: float, mid: float, hi: float) -> tuple[float, float]:
+    """``(_panel(g, lo, mid), _panel(g, mid, hi))`` from one call of g on both panels' nodes."""
+    m1, h1 = 0.5 * (lo + mid), 0.5 * (mid - lo)
+    m2, h2 = 0.5 * (mid + hi), 0.5 * (hi - mid)
+    vals = g(np.concatenate((m1 + h1 * _NODES, m2 + h2 * _NODES)))
+    n = len(_NODES)
+    return h1 * float(np.dot(_WEIGHTS, vals[:n])), h2 * float(np.dot(_WEIGHTS, vals[n:]))
 
 
 def rough_scale(g: Callable, a: float, b: float) -> float:
@@ -89,9 +99,12 @@ def integrate_1d(
     discrepancies, which conservatively bounds the true error for smooth
     integrands; each is floored at 4 eps times the absolute values of its
     two half-panel sums, their rounding, so that an unmeetable ``tol`` is
-    flagged.  ``converged`` is False if any panel hit ``max_depth`` or the
-    total estimate exceeds ``tol``.  The first non-finite panel sum ends it
-    with a NaN value, an infinite error estimate and ``converged`` False.
+    flagged.  ``converged`` is False if any panel hit ``max_depth``, the call
+    reached _MAX_PANELS panels (rounding noise above the noise floor would
+    otherwise bisect toward 2^max_depth of them), or the total estimate
+    exceeds ``tol``.  Both half-panels of a bisection come from one call of
+    g.  The first non-finite panel sum ends it with a NaN value, an infinite
+    error estimate and ``converged`` False.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"bad interval [{a}, {b}]")
@@ -102,8 +115,7 @@ def integrate_1d(
 
     def recurse(lo: float, hi: float, coarse: float, depth: int) -> tuple[float, float]:
         mid = 0.5 * (lo + hi)
-        left = _panel(g, lo, mid)
-        right = _panel(g, mid, hi)
+        left, right = _panel_pair(g, lo, mid, hi)
         state["panels"] += 2
         fine = left + right
         # floored at the rounding of the two panel sums: fine and coarse can agree
@@ -114,7 +126,7 @@ def integrate_1d(
         noise = 5e-15 * (abs(left) + abs(right) + abs(coarse))
         if err <= tol * (hi - lo) / span or err <= noise:
             return fine, err
-        if depth >= max_depth:
+        if depth >= max_depth or state["panels"] >= _MAX_PANELS:
             state["depth_ok"] = False
             return fine, err
         v1, e1 = recurse(lo, mid, left, depth + 1)

@@ -316,7 +316,11 @@ class TestPinnedOutputs:
     once per rule and the grid summed in blocks of samples, again only a new
     order of rounding: ``def`` values moved by at most 1.7e-16 relative, the
     ratio rows stayed identical, the constant profile's err went from 9.3e-17
-    to 1.8e-16 and the other errs moved by at most 1.5e-13 relative.
+    to 1.8e-16 and the other errs moved by at most 1.5e-13 relative.  It was
+    re-taken when |U|^p came to be formed by products and a sqrt at half-integer
+    p and the grid summed in blocks of 64 samples: ``def`` values moved by at
+    most 1.7e-16 relative, their errs by at most 4.1e-14 relative, and the
+    ratio rows and every other entry stayed identical.
     """
 
     PINS = [
@@ -326,7 +330,7 @@ class TestPinnedOutputs:
          "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1"),
         (["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
           "--samples", "500", "--seed", "1"],
-         "ae4789d2f2b9a11e24df57e9e4504d470f72c58da980434d2774002a4fc6abf2"),
+         "56779db5ad4f2fdb629ab9ed4e321e0707f13bb2115fa38a15701c994a8cbd8d"),
     ]
 
     @pytest.mark.parametrize("argv, sha", PINS)
@@ -406,6 +410,27 @@ class TestNonFiniteNorms:
         assert proc.stderr == ""
         doc = json.loads(proc.stdout, parse_constant=reject_constant)
         assert doc["degenerate"] == [{"label": "big", "reason": "non-finite norm"}]
+
+    def test_huge_p_prints_no_numpy_warning(self):
+        # |f|^p overflows to inf at p = 1e308, and a zero weight times inf is NaN
+        argv = ["equiv", "--dim", "3", "--k", "1", "--p", "1e308", "--method", "monte-carlo",
+                "--samples", "10"]
+        proc = _run_python(f"import sys, radsob.cli; sys.exit(radsob.cli.main({argv!r}))")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert {"label": "gauss", "reason": "non-finite norm"} in doc["degenerate"]
+
+    def test_noisy_quadrature_at_p_200_ends_flagged(self):
+        # x^202 |Df|^200 of seed09 carries rounding noise above the quadrature's noise floor
+        # near x = 0.997; the panel budget ends its bisection, which ran toward 2^40 panels
+        argv = ["equiv", "--dim", "3", "--k", "1", "--p", "200", "--method", "monte-carlo",
+                "--samples", "10"]
+        proc = _run_python(f"import sys, radsob.cli; sys.exit(radsob.cli.main({argv!r}))", 60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert doc["degenerate"] == [{"label": "seed09", "reason": "unconverged quadrature"}]
 
     def test_monte_carlo_errors_stay_finite(self, capsys, tmp_path):
         # err_pow * value and the squared samples overflowed while every error is representable
@@ -495,12 +520,12 @@ sys.meta_path.insert(0, BlockScipy())
 """
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _run_python(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 

@@ -439,6 +439,62 @@ class TestFactoredMonteCarlo:
         assert peak < 12e6
 
 
+class TestAbsPow:
+    """|u|^p by squares and at most one sqrt at p in {1, 3/2, ..., 8}, else np.power; in place."""
+
+    U = np.concatenate([
+        np.random.default_rng(5).standard_normal(2000) * 10.0 ** np.arange(-20, 20).repeat(50),
+        [0.0, -0.0, 1.0, -1.0, 1e-300, 3e300, np.inf, -np.inf, np.nan],
+    ])
+
+    @staticmethod
+    def reference(u, p):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.abs(u) ** p
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0])
+    def test_products_are_within_a_few_ulp_of_power(self, p):
+        with np.errstate(over="ignore", under="ignore"):
+            got = norms._abs_pow(self.U.copy(), p)
+        want = self.reference(self.U, p)
+        normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
+        assert np.all(np.abs(got[normal] - want[normal]) <= 6 * np.spacing(want[normal]))
+        rest = ~normal & ~((want > 0) & (want < np.finfo(float).tiny))  # subnormals aside
+        assert np.array_equal(got[rest], want[rest], equal_nan=True)
+        assert got[-3] == got[-2] == np.inf and np.isnan(got[-1]) and got[-9] == got[-8] == 0.0
+
+    @pytest.mark.parametrize("p", [1.3, 8.5, 1e308])
+    def test_other_exponents_go_to_power(self, p, monkeypatch):
+        sqrts = []
+        real_sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda *a, **k: sqrts.append(a) or real_sqrt(*a, **k))
+        with np.errstate(over="ignore", under="ignore"):
+            got = norms._abs_pow(self.U.copy(), p)
+        assert got.tobytes() == self.reference(self.U, p).tobytes()
+        assert sqrts == []
+
+
+class TestSphereSampleReuse:
+    def test_one_sample_is_drawn_for_every_profile(self, corpus, monkeypatch):
+        built = []
+        real = norms.SphereSampler
+
+        def sampler(d, seed, n):
+            built.append((d, seed, n))
+            return real(d, seed, n)
+
+        monkeypatch.setattr(norms, "SphereSampler", sampler)
+        norms._sphere_points.cache_clear()
+        try:
+            for entry in corpus[:6]:
+                norms._ball_def_mc(RadialField(3, entry.profile), [1], 3.0, 1.0, 17, 50)
+            assert built == [(3, 17, 50)]
+            norms._ball_def_mc(RadialField(3, GAUSS), [1], 3.0, 1.0, 18, 50)
+            assert built == [(3, 17, 50), (3, 18, 50)]
+        finally:
+            norms._sphere_points.cache_clear()
+
+
 class TestProfileRoutes:
     def test_route_d_hand_value(self):
         v = sobolev_profile_D(RHO2, 2, 1, 2, 1.0)

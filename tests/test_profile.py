@@ -145,6 +145,47 @@ class TestEval:
         assert isinstance(got, float)
         assert got == f.eval(np.array([1.3]))[0]
 
+    @staticmethod
+    def eval_per_term(f, x):
+        """eval as it was, converting each term and taking one exp per term, for bitwise comparison."""
+        arr = np.asarray(x, dtype=float)
+        out = np.zeros_like(arr)
+        for c, a, b in f.terms:
+            term = np.full_like(arr, float(c))
+            if a:
+                term = term * arr**a
+            if b:
+                arg = -float(b) * arr
+                for _ in range(1, f._q):
+                    arg = arg * arr
+                term = term * np.exp(arg)
+            out = out + term
+        if np.ndim(x) == 0:
+            return float(out)
+        return out
+
+    def test_eval_is_bit_identical_to_one_exp_per_term(self, corpus):
+        profiles = []
+        for entry in corpus:
+            for j in range(4):
+                g = d_op(entry.profile, j)
+                profiles += [g, to_squared(g), g * entry.profile]
+        assert any(len({b for _, _, b in g.terms}) < len(g.terms) for g in profiles)
+        x = np.concatenate([self.R, [0.0, 1e-3, 7.5, 40.0]])
+        for g in profiles:
+            assert g.eval(x).tobytes() == self.eval_per_term(g, x).tobytes(), g
+            for v in (0.0, 0.7, 2.9):
+                got, want = g.eval(v), self.eval_per_term(g, v)
+                assert isinstance(got, float) and math.copysign(1, got) == math.copysign(1, want)
+                assert got == want, g
+
+    @pytest.mark.parametrize("cls", [Profile, SquaredProfile])
+    def test_coefficient_beyond_float_range_overflows_in_eval(self, cls):
+        f = cls([(10**400, 0, 1)])  # constructs: the float conversion waits for eval
+        for x in (1.0, np.array([0.5, 1.0]), 2.0):
+            with pytest.raises(OverflowError):
+                f.eval(x)
+
 
 class TestRadialDerivation:
     def test_rho2(self):

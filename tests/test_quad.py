@@ -14,6 +14,7 @@ from radsob.quad import (
     QuadResult,
     SphereSampler,
     _panel,
+    _panel_pair,
     composite_nodes,
     integrate_1d,
     integrate_power_weight,
@@ -100,6 +101,89 @@ class TestIntegrate1d:
         # the first non-finite panel ends the bisection, long before every branch
         # reaches max_depth (2^12 panels and more)
         assert res.subdivisions <= 2 * 12 + 1
+
+
+    def test_noise_above_the_floor_stops_at_the_panel_budget(self):
+        # an unresolved oscillation of relative size 1e-10 stays above the 5e-15 noise floor
+        # down to panels of about 1e-6, so without a budget the bisection would run toward
+        # 2^25 panels
+        calls = []
+
+        def noisy(x):
+            calls.append(len(x))
+            if len(calls) > 4 * quad._MAX_PANELS:
+                raise RuntimeError("the bisection ran past its panel budget")
+            return 1.0 + 1e-10 * np.sin(1e6 * x)
+
+        res = integrate_1d(noisy, 0.0, 1.0, tol=1e-30)
+        assert res.converged is False
+        assert quad._MAX_PANELS <= res.subdivisions <= quad._MAX_PANELS + 2 * 40
+        assert res.value == pytest.approx(1.0, rel=1e-9)
+
+
+def _integrate_1d_two_calls(g, a, b, tol=1e-10, max_depth=40):
+    """integrate_1d as it was with one call of g per half-panel, for bitwise comparison."""
+    span = b - a
+    state = {"panels": 1, "depth_ok": True}
+
+    def recurse(lo, hi, coarse, depth):
+        mid = 0.5 * (lo + hi)
+        left = _panel(g, lo, mid)
+        right = _panel(g, mid, hi)
+        state["panels"] += 2
+        fine = left + right
+        err = max(abs(fine - coarse), 4 * 2.0**-52 * (abs(left) + abs(right)))
+        if not math.isfinite(err):
+            raise FloatingPointError
+        noise = 5e-15 * (abs(left) + abs(right) + abs(coarse))
+        if err <= tol * (hi - lo) / span or err <= noise:
+            return fine, err
+        if depth >= max_depth:
+            state["depth_ok"] = False
+            return fine, err
+        v1, e1 = recurse(lo, mid, left, depth + 1)
+        v2, e2 = recurse(mid, hi, right, depth + 1)
+        return v1 + v2, e1 + e2
+
+    try:
+        value, err = recurse(a, b, _panel(g, a, b), 1)
+    except FloatingPointError:
+        return QuadResult(math.nan, math.inf, state["panels"], False)
+    return QuadResult(value, err, state["panels"], state["depth_ok"] and err <= tol)
+
+
+class TestPanelPair:
+    """Both half-panels of a bisection come from one call of the integrand."""
+
+    INTEGRANDS = [
+        lambda x: np.exp(-x) * np.cos(5 * x),
+        lambda x: np.abs(x - 1.0 / 3.0) ** 1.5,
+        lambda x: x**7 - 3 * x**2,
+    ]
+
+    @pytest.mark.parametrize("g", INTEGRANDS)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.3, 0.30001), (-2.5, 7.0)])
+    def test_pair_equals_two_panels_bit_for_bit(self, g, lo, hi):
+        mid = 0.5 * (lo + hi)
+        assert _panel_pair(g, lo, mid, hi) == (_panel(g, lo, mid), _panel(g, mid, hi))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_one_call_per_bisection_and_the_same_result(self, corpus, p):
+        for entry in corpus:
+            f = entry.profile
+            g = lambda x: x**2 * np.abs(f.eval(x)) ** p
+            tol = 1e-10 * max(quad.rough_scale(g, 0.0, 1.5), 1e-60)
+            calls = []
+
+            def spy(x):
+                calls.append(len(x))
+                return g(x)
+
+            res = integrate_1d(spy, 0.0, 1.5, tol)
+            bisections = (res.subdivisions - 1) // 2
+            assert calls == [15] + [30] * bisections, entry.label
+            want = _integrate_1d_two_calls(g, 0.0, 1.5, tol)
+            assert res == want, entry.label
 
 
 class TestPowerWeight:
