@@ -279,17 +279,18 @@ def _suite_whitney(args, checks: list) -> None:
                 )
 
 
+# each suite's function and the flags it reads
 _SUITES = {
-    "identities": _suite_identities,
-    "hardy": _suite_hardy,
-    "gram": _suite_gram,
-    "whitney": _suite_whitney,
+    "identities": (_suite_identities, ("corpus", "radius", "tol", "seed")),
+    "hardy": (_suite_hardy, ("corpus", "tol", "s")),
+    "gram": (_suite_gram, ("budget",)),
+    "whitney": (_suite_whitney, ("corpus", "tol")),
 }
 
 
 def _cmd_verify(args) -> int:
     checks: list[dict] = []
-    _SUITES[args.suite](args, checks)
+    _SUITES[args.suite][0](args, checks)
     passed = all(c["pass"] for c in checks)
     doc = {
         "suite": args.suite,
@@ -323,10 +324,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_corot(args) -> int:
-    if args.p != 2:
-        raise ValueError("corotational norms are defined for p = 2 only")
     corpus = _load_corpus(args.corpus)
-    report = norms.corot_report(corpus, args.dim, args.k, args.radius, tol=args.tol)
+    report = norms.corot_report(corpus, args.dim, args.k, args.radius)
     return _emit_report(report, args)
 
 
@@ -334,61 +333,62 @@ def _cmd_corot(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "dim": {"type": int, "help": "space dimension d"},
+    "order": {"type": int, "help": "derivative order n"},
+    "k": {"type": int, "help": "Sobolev order k"},
+    "p": {"type": float, "help": "Lebesgue exponent p"},
+    "radius": {"type": _parse_radius, "help": "ball radius r ('inf' allowed)"},
+    "method": {"choices": ("exact-angular", "monte-carlo")},
+    "seed": {"type": int},
+    "samples": {"type": int},
+    "tol": {"type": float},
+    "corpus": {"help": "'builtin' or a corpus JSON path"},
+    "format": {"choices": ("json", "csv")},
+    "budget": {"type": int, "help": "coordinate-tuple enumeration budget"},
+    "s": {"type": float, "help": "weight exponent for the hardy suite"},
+}
+
+# each command's function, help and the flags it reads
+_COMMANDS = {
+    "gram": (_cmd_gram, "print an exact Gram matrix and its inverse", ("dim", "order", "budget")),
+    "equiv": (_cmd_equiv, "three-route norm equivalence table",
+              ("dim", "k", "p", "radius", "method", "seed", "samples", "tol", "corpus", "format")),
+    "corot": (_cmd_corot, "corotational norm table (p = 2)",
+              ("dim", "k", "radius", "corpus", "format")),
+    "moments": (_cmd_moments, "exact sphere monomial moments of one order", ("dim", "order")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """A subparser per command and verify suite; argparse refuses every flag it does not read.
+
+    Abbreviations are off, so an unread ``--s`` is not taken for ``--seed``.
+    """
     parser = argparse.ArgumentParser(
         prog="radsob",
         description="Radial Sobolev norms by equivalent routes, with verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every RunConfig field's default, read or not, so that RunConfig.from_args sees every field
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
-    def common(sp):
-        sp.add_argument("--dim", type=int, help="space dimension d")
-        sp.add_argument("--order", type=int, help="derivative order n")
-        sp.add_argument("--k", type=int, help="Sobolev order k")
-        sp.add_argument("--p", type=float, help="Lebesgue exponent p")
-        sp.add_argument("--radius", type=_parse_radius, help="ball radius r ('inf' allowed)")
-        sp.add_argument("--method", choices=("exact-angular", "monte-carlo"))
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--corpus", help="'builtin' or a corpus JSON path")
-        sp.add_argument("--format", choices=("json", "csv"))
-        sp.add_argument("--out", default=None, help="write the report to this path")
-        sp.add_argument("--budget", type=int, help="coordinate-tuple enumeration budget")
-        # every flag's default is its RunConfig field's (s included, set by verify's --s)
-        sp.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.name != "command"})
+    def add(subparsers, name, func, flags, **kwargs):
+        sp = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.add_argument("--out", help="write the report to this path")
+        sp.set_defaults(**defaults, func=func)
+        if "order" in flags:  # gram and moments
+            sp.set_defaults(order=2)
 
-    sp_gram = sub.add_parser("gram", help="print an exact Gram matrix and its inverse")
-    common(sp_gram)
-    sp_gram.set_defaults(func=_cmd_gram, order=2)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        add(sub, name, func, flags, help=help_text)
     sp_verify = sub.add_parser("verify", help="run a named verification suite")
-    sp_verify.add_argument("suite", choices=sorted(_SUITES))
-    common(sp_verify)
-    sp_verify.add_argument("--s", type=float, help="weight exponent for the hardy suite")
-    sp_verify.set_defaults(func=_cmd_verify)
-
-    sp_equiv = sub.add_parser("equiv", help="three-route norm equivalence table")
-    common(sp_equiv)
-    sp_equiv.set_defaults(func=_cmd_equiv)
-
-    sp_corot = sub.add_parser("corot", help="corotational norm table (p = 2)")
-    common(sp_corot)
-    sp_corot.set_defaults(func=_cmd_corot)
-
-    sp_mom = sub.add_parser("moments", help="exact sphere monomial moments of one order")
-    common(sp_mom)
-    sp_mom.set_defaults(func=_cmd_moments, order=2)
-
+    suites = sp_verify.add_subparsers(dest="suite", required=True)
+    for name, (_, flags) in sorted(_SUITES.items()):
+        add(suites, name, _cmd_verify, flags)
     return parser
-
-
-def _reject_ignored_flags(args) -> None:
-    """Refuse a --format or --method that the command would silently ignore."""
-    if args.format == "csv" and args.command not in ("equiv", "corot"):
-        raise ValueError(f"{args.command} writes JSON only; --format csv is not supported")
-    if args.method == "monte-carlo" and args.command != "equiv":
-        raise ValueError(f"--method monte-carlo applies to equiv only, not to {args.command}")
 
 
 def main(argv=None) -> int:
@@ -396,7 +396,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         RunConfig.from_args(args)  # validates the shared parameters of every command
-        _reject_ignored_flags(args)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,12 +139,6 @@ class MonomialPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.coeffs:
-            return -1
-        return max(sum(alpha) for alpha in self.coeffs)
-
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None if mixed or zero."""
         degrees = {sum(alpha) for alpha in self.coeffs}

@@ -240,17 +240,13 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...]:
     panel errors can coincide and hide a large true error).
     """
     xs = np.linspace(0.0, upper, 513)
-    vals = np.asarray(prof.eval(xs), dtype=float)
-    out: list[float] = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            if xs[i] > 0.0:
-                out.append(float(xs[i]))
-            continue
-        if v0 < 0.0 < v1 or v1 < 0.0 < v0:  # not v0 * v1 < 0, which underflows on tiny values
-            out.append(_brent_root(prof.eval, xs[i], xs[i + 1]))
-    return tuple(out)
+    sign = np.sign(np.asarray(prof.eval(xs), dtype=float))
+    lo, hi = sign[:-1], sign[1:]
+    # a zero grid point past 0, or a cell whose ends differ in sign (signs, not products, which
+    # underflow on tiny values); a NaN end is neither
+    cells = np.flatnonzero(((lo == 0) & (xs[:-1] > 0)) | ((lo != 0) & (lo == -hi)))
+    return tuple(float(xs[i]) if lo[i] == 0 else _brent_root(prof.eval, xs[i], xs[i + 1])
+                 for i in cells)
 
 
 def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tuple[float, float]:
@@ -316,7 +312,8 @@ def _weighted_lp_power(
         err += res.error_estimate
         panels += res.subdivisions
         converged = converged and res.converged
-    return QuadResult(total, err + tail, panels, converged)
+    # at least the rounding of the sums over panels and pieces and of the integrand itself
+    return QuadResult(total, max(err, 8 * _EPS * abs(total)) + tail, panels, converged)
 
 
 def _pth_root(powsum: float, err_pow: float, p: float) -> tuple[float, float]:

@@ -1,0 +1,91 @@
+"""Extended-precision references for the err audit of ``norms._weighted_lp_power``.
+
+Each row of ``tests/test_norms.py::ERR_REFS`` names one D- or squared-route
+integral over a builtin corpus profile in d = 3.  This script recomputes its
+reference with mpmath at 50 digits, independently of radsob's quadrature
+and root finder: the integrand's sign changes are found on a scan grid
+offset from every rational point and refined by bisection, the integral is
+split there, and runs at 50 and 65 digits must agree far below the printed digits.
+
+    PYTHONPATH=src python tests/make_err_refs.py
+
+prints the rows with fresh references, ready to paste into the table.
+"""
+
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from test_norms import ERR_REFS, err_route_integral  # noqa: E402
+
+DIGITS = 50
+SCAN_CELLS = 4000
+# the offset of the scan grid from 0, in cells: irrational, so no root at a rational lands on it
+SCAN_OFFSET = (math.sqrt(5) - 1) / 2
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _bisect(g, a, b):
+    """A root of g in [a, b], where g(a) and g(b) differ in sign, to the working precision."""
+    sign_a = mpmath.sign(g(a))
+    for _ in range(mpmath.mp.prec):
+        mid = (a + b) / 2
+        sign_mid = mpmath.sign(g(mid))
+        if sign_mid == 0:
+            return mid
+        a, b = (mid, b) if sign_mid == sign_a else (a, mid)
+    return (a + b) / 2
+
+
+def _integral(prof, p: float, gamma: float, upper: float, digits: int):
+    """The integral at ``digits`` digits, tanh-sinh on the pieces between sign changes."""
+    with mpmath.workdps(digits):
+        terms = [(_mp(Fraction(c)), a, _mp(Fraction(b))) for c, a, b in prof.terms]
+        q = prof._q
+
+        def g(x):
+            return mpmath.fsum(c * x**a * mpmath.exp(-b * x**q) for c, a, b in terms)
+
+        # roots past 40 lie where every decaying term is below e^(-40^q / 2)
+        span = mpmath.mpf(upper) if math.isfinite(upper) else mpmath.mpf(40)
+        h = span / SCAN_CELLS
+        xs = [(i + mpmath.mpf(SCAN_OFFSET)) * h for i in range(SCAN_CELLS)]
+        vals = [g(x) for x in xs]
+        roots = []
+        for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:]):
+            if v0 == 0:
+                roots.append(x0)
+            elif mpmath.sign(v0) == -mpmath.sign(v1):
+                roots.append(_bisect(g, x0, x1))
+        points = [mpmath.mpf(0), *roots, mpmath.mpf(upper) if math.isfinite(upper) else mpmath.inf]
+        p_mp, gamma_mp = mpmath.mpf(p), mpmath.mpf(gamma)
+        value = mpmath.quad(lambda x: x**gamma_mp * abs(g(x)) ** p_mp, points)
+        return value, len(roots)
+
+
+def reference(prof, p: float, gamma: float, upper: float) -> tuple[str, int]:
+    """The integral of x^gamma |prof(x)|^p over (0, upper) and its number of interior sign changes."""
+    value, n_roots = _integral(prof, p, gamma, upper, DIGITS)
+    check, _ = _integral(prof, p, gamma, upper, DIGITS + 15)
+    if abs(value - check) > mpmath.mpf(10) ** -40 * abs(check):
+        raise RuntimeError(f"{DIGITS} and {DIGITS + 15} digits disagree: {value} against {check}")
+    return mpmath.nstr(value, 30), n_roots
+
+
+def main() -> None:
+    for label, route, j, p, r, _, _ in ERR_REFS:
+        ref, n_roots = reference(*err_route_integral(label, route, j, p, r))
+        r_text = "math.inf" if math.isinf(r) else repr(r)
+        print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, "{ref}", {n_roots}),')
+
+
+if __name__ == "__main__":
+    main()

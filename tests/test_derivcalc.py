@@ -7,6 +7,7 @@ import pytest
 
 from radsob.derivcalc import (
     BudgetExceededError,
+    _angular_form,
     _invert_exact,
     angular_matrix,
     corot_angular_matrix,
@@ -19,9 +20,10 @@ from radsob.derivcalc import (
     solve_linear_system,
 )
 from radsob.indexpoly import MonomialPoly, collapse, enumerate_dindex, enumerate_multi, multi_factorial, p_poly
+from radsob.norms import _form_square
 from radsob.oracles import fd_partial_derivative
 from radsob.profile import Profile, RadialField, d_op
-from radsob.quad import sphere_monomial_moment
+from radsob.quad import radial_moment, sphere_area, sphere_monomial_moment
 
 GAUSS = Profile([(1, 0, 1)])
 RHO2 = Profile([(1, 2, 0)])
@@ -360,3 +362,40 @@ class TestAngularMatrix:
         assert angular_matrix(3, 1).entries == ((Fraction(1),),)
         # d_i (x_k f) = delta_ik f + x_i x_k Df: entries 2, 1, 1, 1 (times |S^1|) in d = 2
         assert corot_angular_matrix(2, 1).entries == ((2, 1), (1, 1))
+
+
+class TestTupleSumIdentity:
+    """Summed over all d^n coordinate tuples, the squared n-th partials of f(|x|) integrate over R^d
+    to |S^(d-1)| times the integral of rho^(d-1+2n) (D^n f)^2 (integration by parts); on a ball
+    the boundary terms break it."""
+
+    @staticmethod
+    def tuple_matrix(d, n):
+        # each multi-index's expansion once per coordinate tuple that collapses to it
+        expansions = [
+            forward_terms(d, alpha)
+            for alpha in enumerate_multi(d, n)
+            for _ in range(math.factorial(n) // multi_factorial(alpha))
+        ]
+        return _angular_form(d, n, 0, expansions)
+
+    @staticmethod
+    def gap(mat, f, r):
+        d, n = mat.d, mat.n
+        form, form_err = _form_square(mat, f, r)
+        moment, moment_err = radial_moment(d_op(f, n), d_op(f, n), d - 1 + 2 * n, r)
+        area = sphere_area(d)
+        return abs(form - area * moment), form_err + area * moment_err, abs(form)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_holds_on_r_d_within_err(self, decaying_corpus, d, n):
+        mat = self.tuple_matrix(d, n)
+        for entry in decaying_corpus:
+            gap, err, _ = self.gap(mat, entry.profile, math.inf)
+            assert gap <= err, (entry.label, gap, err)
+
+    def test_fails_on_the_unit_ball(self, decaying_corpus):
+        mat = self.tuple_matrix(3, 2)
+        rel = [gap / value for gap, _, value in (self.gap(mat, e.profile, 1.0) for e in decaying_corpus)]
+        assert max(rel) > 0.5

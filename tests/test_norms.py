@@ -5,6 +5,7 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +35,15 @@ from radsob.norms import (
     sobolev_profile_squared,
 )
 from radsob.opspace import boundedness_report
-from radsob.profile import CorpusEntry, Profile, RadialField, _TermSum, d_op, to_squared
+from radsob.profile import (
+    CorpusEntry,
+    Profile,
+    RadialField,
+    _TermSum,
+    builtin_corpus,
+    d_op,
+    to_squared,
+)
 from radsob.quad import (
     QuadResult,
     QuadratureConvergenceError,
@@ -920,10 +929,11 @@ class TestCorpusTable:
     """The one table builder behind the equivalence, corot and boundedness reports."""
 
     # sha256 of report JSON computed with the per-report builders this one replaced,
-    # re-taken when each adaptive panel's error estimate got its rounding floor
-    # (only err fields moved)
-    EQUIVALENCE_SHA = "0ffade9f5e664454da16d4a55c33d07a35f8b6e4feea5b0b4c146743ad8e26c5"
-    BOUNDEDNESS_SHA = "c25e28550034dbf8da7425dd979fa225e3754b5c120597d2e48ef76a030faac6"
+    # re-taken when each adaptive panel's error estimate got its rounding floor, and
+    # again when each adaptive 1-D integral's err got a floor of 8 eps of its value
+    # (both times only err fields moved)
+    EQUIVALENCE_SHA = "c6ba83cc3f0c0d0f4e268ff3e8c7d3705392aa3fdde2fd244c2ddbefcd312b9d"
+    BOUNDEDNESS_SHA = "48c1389c429c5b774675a4cca81eae86ae9ed3a6080b5308f2959e868f8392a2"
     # corot: JSON with every err set to 0, and the errs themselves (the closed-form
     # p = 2 errs now go through _pth_root, which rounds them differently in the last bits)
     COROT_SHA = "152bcdb52fa4aadf5fe30f01bcc86599746f4f32f73fdc02a9216690acbb6653"
@@ -1233,3 +1243,62 @@ class TestBrentRoot:
         # in 100 steps; the reference solver fails on it the same way
         with pytest.raises(RuntimeError):
             norms._brent_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+
+
+# The err audit of the adaptive 1-D integrals behind the D and squared routes, in d = 3: each row
+# is (label, route, j, p, r, reference, interior sign changes of the integrand), the integral of
+# x^gamma |g|^p over (0, r) (D, g = D^j f) or over (0, r^2) (squared, g = f~^(j)).  The references
+# come from tests/make_err_refs.py: mpmath at 50 digits, split at the sign changes it finds on its
+# own scan grid.
+ERR_D = 3
+ERR_REFS = [
+    ("seed16", "D", 1, 3.0, 1.0, "0.0131882200156890381967161403024", 1),
+    ("seed16", "D", 1, 3.0, math.inf, "0.278650395584731464718608055172", 1),
+    ("seed16", "squared", 1, 1.5, 1.0, "0.0391538067202234435004794878871", 1),
+    ("gauss", "D", 1, 1.5, math.inf, "0.643488458207041429503302036478", 0),
+    ("gauss", "D", 0, 1.0, 1.0, "0.189472345820492351901971832985", 0),
+    ("rho4_gauss2", "D", 1, 1.0, 2.0, "1.00230202332898682847152875436", 1),
+    ("rho4_gauss2", "D", 1, 3.0, math.inf, "0.264207809555671956828841740908", 1),
+    ("seed08", "D", 0, 1.0, 1.0, "0.0722971866392784279357469882626", 1),
+    ("seed14", "D", 0, 1.5, math.inf, "0.729595660033337517114699074651", 1),
+    ("seed19", "D", 2, 3.0, 1.0, "1.42991989238389879200489436625", 0),
+    ("seed03", "squared", 2, 3.0, math.inf, "3.90445374562050286977621140838", 1),
+    ("seed10", "D", 1, 1.0, math.inf, "2.56590015538903834397456933706", 2),
+    ("seed00", "D", 2, 1.5, 1.0, "1.12844635102454874952295204753", 1),
+]
+
+
+def err_route_integral(label: str, route: str, j: int, p: float, r: float):
+    """(g, p, gamma, upper) of one ERR_REFS row, with gamma as the D and squared routes round it."""
+    f = {e.label: e.profile for e in builtin_corpus()}[label]
+    if route == "D":
+        return d_op(f, j), p, float(ERR_D - 1 + j * Fraction(p)), r
+    return to_squared(f).derivative(j), p, float((ERR_D - 2 + j * Fraction(p)) / 2), r * r
+
+
+class TestErrCoversTrueError:
+    """Every audited integral lies within its err of the extended-precision reference."""
+
+    @pytest.mark.parametrize(
+        "label, route, j, p, r, ref, sign_changes",
+        ERR_REFS,
+        ids=[f"{row[0]}-{row[1]}-j{row[2]}-p{row[3]:g}-r{row[4]:g}" for row in ERR_REFS],
+    )
+    def test_value_within_err(self, label, route, j, p, r, ref, sign_changes):
+        # the first row missed at a bare panel floor: true error 1.2967e-17, err 1.1713e-17
+        res = norms._weighted_lp_power(*err_route_integral(label, route, j, p, r), 1e-10)
+        assert res.converged
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+
+    def test_rows_cover_p_r_and_kinks(self):
+        assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
+        assert {1.0, math.inf} <= {row[4] for row in ERR_REFS}
+        assert {row[6] > 0 for row in ERR_REFS} == {True, False}
+
+    def test_root_on_a_scan_grid_point_is_split(self):
+        # D rho4_gauss2 = 12 rho^2 (1 - rho^2) e^(-2 rho^2) vanishes at the grid point 1 of (0, 2):
+        # the scan records it as a grid zero, and the reference splits there too
+        g, _, _, upper = err_route_integral("rho4_gauss2", "D", 1, 1.0, 2.0)
+        assert norms._sign_changes(g, upper) == (1.0,)
+        assert [row[6] for row in ERR_REFS if row[:5] == ("rho4_gauss2", "D", 1, 1.0, 2.0)] == [1]
