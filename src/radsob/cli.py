@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,15 +41,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_radius(value: str) -> float:
-    if value.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    r = float(value)
-    if not math.isfinite(r):
-        raise argparse.ArgumentTypeError("radius must be a finite number or 'inf'")
-    return r
-
-
 def _load_corpus(spec: str) -> list[profile.CorpusEntry]:
     if spec == "builtin":
         return profile.builtin_corpus()
@@ -62,58 +52,6 @@ def _rel_diff(a: float, b: float) -> float:
     if scale == 0.0:
         return 0.0
     return abs(a - b) / scale
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; serialises losslessly to and from a dict."""
-
-    command: str
-    dim: int = 3
-    order: int = 0
-    k: int = 2
-    p: float = 2.0
-    radius: float = 1.0
-    method: str = "exact-angular"
-    seed: int = norms.DEFAULT_SEED
-    samples: int = norms.DEFAULT_SAMPLES
-    tol: float = 1e-10
-    corpus: str = "builtin"
-    format: str = "json"
-    budget: int = derivcalc.DEFAULT_ENUMERATION_BUDGET
-    s: float | None = None
-
-    def __post_init__(self):
-        norms._check_domain(self.dim, self.k, self.p, self.radius)
-        # the method alone: commands without a definition route take any p at the default method
-        norms._check_domain(method=self.method)
-        if self.order < 0:
-            raise ValueError(f"need order >= 0, got {self.order}")
-        for name in ("tol", "s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.samples < 0 or self.budget < 1 or self.tol <= 0:
-            raise ValueError("bad samples/budget/tol")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        if math.isinf(self.radius):
-            doc["radius"] = "inf"
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        if doc.get("radius") == "inf":
-            doc["radius"] = math.inf
-        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +72,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_moments(args) -> int:
     d = args.dim
+    derivcalc.check_multi_indices(d, args.order)
     rows = [
         {"beta": list(beta), "value": sphere_monomial_moment(d, beta)}
         for beta in enumerate_multi(d, args.order)
@@ -294,7 +233,7 @@ def _cmd_verify(args) -> int:
     passed = all(c["pass"] for c in checks)
     doc = {
         "suite": args.suite,
-        "params": RunConfig.from_args(args).to_dict(),
+        "params": {flag: getattr(args, flag) for flag in _SUITES[args.suite][1]},
         "checks": checks,
         "passed": passed,
     }
@@ -333,20 +272,51 @@ def _cmd_corot(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _flag(parse, default, check=None, help=None) -> dict:
+    """The add_argument spec of a flag: ``parse`` reads its text, then ``check`` its domain.
+
+    A ValueError of either becomes argparse's exit 2, with a message naming the flag
+    and the domain (``argument --p: need a finite p >= 1, got nan``).
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if check:
+                check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return {"type": convert, "default": default, "help": help}
+
+
+def _need(ok, domain: str):
+    """A check that raises ValueError unless ``ok(value)``."""
+
+    def check(value) -> None:
+        if not ok(value):
+            raise ValueError(f"need {domain}, got {value}")
+
+    return check
+
+
+# each flag's type, default, domain and help, stated once
 _FLAGS = {
-    "dim": {"type": int, "help": "space dimension d"},
-    "order": {"type": int, "help": "derivative order n"},
-    "k": {"type": int, "help": "Sobolev order k"},
-    "p": {"type": float, "help": "Lebesgue exponent p"},
-    "radius": {"type": _parse_radius, "help": "ball radius r ('inf' allowed)"},
-    "method": {"choices": ("exact-angular", "monte-carlo")},
-    "seed": {"type": int},
-    "samples": {"type": int},
-    "tol": {"type": float},
-    "corpus": {"help": "'builtin' or a corpus JSON path"},
-    "format": {"choices": ("json", "csv")},
-    "budget": {"type": int, "help": "coordinate-tuple enumeration budget"},
-    "s": {"type": float, "help": "weight exponent for the hardy suite"},
+    "dim": _flag(int, 3, lambda d: norms._check_domain(d=d), "space dimension d"),
+    "order": _flag(int, 2, _need(lambda n: n >= 0, "order >= 0"), "derivative order n"),
+    "k": _flag(int, 2, lambda k: norms._check_domain(k=k), "Sobolev order k"),
+    "p": _flag(float, 2.0, lambda p: norms._check_domain(p=p), "Lebesgue exponent p"),
+    "radius": _flag(float, 1.0, lambda r: norms._check_domain(r=r), "ball radius r, or inf"),
+    "method": {"choices": ("exact-angular", "monte-carlo"), "default": "exact-angular"},
+    "seed": _flag(int, norms.DEFAULT_SEED),
+    "samples": _flag(int, norms.DEFAULT_SAMPLES, _need(lambda n: n >= 0, "samples >= 0")),
+    "tol": _flag(float, 1e-10, _need(lambda t: 0 < t < math.inf, "a finite tol > 0")),
+    "corpus": {"default": "builtin", "help": "'builtin' or a corpus JSON path"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "budget": _flag(int, derivcalc.DEFAULT_ENUMERATION_BUDGET,
+                    _need(lambda b: b >= 1, "budget >= 1"), "coordinate-tuple enumeration budget"),
+    "s": _flag(float, None, _need(math.isfinite, "a finite s"), "hardy suite weight exponent"),
 }
 
 # each command's function, help and the flags it reads
@@ -370,17 +340,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Radial Sobolev norms by equivalent routes, with verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # every RunConfig field's default, read or not, so that RunConfig.from_args sees every field
-    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
     def add(subparsers, name, func, flags, **kwargs):
         sp = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--out", help="write the report to this path")
-        sp.set_defaults(**defaults, func=func)
-        if "order" in flags:  # gram and moments
-            sp.set_defaults(order=2)
+        sp.set_defaults(func=func)
 
     for name, (func, help_text, flags) in _COMMANDS.items():
         add(sub, name, func, flags, help=help_text)
@@ -395,7 +361,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        RunConfig.from_args(args)  # validates the shared parameters of every command
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,16 +31,28 @@ DEFAULT_ENUMERATION_BUDGET = 10**7
 
 
 class BudgetExceededError(ValueError):
-    """The d**n coordinate-tuple enumeration would exceed the configured budget."""
+    """An enumeration of ``required`` items, described by ``what``, would exceed the budget."""
 
-    def __init__(self, d: int, n: int, required: int, budget: int):
-        super().__init__(
-            f"enumeration of {d}^{n} = {required} coordinate tuples exceeds budget {budget}"
-        )
-        self.d = d
-        self.n = n
+    def __init__(self, what: str, required: int, budget: int):
+        super().__init__(f"enumeration of {what} exceeds budget {budget}")
         self.required = required
         self.budget = budget
+
+
+def check_multi_indices(d: int, n: int) -> None:
+    """Raise :class:`BudgetExceededError` when the order-n multi-indices in R^d exceed
+    ``DEFAULT_ENUMERATION_BUDGET``.
+
+    There are binomial(n + d - 1, d - 1) of them, increasing in n, so a check
+    of the top order covers every lower one.
+    """
+    required = math.comb(n + d - 1, d - 1)
+    if required > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"binomial({n + d - 1}, {d - 1}) = {required} multi-indices",
+            required,
+            DEFAULT_ENUMERATION_BUDGET,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +192,7 @@ def _angular_form(d: int, n: int, shift: int, expansions) -> AngularMatrix:
 @lru_cache(maxsize=None)
 def angular_matrix(d: int, n: int) -> AngularMatrix:
     """Angular matrix A(d, n) of the derivatives d^alpha f(|x|), |alpha| = n, of a radial field."""
+    check_multi_indices(d, n)
     return _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in enumerate_multi(d, n)])
 
 
@@ -187,6 +200,7 @@ def angular_matrix(d: int, n: int) -> AngularMatrix:
 def corot_angular_matrix(d: int, n: int) -> AngularMatrix:
     """Angular matrix B(d, n) of the derivatives d^alpha F_i, |alpha| = n, i = 1..d,
     of the corotational map F(x) = x f(|x|)."""
+    check_multi_indices(d, n)
     return _angular_form(
         d,
         n,
@@ -301,7 +315,7 @@ def _check_order(d: int, n: int, budget: int) -> None:
         raise ValueError(f"order must be >= 1, got {n}")
     required = d**n
     if required > budget:
-        raise BudgetExceededError(d, n, required, budget)
+        raise BudgetExceededError(f"{d}^{n} = {required} coordinate tuples", required, budget)
 
 
 def gram_matrix(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> GramMatrix:

@@ -29,13 +29,14 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .derivcalc import (
     AngularMatrix,
     angular_matrix,
+    check_multi_indices,
     corot_angular_matrix,
     forward_terms,
 )
@@ -366,9 +367,12 @@ def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float
     return _fsum(parts), err
 
 
-def _form_norm(mats: Iterable[AngularMatrix], f: Profile, r: float) -> NormValue:
-    """The p = 2 norm whose square is the sum of the quadratic forms of ``mats`` on f."""
-    squares = [_form_square(mat, f, r) for mat in mats]
+def _form_norm(
+    matrix: Callable[[int, int], AngularMatrix], d: int, orders: Sequence[int], f: Profile, r: float
+) -> NormValue:
+    """The p = 2 norm whose square is the sum over n in orders of matrix(d, n)'s form on f."""
+    check_multi_indices(d, max(orders))  # before the lower orders' matrices are built
+    squares = [_form_square(matrix(d, n), f, r) for n in orders]
     return NormValue(*_pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2))
 
 
@@ -378,7 +382,7 @@ def _ball_def_exact(
     d = field.d
     f = field.profile
     if p == 2:
-        return _form_norm((angular_matrix(d, n) for n in orders), f, r)
+        return _form_norm(angular_matrix, d, orders, f, r)
     # at p != 2 the domain check admits only order zero, the plain L^p norm:
     # its angular integral is exact
     res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
@@ -459,6 +463,7 @@ def _ball_def_mc(
     f = field.profile
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
+    check_multi_indices(d, max(orders))
     pts = _sphere_points(d, seed, samples)
 
     # each d^alpha f, alpha of every order n, as its nonzero summands poly(x) (D^j f)(|x|)
@@ -819,7 +824,7 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
 # ---------------------------------------------------------------------------
 
 def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
-    return _form_norm((corot_angular_matrix(F.d, n) for n in range(k + 1)), F.profile, r)
+    return _form_norm(corot_angular_matrix, F.d, range(k + 1), F.profile, r)
 
 
 def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
@@ -1017,6 +1022,7 @@ def corot_report(
     ``r`` may be ``math.inf``; the degenerate profiles are as in ``_corpus_table``.
     """
     _check_domain(d, k, r=r)
+    check_multi_indices(d + 2, k)  # the rhs dimension, before any lhs matrix is built
 
     def routes(entry: CorpusEntry):
         lhs = _corot_lhs_detail(CorotField(d, entry.profile), k, r)

@@ -31,6 +31,8 @@ Term = tuple[Fraction, int, Fraction]  # (coefficient, power, decay rate)
 def _canonical_terms(terms: Iterable[Sequence]) -> tuple[Term, ...]:
     merged: dict[tuple[int, Fraction], Fraction] = {}
     for c, a, b in terms:
+        if a != int(a):  # int() alone would truncate a power such as 2.9
+            raise ValueError(f"power must be an integer, got {a!r}")
         a = int(a)
         if a < 0:
             raise ValueError(f"power must be >= 0, got {a}")
@@ -405,16 +407,26 @@ def save_corpus(entries: Sequence[CorpusEntry], path: str | Path) -> None:
 def load_corpus(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus file written by :func:`save_corpus` (or by hand).
 
-    Coefficients and decay rates may be JSON numbers or "p/q" strings, and must be finite.
+    Coefficients and decay rates may be JSON numbers or "p/q" strings, and must be finite;
+    powers are integers.  A malformed entry is a ValueError naming its label, or its
+    position when it has none.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ValueError("corpus file must contain a JSON array")
     entries = []
-    for item in doc:
-        label = str(item["label"])
-        if any(isinstance(v, float) and not math.isfinite(v) for term in item["terms"] for v in term):
-            raise ValueError(f"corpus entry {label!r}: every term number must be finite")
-        terms = [(Fraction(c), int(a), Fraction(b)) for c, a, b in item["terms"]]
-        entries.append(CorpusEntry(label, Profile(terms)))
+    for i, item in enumerate(doc):
+        name = repr(str(item["label"])) if isinstance(item, dict) and "label" in item else f"#{i}"
+        try:
+            if not isinstance(item, dict) or "terms" not in item or "label" not in item:
+                raise ValueError('an entry must be an object with "terms" and "label"')
+            terms = item["terms"]
+            if not (isinstance(terms, list) and all(isinstance(t, list) for t in terms)):
+                raise ValueError('"terms" must be a list of [c, a, b] lists')
+            if any(isinstance(v, float) and not math.isfinite(v) for term in terms for v in term):
+                raise ValueError("every term number must be finite")
+            profile = Profile([(Fraction(c), a, Fraction(b)) for c, a, b in terms])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"corpus entry {name}: {exc}") from None
+        entries.append(CorpusEntry(str(item["label"]), profile))
     return entries

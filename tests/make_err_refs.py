@@ -1,11 +1,14 @@
 """Extended-precision references for the err audit of ``norms._weighted_lp_power``.
 
-Each row of ``tests/test_norms.py::ERR_REFS`` names one D- or squared-route
-integral over a builtin corpus profile in d = 3.  This script recomputes its
-reference with mpmath at 50 digits, independently of radsob's quadrature
-and root finder: the integrand's sign changes are found on a scan grid
-offset from every rational point and refined by bisection, the integral is
-split there, and runs at 50 and 65 digits must agree far below the printed digits.
+Each row of ``tests/test_norms.py::ERR_REFS`` names one integral over a
+builtin corpus profile in d = 3: a D- or squared-route integral, one of the
+two integrals of the Hardy and boundary checks, or the p-th power of a k = 0
+definition-route norm, whose reference is the norm itself.  This script
+recomputes its reference with mpmath at 50 digits, independently of radsob's
+quadrature and root finder: the integrand's sign changes are found on a scan
+grid offset from every rational point and refined by bisection, the integral
+is split there, and runs at 50 and 65 digits must agree far below the printed
+digits.
 
     PYTHONPATH=src python tests/make_err_refs.py
 
@@ -21,7 +24,7 @@ import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_norms import ERR_REFS, err_route_integral  # noqa: E402
+from test_norms import ERR_D, ERR_REFS, err_route_integral  # noqa: E402
 
 DIGITS = 50
 SCAN_CELLS = 4000
@@ -67,24 +70,40 @@ def _integral(prof, p: float, gamma: float, upper: float, digits: int):
                 roots.append(_bisect(g, x0, x1))
         points = [mpmath.mpf(0), *roots, mpmath.mpf(upper) if math.isfinite(upper) else mpmath.inf]
         p_mp, gamma_mp = mpmath.mpf(p), mpmath.mpf(gamma)
-        value = mpmath.quad(lambda x: x**gamma_mp * abs(g(x)) ** p_mp, points)
+        # x = u^m with m (gamma + 1) >= 1 leaves no negative power of u at 0, whose part
+        # next to 0 tanh-sinh would drop (an x^-0.9 weight lost 4e-6 of its integral)
+        m = max(1, math.ceil(1 / (gamma + 1)))
+        u_points = [x ** (mpmath.mpf(1) / m) for x in points]
+        value = mpmath.quad(
+            lambda u: m * u ** (m * (gamma_mp + 1) - 1) * abs(g(u**m)) ** p_mp, u_points
+        )
         return value, len(roots)
 
 
-def reference(prof, p: float, gamma: float, upper: float) -> tuple[str, int]:
-    """The integral of x^gamma |prof(x)|^p over (0, upper) and its number of interior sign changes."""
+def _norm(integral, p: float, digits: int):
+    """(|S^(d-1)| integral)^(1/p), the norm whose p-th power the integral is, in d = ERR_D."""
+    with mpmath.workdps(digits):
+        area = 2 * mpmath.pi ** (mpmath.mpf(ERR_D) / 2) / mpmath.gamma(mpmath.mpf(ERR_D) / 2)
+        return (area * integral) ** (1 / mpmath.mpf(p))
+
+
+def reference(prof, p: float, gamma: float, upper: float, norm: bool = False) -> tuple[str, int]:
+    """The integral of x^gamma |prof(x)|^p over (0, upper), or with ``norm`` its k = 0 norm in
+    d = ERR_D, and the integrand's number of interior sign changes."""
     value, n_roots = _integral(prof, p, gamma, upper, DIGITS)
     check, _ = _integral(prof, p, gamma, upper, DIGITS + 15)
+    if norm:
+        value, check = _norm(value, p, DIGITS), _norm(check, p, DIGITS + 15)
     if abs(value - check) > mpmath.mpf(10) ** -40 * abs(check):
         raise RuntimeError(f"{DIGITS} and {DIGITS + 15} digits disagree: {value} against {check}")
     return mpmath.nstr(value, 30), n_roots
 
 
 def main() -> None:
-    for label, route, j, p, r, _, _ in ERR_REFS:
-        ref, n_roots = reference(*err_route_integral(label, route, j, p, r))
+    for label, route, j, p, r, s, _, _ in ERR_REFS:
+        ref, n_roots = reference(*err_route_integral(label, route, j, p, r, s), norm=route == "def")
         r_text = "math.inf" if math.isinf(r) else repr(r)
-        print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, "{ref}", {n_roots}),')
+        print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, {s!r}, "{ref}", {n_roots}),')
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from radsob import norms
-from radsob.cli import RunConfig, _build_parser, main
+from radsob.cli import _build_parser, main
 from radsob.profile import CorpusEntry, Profile, builtin_corpus, save_corpus
 
 
@@ -36,27 +36,6 @@ def exit_code(argv) -> int:
 
 def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
-
-
-class TestRunConfig:
-    def test_round_trip_lossless(self):
-        cfg = RunConfig(command="equiv", dim=4, k=3, p=3.0, radius=math.inf, s=0.5)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-        cfg2 = RunConfig(command="gram", radius=0.5, method="monte-carlo", samples=10)
-        assert RunConfig.from_dict(cfg2.to_dict()) == cfg2
-
-    def test_validation_mirrors_preconditions(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="equiv", p=0.5)
-        with pytest.raises(ValueError):
-            RunConfig(command="equiv", dim=1)
-        with pytest.raises(ValueError):
-            RunConfig(command="equiv", radius=-1.0)
-        with pytest.raises(ValueError):
-            RunConfig(command="equiv", method="magic")
-        for bad in ({"tol": math.nan}, {"p": math.inf}, {"s": math.nan}, {"radius": math.nan}):
-            with pytest.raises(ValueError):
-                RunConfig(command="equiv", **bad)
 
 
 class TestGram:
@@ -132,12 +111,20 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
 
     def test_hardy_single_s_output_is_pinned(self, capsys):
-        # sha256 of the output when each check ran its own two quadratures
+        # sha256 of the output when each check ran its own two quadratures, re-taken when
+        # params came to hold only the suite's flags (every check stayed byte-identical)
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "3776fd4114faba170bbcd055069899eb9f381f9cc5d618114e0b61791068501f"
+            "906b37dbbf4397965bc90cd5be098b8e84324078a8e948862c6c632b25ea3434"
         )
+
+    @pytest.mark.parametrize("suite", ["identities", "hardy", "gram", "whitney"])
+    def test_params_are_the_flags_the_suite_reads(self, capsys, suite):
+        rc, out, _ = run_cli(capsys, ["verify", suite])
+        assert rc == 0
+        params = json.loads(out)["params"]
+        assert params == {flag: FLAG_DEFAULTS[flag] for flag in FLAGS_READ[("verify", suite)]}
 
     def test_hardy_overflow_names_the_check(self, capsys, tmp_path):
         path = tmp_path / "corpus.json"
@@ -253,6 +240,24 @@ FLAGS_READ = {
     ("verify", "gram"): {"budget"},
     ("verify", "whitney"): {"corpus", "tol"},
 }
+# each flag's default, where it is read
+FLAG_DEFAULTS = {
+    "dim": 3, "order": 2, "k": 2, "p": 2.0, "radius": 1.0, "method": "exact-angular",
+    "seed": norms.DEFAULT_SEED, "samples": norms.DEFAULT_SAMPLES, "tol": 1e-10,
+    "corpus": "builtin", "format": "json", "budget": 10**7, "s": None,
+}
+# values outside each flag's domain; --seed takes any integer, and --corpus is read when it runs
+FLAG_BAD_VALUES = {
+    "dim": ["1"], "order": ["-1"], "k": ["-1"], "p": ["0.5", "nan", "inf"],
+    "radius": ["-1", "0", "nan", "-inf"], "method": ["magic"], "samples": ["-1"],
+    "tol": ["0", "nan", "inf"], "format": ["xml"], "budget": ["0"], "s": ["nan", "inf"],
+}
+BAD_FLAG_ARGV = [
+    [*command, f"--{flag}", value]
+    for command, read in FLAGS_READ.items()
+    for flag in sorted(read & FLAG_BAD_VALUES.keys())
+    for value in FLAG_BAD_VALUES[flag]
+]
 # a value each flag accepts where it is read
 FLAG_VALUES = {
     "dim": "2", "order": "2", "k": "1", "p": "2", "radius": "1", "method": "exact-angular",
@@ -288,12 +293,20 @@ class TestParser:
         assert sum(map(len, flags.values())) == 38
 
     @pytest.mark.parametrize("command", list(FLAGS_READ))
-    def test_every_config_field_is_set(self, command):
-        # RunConfig validates (and verify echoes) every field, read or not
-        args = _build_parser().parse_args(list(command))
-        assert RunConfig.from_args(args) == RunConfig(
-            command=command[0], order=2 if "order" in FLAGS_READ[command] else 0
-        )
+    def test_each_read_flag_has_its_default(self, command):
+        # and no flag the command does not read is set
+        args = vars(_build_parser().parse_args(list(command)))
+        for key in ("command", "suite", "func"):
+            args.pop(key, None)
+        assert args == {**{flag: FLAG_DEFAULTS[flag] for flag in FLAGS_READ[command]}, "out": None}
+
+    @pytest.mark.parametrize("argv", BAD_FLAG_ARGV, ids="-".join)
+    def test_out_of_domain_value_is_config_error(self, capsys, argv):
+        # argparse refuses it before any command runs; the message names the flag
+        assert exit_code(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument {argv[-2]}: " in out.err
 
     def test_flags_follow_the_suite_name(self, capsys):
         assert exit_code(["verify", "--tol", "1e-10", "hardy"]) == 2
@@ -341,6 +354,40 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert "'huge'" in err
+
+    @pytest.mark.parametrize("corpus, message", [
+        ('[{"terms": [[1, 2.9, 1]], "label": "frac"}]', "corpus entry 'frac': power must be"),
+        ('[[1, 2, 3]]', "corpus entry #0: an entry must be an object"),
+        ('[{"terms": 5, "label": "five"}]', "corpus entry 'five': \"terms\" must be a list"),
+    ], ids=["fractional-power", "entry-not-an-object", "terms-not-a-list"])
+    def test_malformed_corpus_is_config_error(self, capsys, tmp_path, corpus, message):
+        # int() truncated the power 2.9 to 2, and the other two escaped as a TypeError (exit 1)
+        path = tmp_path / "corpus.json"
+        path.write_text(corpus)
+        rc, out, err = run_cli(capsys, ["equiv", "--dim", "3", "--k", "1", "--corpus", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--dim", "20", "--order", "30"],
+        ["equiv", "--dim", "30", "--k", "10"],
+        ["equiv", "--dim", "30", "--k", "10", "--p", "3", "--method", "monte-carlo"],
+        ["corot", "--dim", "30", "--k", "10"],
+        # the order-17 multi-indices in R^10 are within the budget, but not those in R^12
+        ["corot", "--dim", "10", "--k", "17"],
+    ])
+    def test_multi_index_budget_exit_code(self, argv):
+        # in a subprocess capped at 2 GiB of address space: an unguarded run would build
+        # ~1e13 (moments) or ~6e8 (equiv) tuples
+        proc = _run_python(
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            f"import radsob.cli; sys.exit(radsob.cli.main({argv!r}))", 20
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: enumeration of binomial(")
+        assert "multi-indices exceeds budget 10000000" in proc.stderr
 
     @pytest.mark.parametrize("argv", UNREAD_FLAG_ARGV)
     def test_flag_the_command_ignores_is_config_error(self, capsys, argv):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from radsob.derivcalc import (
+    DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     _angular_form,
     _invert_exact,
     angular_matrix,
+    check_multi_indices,
     corot_angular_matrix,
     forward_terms,
     gram_matrix,
@@ -195,6 +197,14 @@ class TestGram:
         with pytest.raises(BudgetExceededError) as exc:
             gram_matrix(10, 9, budget=10**6)
         assert exc.value.required == 10**9
+
+    @pytest.mark.parametrize("matrix", [angular_matrix, corot_angular_matrix])
+    def test_multi_index_budget(self, matrix):
+        # raised before any of the binomial(39, 29) multi-indices is enumerated
+        with pytest.raises(BudgetExceededError) as exc:
+            matrix(30, 10)
+        assert exc.value.required == math.comb(39, 29) > DEFAULT_ENUMERATION_BUDGET
+        check_multi_indices(30, 7)  # binomial(36, 29) = 8347680 is within it
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

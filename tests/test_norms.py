@@ -1245,60 +1245,99 @@ class TestBrentRoot:
             norms._brent_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
 
 
-# The err audit of the adaptive 1-D integrals behind the D and squared routes, in d = 3: each row
-# is (label, route, j, p, r, reference, interior sign changes of the integrand), the integral of
-# x^gamma |g|^p over (0, r) (D, g = D^j f) or over (0, r^2) (squared, g = f~^(j)).  The references
-# come from tests/make_err_refs.py: mpmath at 50 digits, split at the sign changes it finds on its
-# own scan grid.
+# The err audit of the adaptive 1-D integrals over builtin corpus profiles, in d = 3: each row is
+# (label, route, j, p, r, s, reference, interior sign changes of the integrand).  The route names
+# the integral of x^gamma |g|^p:
+#   D        g = D^j f over (0, r), as the D route rounds gamma;
+#   squared  g = f~^(j) over (0, r^2), as the squared route rounds gamma;
+#   hardy    g = f^(j) over (0, r) with gamma = p (s + j), the two integrals of hardy_check and
+#            boundary_check, at their tol 1e-12;
+#   def      g = f over (0, r) with gamma = d - 1, the p-th power of the k = 0 norm of f(|x|) that
+#            _ball_def_exact computes; its reference is that norm, (|S^(d-1)| integral)^(1/p).
+# s is None outside the hardy rows.  The references come from tests/make_err_refs.py: mpmath at 50
+# digits, split at the sign changes it finds on its own scan grid.
 ERR_D = 3
 ERR_REFS = [
-    ("seed16", "D", 1, 3.0, 1.0, "0.0131882200156890381967161403024", 1),
-    ("seed16", "D", 1, 3.0, math.inf, "0.278650395584731464718608055172", 1),
-    ("seed16", "squared", 1, 1.5, 1.0, "0.0391538067202234435004794878871", 1),
-    ("gauss", "D", 1, 1.5, math.inf, "0.643488458207041429503302036478", 0),
-    ("gauss", "D", 0, 1.0, 1.0, "0.189472345820492351901971832985", 0),
-    ("rho4_gauss2", "D", 1, 1.0, 2.0, "1.00230202332898682847152875436", 1),
-    ("rho4_gauss2", "D", 1, 3.0, math.inf, "0.264207809555671956828841740908", 1),
-    ("seed08", "D", 0, 1.0, 1.0, "0.0722971866392784279357469882626", 1),
-    ("seed14", "D", 0, 1.5, math.inf, "0.729595660033337517114699074651", 1),
-    ("seed19", "D", 2, 3.0, 1.0, "1.42991989238389879200489436625", 0),
-    ("seed03", "squared", 2, 3.0, math.inf, "3.90445374562050286977621140838", 1),
-    ("seed10", "D", 1, 1.0, math.inf, "2.56590015538903834397456933706", 2),
-    ("seed00", "D", 2, 1.5, 1.0, "1.12844635102454874952295204753", 1),
+    ("seed16", "D", 1, 3.0, 1.0, None, "0.0131882200156890381967161403024", 1),
+    ("seed16", "D", 1, 3.0, math.inf, None, "0.278650395584731464718608055172", 1),
+    ("seed16", "squared", 1, 1.5, 1.0, None, "0.0391538067202234435004794878871", 1),
+    ("gauss", "D", 1, 1.5, math.inf, None, "0.643488458207041429503302036478", 0),
+    ("gauss", "D", 0, 1.0, 1.0, None, "0.189472345820492351901971832985", 0),
+    ("rho4_gauss2", "D", 1, 1.0, 2.0, None, "1.00230202332898682847152875436", 1),
+    ("rho4_gauss2", "D", 1, 3.0, math.inf, None, "0.264207809555671956828841740908", 1),
+    ("seed08", "D", 0, 1.0, 1.0, None, "0.0722971866392784279357469882626", 1),
+    ("seed14", "D", 0, 1.5, math.inf, None, "0.729595660033337517114699074651", 1),
+    ("seed19", "D", 2, 3.0, 1.0, None, "1.42991989238389879200489436625", 0),
+    ("seed03", "squared", 2, 3.0, math.inf, None, "3.90445374562050286977621140838", 1),
+    ("seed10", "D", 1, 1.0, math.inf, None, "2.56590015538903834397456933706", 2),
+    ("seed00", "D", 2, 1.5, 1.0, None, "1.12844635102454874952295204753", 1),
+    ("gauss", "hardy", 0, 1.0, 1.0, -0.3, "1.14381608478017126151584727272", 0),
+    ("seed08", "hardy", 0, 3.0, 1.0, -0.3, "0.0125040984958084237298407988648", 1),
+    ("gauss", "hardy", 0, 3.0, math.inf, -0.3, "9.21471263412148444742146689158", 0),
+    ("seed16", "hardy", 1, 1.0, math.inf, -0.3, "1.02715390714742166455969314412", 1),
+    ("seed10", "hardy", 1, 3.0, math.inf, -0.3, "0.565891727915892622163744071597", 2),
+    ("seed00", "hardy", 1, 1.0, 1.0, 0.5, "0.289393510709301575892629821802", 1),
+    ("seed14", "hardy", 0, 3.0, 1.0, 0.5, "0.0416833186861552401467156299553", 1),
+    ("seed02", "hardy", 0, 1.0, math.inf, 0.5, "3.29153639905259289896544607035", 1),
+    ("rho4_gauss2", "hardy", 1, 3.0, math.inf, 0.5, "0.515123898849789224974053870483", 1),
+    ("seed08", "def", 0, 1.0, 1.0, None, "0.908513241684669049056203485668", 1),
+    ("gauss", "def", 0, 3.0, 1.0, None, "0.983744142420247794433607594001", 0),
+    ("seed14", "def", 0, 3.0, math.inf, None, "1.44275965069589612846726698672", 1),
+    ("rho4_gauss2", "def", 0, 1.0, math.inf, None, "5.53697224654303819135218023243", 0),
 ]
 
 
-def err_route_integral(label: str, route: str, j: int, p: float, r: float):
-    """(g, p, gamma, upper) of one ERR_REFS row, with gamma as the D and squared routes round it."""
+def err_route_integral(label: str, route: str, j: int, p: float, r: float, s: float | None):
+    """(g, p, gamma, upper) of one ERR_REFS row, with gamma as the code under audit rounds it."""
     f = {e.label: e.profile for e in builtin_corpus()}[label]
     if route == "D":
         return d_op(f, j), p, float(ERR_D - 1 + j * Fraction(p)), r
-    return to_squared(f).derivative(j), p, float((ERR_D - 2 + j * Fraction(p)) / 2), r * r
+    if route == "squared":
+        return to_squared(f).derivative(j), p, float((ERR_D - 2 + j * Fraction(p)) / 2), r * r
+    if route == "hardy":
+        return f.derivative(j), p, p * (s + j), r
+    return f, p, ERR_D - 1, r
+
+
+def err_row_id(row) -> str:
+    label, route, j, p, r, s = row[:6]
+    return f"{label}-{route}-j{j}-p{p:g}-r{r:g}" + ("" if s is None else f"-s{s:g}")
 
 
 class TestErrCoversTrueError:
     """Every audited integral lies within its err of the extended-precision reference."""
 
     @pytest.mark.parametrize(
-        "label, route, j, p, r, ref, sign_changes",
-        ERR_REFS,
-        ids=[f"{row[0]}-{row[1]}-j{row[2]}-p{row[3]:g}-r{row[4]:g}" for row in ERR_REFS],
+        "label, route, j, p, r, s, ref, sign_changes", ERR_REFS, ids=map(err_row_id, ERR_REFS)
     )
-    def test_value_within_err(self, label, route, j, p, r, ref, sign_changes):
+    def test_value_within_err(self, label, route, j, p, r, s, ref, sign_changes):
         # the first row missed at a bare panel floor: true error 1.2967e-17, err 1.1713e-17
-        res = norms._weighted_lp_power(*err_route_integral(label, route, j, p, r), 1e-10)
-        assert res.converged
+        g, p, gamma, upper = err_route_integral(label, route, j, p, r, s)
+        if route == "def":
+            value, err, _, converged = _ball_def_exact(RadialField(ERR_D, g), [0], p, r, 1e-10)
+        else:
+            res = norms._weighted_lp_power(g, p, gamma, upper, 1e-12 if route == "hardy" else 1e-10)
+            value, err, converged = res.value, res.error_estimate, res.converged
+        assert converged
         with mpmath.workdps(50):
-            assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+            assert abs(mpmath.mpf(value) - mpmath.mpf(ref)) <= err
 
     def test_rows_cover_p_r_and_kinks(self):
         assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
         assert {1.0, math.inf} <= {row[4] for row in ERR_REFS}
-        assert {row[6] > 0 for row in ERR_REFS} == {True, False}
+        assert {row[7] > 0 for row in ERR_REFS} == {True, False}
+        p_r = {(p, r) for p in (1.0, 3.0) for r in (1.0, math.inf)}
+        for route in ("hardy", "def"):
+            rows = [row for row in ERR_REFS if row[1] == route]
+            assert {(row[3], row[4]) for row in rows} == p_r
+            assert {row[7] > 0 for row in rows} == {True, False}
+        assert {(row[3], row[4], row[5]) for row in ERR_REFS if row[1] == "hardy"} == {
+            (p, r, s) for p in (1.0, 3.0) for r in (1.0, math.inf) for s in (-0.3, 0.5)
+        }
 
     def test_root_on_a_scan_grid_point_is_split(self):
         # D rho4_gauss2 = 12 rho^2 (1 - rho^2) e^(-2 rho^2) vanishes at the grid point 1 of (0, 2):
         # the scan records it as a grid zero, and the reference splits there too
-        g, _, _, upper = err_route_integral("rho4_gauss2", "D", 1, 1.0, 2.0)
+        g, _, _, upper = err_route_integral("rho4_gauss2", "D", 1, 1.0, 2.0, None)
         assert norms._sign_changes(g, upper) == (1.0,)
-        assert [row[6] for row in ERR_REFS if row[:5] == ("rho4_gauss2", "D", 1, 1.0, 2.0)] == [1]
+        assert [row[7] for row in ERR_REFS if row[:5] == ("rho4_gauss2", "D", 1, 1.0, 2.0)] == [1]

@@ -319,3 +319,32 @@ class TestCorpus:
         path.write_text('[{"label": "x", "terms": [[0.5, 2, 1.0], [-3, 0, "1/3"]]}]')
         (entry,) = load_corpus(path)
         assert entry.profile == Profile([(Fraction(1, 2), 2, 1), (-3, 0, Fraction(1, 3))])
+
+    def test_integral_float_power_is_accepted(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"label": "x", "terms": [[1, 2.0, 1]]}]')
+        (entry,) = load_corpus(path)
+        assert entry.profile == Profile([(1, 2, 1)])
+        assert Profile([(1, 2.0, 1)]).terms[0][1] == 2
+
+    @pytest.mark.parametrize("power", [0.5, 2.9, Fraction(5, 2)])
+    def test_fractional_power_is_rejected(self, power):
+        # int() truncated it: (1, 2.9, 1) was read as rho^2 exp(-rho^2)
+        with pytest.raises(ValueError, match="power must be an integer"):
+            Profile([(1, power, 1)])
+
+    @pytest.mark.parametrize("doc, message", [
+        ('[{"label": "frac", "terms": [[1, 2.9, 1]]}]', "corpus entry 'frac': power must be"),
+        ('[{"label": "ok", "terms": []}, [1, 2, 3]]', "corpus entry #1: an entry must be an object"),
+        ('[{"terms": []}]', "corpus entry #0: an entry must be an object"),
+        ('[{"label": "five", "terms": 5}]', "corpus entry 'five': \"terms\" must be a list"),
+        ('[{"label": "flat", "terms": [1, 2, 3]}]', "corpus entry 'flat': \"terms\" must be a list"),
+        ('[{"label": "pair", "terms": [[1, 2]]}]', "corpus entry 'pair': not enough values"),
+        ('[{"label": "obj", "terms": [[{}, 2, 1]]}]', "corpus entry 'obj': "),
+    ])
+    def test_malformed_entry_is_a_value_error_naming_it(self, tmp_path, doc, message):
+        path = tmp_path / "corpus.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(message)
