@@ -21,8 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi, multi_factorial
 from .profile import RadialField, d_op
 from .quad import sphere_area, sphere_moment_ratio
@@ -166,18 +165,45 @@ class AngularMatrix:
         return tuple(tuple(area * float(v) for v in row) for row in self.entries)
 
 
-def _angular_form(d: int, n: int, shift: int, expansions) -> AngularMatrix:
+def _orbits(d: int, n: int):
+    """(alpha, count) for each multi-index alpha of order n in R^d with nonincreasing entries.
+
+    These are the partitions of n into at most d parts, padded with zeros;
+    ``count`` = d! / prod_v m_v!, with m_v the number of entries equal to v
+    (zeros included), is the number of multi-indices that permute to alpha.
+    """
+
+    def parts(rest: int, slots: int, largest: int):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, largest), 0, -1):
+            if first * slots < rest:
+                return
+            for tail in parts(rest - first, slots - 1, first):
+                yield (first, *tail)
+
+    for head in parts(n, d, n):
+        alpha = head + (0,) * (d - len(head))
+        count = math.factorial(d)
+        for v in set(alpha):
+            count //= math.factorial(alpha.count(v))
+        yield alpha, count
+
+
+def _angular_form(d: int, n: int, shift: int, expansions, counts=None) -> AngularMatrix:
     """Sum of the sphere averages of P_j * P_j' over expansions [(j, P_j), ...].
 
-    Every P_j of the expansions is homogeneous of degree 2j - n + shift.
+    The k-th expansion counts ``counts[k]`` times (each once when ``counts``
+    is None).  Every P_j of the expansions is homogeneous of degree 2j - n + shift.
     """
     js = sorted({j for expansion in expansions for j, _ in expansion})
     pos = {j: a for a, j in enumerate(js)}
     acc = [[Fraction(0)] * len(js) for _ in js]
-    for expansion in expansions:
+    for expansion, count in zip(expansions, counts or [1] * len(expansions), strict=True):
         for idx, (j, poly) in enumerate(expansion):
             for j2, poly2 in expansion[idx:]:
-                acc[pos[j]][pos[j2]] += sum(
+                acc[pos[j]][pos[j2]] += count * sum(
                     (c * sphere_moment_ratio(d, beta) for beta, c in (poly * poly2).coeffs.items()),
                     Fraction(0),
                 )
@@ -191,25 +217,34 @@ def _angular_form(d: int, n: int, shift: int, expansions) -> AngularMatrix:
 
 @lru_cache(maxsize=None)
 def angular_matrix(d: int, n: int) -> AngularMatrix:
-    """Angular matrix A(d, n) of the derivatives d^alpha f(|x|), |alpha| = n, of a radial field."""
+    """Angular matrix A(d, n) of the derivatives d^alpha f(|x|), |alpha| = n, of a radial field.
+
+    Sphere averages do not change when the coordinates are permuted, so every
+    alpha contributes what its sorted representative does: the sum runs over
+    the partitions of n, each counted once per multi-index of its orbit.
+    """
     check_multi_indices(d, n)
-    return _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in enumerate_multi(d, n)])
+    alphas, counts = zip(*_orbits(d, n))
+    return _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in alphas], counts)
 
 
 @lru_cache(maxsize=None)
 def corot_angular_matrix(d: int, n: int) -> AngularMatrix:
     """Angular matrix B(d, n) of the derivatives d^alpha F_i, |alpha| = n, i = 1..d,
-    of the corotational map F(x) = x f(|x|)."""
+    of the corotational map F(x) = x f(|x|).
+
+    A permutation of the coordinates maps (alpha, i) to (sigma alpha, sigma i),
+    so the sum over every component i of the sorted alpha, counted once per
+    multi-index of its orbit, is the sum over all (alpha, i).
+    """
     check_multi_indices(d, n)
+    alphas, counts = zip(*_orbits(d, n))
     return _angular_form(
         d,
         n,
         1,
-        [
-            _corot_forward_terms(d, alpha, i)
-            for alpha in enumerate_multi(d, n)
-            for i in range(1, d + 1)
-        ],
+        [_corot_forward_terms(d, alpha, i) for alpha in alphas for i in range(1, d + 1)],
+        [count for count in counts for _ in range(d)],
     )
 
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
+from ._lazy import np
 
 MultiIndex = tuple[int, ...]
 DIndex = tuple[int, ...]

@@ -14,6 +14,9 @@ all of space, with decaying profiles):
 * ``squared``  -- weighted 1D norms of derivatives of the squared-argument
                   profile, on (0, r^2).
 
+At p = 2 both 1D routes are closed-form radial moments; at other p they
+use adaptive quadrature.
+
 The module also provides weighted Hardy-type inequality checks with the
 explicit constants p/(ps+1) and 2^(p-1)(s+1)^p, boundary-value estimates,
 and norms of corotational maps F_i(x) = x_i f(|x|) together with their
@@ -31,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .derivcalc import (
     AngularMatrix,
     angular_matrix,
@@ -41,7 +43,9 @@ from .derivcalc import (
     forward_terms,
 )
 from .indexpoly import MonomialPoly, enumerate_multi
-from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
+from .profile import (
+    CorpusEntry, Profile, RadialField, SquaredProfile, d_op, from_squared, to_squared
+)
 from .quad import (
     QuadResult,
     QuadratureConvergenceError,
@@ -264,8 +268,6 @@ def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tupl
 
 
 @lru_cache(maxsize=8192)
-# a power beyond the float range is inf, and a zero weight times inf is NaN: reports flag the norm
-@np.errstate(over="ignore", invalid="ignore")
 def _weighted_lp_power(
     prof,
     p: float,
@@ -288,31 +290,34 @@ def _weighted_lp_power(
     def weighted(x):
         return x ** max(gamma, 0.0) * core(x)
 
-    tail = 0.0
-    if math.isinf(upper):
-        upper, tail = _halfline_cut(
-            [(prof, 1, 0)], p, max(0, math.ceil(gamma)), prof._q,
-            1e-14 * max(rough_scale(weighted, 0.0, 2.0), 1e-10),
-        )
-    scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0), _TINY)
-    abs_tol = rel_tol * scale
-    kinks = () if _is_even_power(p) else _sign_changes(prof, upper)
-    edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
-    total = err = 0.0
-    panels = 0
-    converged = True
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15 * upper:
-            continue
-        piece_tol = abs_tol * (hi - lo) / upper
-        if lo == 0.0:
-            res = integrate_power_weight(core, gamma, hi, piece_tol)
-        else:
-            res = integrate_1d(lambda x: x**gamma * core(x), lo, hi, piece_tol)
-        total += res.value
-        err += res.error_estimate
-        panels += res.subdivisions
-        converged = converged and res.converged
+    # a power beyond the float range is inf, and a zero weight times inf NaN: reports flag the norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = 0.0
+        if math.isinf(upper):
+            upper, tail = _halfline_cut(
+                [(prof, 1, 0)], p, max(0, math.ceil(gamma)), prof._q,
+                1e-14 * max(rough_scale(weighted, 0.0, 2.0), 1e-10),
+            )
+        scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0),
+                    _TINY)
+        abs_tol = rel_tol * scale
+        kinks = () if _is_even_power(p) else _sign_changes(prof, upper)
+        edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
+        total = err = 0.0
+        panels = 0
+        converged = True
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi - lo <= 1e-15 * upper:
+                continue
+            piece_tol = abs_tol * (hi - lo) / upper
+            if lo == 0.0:
+                res = integrate_power_weight(core, gamma, hi, piece_tol)
+            else:
+                res = integrate_1d(lambda x: x**gamma * core(x), lo, hi, piece_tol)
+            total += res.value
+            err += res.error_estimate
+            panels += res.subdivisions
+            converged = converged and res.converged
     # at least the rounding of the sums over panels and pieces and of the integrand itself
     return QuadResult(total, max(err, 8 * _EPS * abs(total)) + tail, panels, converged)
 
@@ -391,13 +396,13 @@ def _ball_def_exact(
     return NormValue(value, err, 0.0, res.converged)
 
 
-def _abs_pow(u: np.ndarray, p: float) -> np.ndarray:
+def _abs_pow(u: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """|u|^p elementwise, formed in place over u, which it returns or overwrites.
 
     For p in {1, 3/2, 2, ..., 8} it is a product of squares of |u|, times sqrt(|u|) at a
     half-integer p: within a few ulp of np.power and a fraction of its cost, with at most one
-    temporary array.  Any other p goes to np.power.  The bound on p is tested first, as 2p
-    does not fit an int at huge p.
+    temporary array, which is ``scratch`` (shaped like u) when one is given.  Any other p goes
+    to np.power.  The bound on p is tested first, as 2p does not fit an int at huge p.
     """
     a = np.abs(u, out=u)
     twice = 2 * p
@@ -406,7 +411,7 @@ def _abs_pow(u: np.ndarray, p: float) -> np.ndarray:
     n, half = divmod(int(twice), 2)
     out = a
     for bit in bin(n)[3:]:  # a^n by squaring from the leading bit down
-        out = out * out if out is a else np.multiply(out, out, out=out)
+        out = np.multiply(out, out, out=scratch if out is a else out)
         if bit == "1":
             out *= a
     if half:
@@ -439,9 +444,15 @@ def _mc_integrals(
             return float(wt @ _abs_pow(S[0], p)) * _abs_pow(terms[0][0].eval_many(pts), p)
         V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
         acc = np.empty(len(V))
+        # one buffer for every block and one for its |.|^p: a block of 64 samples x 480 nodes
+        # (240 KB) lies above glibc's mmap threshold, and allocated afresh for each block it
+        # made the heap trim and regrow; the last block takes up to _MC_SAMPLE_BLOCK + 1 samples
+        block = np.empty((min(_MC_SAMPLE_BLOCK + 1, len(V)), len(nodes)))
+        scratch = np.empty_like(block)
         edges = [*range(0, len(V) - 1, _MC_SAMPLE_BLOCK), len(V)]
         for lo, hi in zip(edges, edges[1:]):
-            acc[lo:hi] = np.einsum("bn,n->b", _abs_pow(V[lo:hi] @ S, p), wt)
+            U = np.matmul(V[lo:hi], S, out=block[: hi - lo])
+            acc[lo:hi] = np.einsum("bn,n->b", _abs_pow(U, p, scratch[: hi - lo]), wt)
         return acc
 
 
@@ -551,11 +562,30 @@ def sobolev_ball_definition(
 # The two profile routes
 # ---------------------------------------------------------------------------
 
-def _profile_route(
-    pieces: list, p: float, upper: float, aggregation: str, rel_tol: float
-) -> NormValue:
-    """The aggregated L^p(0, upper) norms of x^(gamma/p) g over the (g, gamma) pieces."""
-    quads = [_weighted_lp_power(g, p, gamma, upper, rel_tol) for g, gamma in pieces]
+def _lp_power(g, p: float, gamma: float, upper: float, rel_tol: float) -> QuadResult:
+    """Integral of x^gamma |g(x)|^p over (0, upper), upper may be inf: one route piece.
+
+    At p = 2 it is closed form, a radial moment with its rounding bound (never
+    unconverged, whatever rel_tol); gamma is then an integer for a Profile and
+    a multiple of 1/2 for a SquaredProfile, whose s = rho^2 turns the integral
+    of s^gamma g(s)^2 over (0, upper) into twice that of rho^(2 gamma + 1)
+    g(rho^2)^2 over (0, sqrt(upper)).  Otherwise it is adaptive quadrature.
+    """
+    if p != 2:
+        return _weighted_lp_power(g, p, gamma, upper, rel_tol)
+    if isinstance(g, SquaredProfile):
+        r = math.sqrt(upper)
+        # the rounded root stands for the exact one unless its square is upper exactly
+        exact = math.isinf(r) or Fraction(r) ** 2 == Fraction(upper)
+        h = from_squared(g)
+        value, err = radial_moment(h, h, int(2 * gamma + 1), r, 0.0 if exact else _EPS / 2)
+        return QuadResult(2 * value, 2 * err, 0, True)
+    value, err = radial_moment(g, g, int(gamma), upper)
+    return QuadResult(value, err, 0, True)
+
+
+def _profile_route(quads: list[QuadResult], p: float, aggregation: str) -> NormValue:
+    """The aggregated norms whose p-th powers are the integrals ``quads``."""
     converged = all(res.converged for res in quads)
     if aggregation == "p-power":
         powsum = sum(max(res.value, 0.0) for res in quads)
@@ -569,8 +599,8 @@ def _profile_d_detail(
     f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float
 ) -> NormValue:
     # the weight is p ((d-1)/p + j), rounded once
-    pieces = [(d_op(f, j), float(d - 1 + j * Fraction(p))) for j in orders]
-    return _profile_route(pieces, p, r, aggregation, rel_tol)
+    quads = [_lp_power(d_op(f, j), p, float(d - 1 + j * Fraction(p)), r, rel_tol) for j in orders]
+    return _profile_route(quads, p, aggregation)
 
 
 def sobolev_profile_D(
@@ -604,8 +634,11 @@ def _profile_squared_detail(
     rel_tol: float,
 ) -> NormValue:
     # the weight is p ((d-2)/(2p) + j/2), rounded once
-    pieces = [(ft.derivative(j), float((d - 2 + j * Fraction(p)) / 2)) for j in orders]
-    return _profile_route(pieces, p, r_squared, aggregation, rel_tol)
+    quads = [
+        _lp_power(ft.derivative(j), p, float((d - 2 + j * Fraction(p)) / 2), r_squared, rel_tol)
+        for j in orders
+    ]
+    return _profile_route(quads, p, aggregation)
 
 
 def sobolev_profile_squared(
@@ -655,6 +688,22 @@ def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDeta
     )
 
 
+def _lp_oracle(field: RadialField, r: float, rel_tol: float) -> tuple[NormValue, NormValue]:
+    """The p = 2 D and squared norms of ``_lp_detail`` by adaptive quadrature.
+
+    At p = 2 all three routes of ``_lp_detail`` are one closed-form radial
+    moment; these are the independent side that ``verify identities`` checks
+    it against.
+    """
+    d, f = field.d, field.profile
+    area = sphere_area(d)
+    v_d = _profile_route([_weighted_lp_power(f, 2.0, float(d - 1), r, rel_tol)], 2.0, "p-power")
+    v_sq = _profile_route(
+        [_weighted_lp_power(to_squared(f), 2.0, (d - 2) / 2, r * r, rel_tol)], 2.0, "p-power"
+    )
+    return _scale_power(v_d, area, 2.0), _scale_power(v_sq, area / 2.0, 2.0)
+
+
 def lp_radial(
     field: RadialField, p: float, r: float, tol: float = 1e-12
 ) -> tuple[float, float, float]:
@@ -663,8 +712,9 @@ def lp_radial(
     Returns (value_def, value_D, value_squared): the k = 0 values of
     ``sobolev_ball_definition`` (closed form at p = 2), ``sobolev_profile_D``
     times |S^(d-1)|^(1/p) and ``sobolev_profile_squared`` times
-    (|S^(d-1)|/2)^(1/p), which agree up to the combined quadrature error.
-    Away from p = 2, def and D share one quadrature; squared is independent.
+    (|S^(d-1)|/2)^(1/p), which agree up to the combined error.  At p = 2
+    all three are one closed-form radial moment; away from it, def and D
+    share one quadrature and squared is independent.
     """
     _check_domain(p=p, r=r)
     return _converged_values("lp_radial", *_lp_detail(field, p, r, tol))

@@ -21,8 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .quad import QuadratureConvergenceError, integrate_1d, rough_scale
 
 Term = tuple[Fraction, int, Fraction]  # (coefficient, power, decay rate)

@@ -16,10 +16,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
+from ._lazy import np
 
-_NODES, _WEIGHTS = leggauss(15)
 _EPS = 2.0**-52
 _SHORT_DENOMINATOR = 100  # largest m that integrate_power_weight takes from gamma's rational form
 _MAX_PANELS = 1 << 14  # panel budget of one integrate_1d call
@@ -51,19 +49,27 @@ def _fsum(parts: list[float]) -> float:
         return sum(parts)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 15-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(15)
+
+
 def _panel(g: Callable, a: float, b: float) -> float:
+    nodes, weights = _gauss_legendre()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.dot(_WEIGHTS, g(mid + half * _NODES)))
+    return half * float(np.dot(weights, g(mid + half * nodes)))
 
 
 def _panel_pair(g: Callable, lo: float, mid: float, hi: float) -> tuple[float, float]:
     """``(_panel(g, lo, mid), _panel(g, mid, hi))`` from one call of g on both panels' nodes."""
+    nodes, weights = _gauss_legendre()
     m1, h1 = 0.5 * (lo + mid), 0.5 * (mid - lo)
     m2, h2 = 0.5 * (mid + hi), 0.5 * (hi - mid)
-    vals = g(np.concatenate((m1 + h1 * _NODES, m2 + h2 * _NODES)))
-    n = len(_NODES)
-    return h1 * float(np.dot(_WEIGHTS, vals[:n])), h2 * float(np.dot(_WEIGHTS, vals[n:]))
+    vals = g(np.concatenate((m1 + h1 * nodes, m2 + h2 * nodes)))
+    n = len(nodes)
+    return h1 * float(np.dot(weights, vals[:n])), h2 * float(np.dot(weights, vals[n:]))
 
 
 def rough_scale(g: Callable, a: float, b: float) -> float:
@@ -75,11 +81,12 @@ def composite_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.nda
     """Nodes and weights of a uniform composite 15-node Gauss-Legendre rule."""
     if panels < 1:
         raise ValueError("need at least one panel")
+    rule_nodes, rule_weights = _gauss_legendre()
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mids[:, None] + half * _NODES[None, :]).ravel()
-    weights = np.tile(half * _WEIGHTS, panels)
+    nodes = (mids[:, None] + half * rule_nodes[None, :]).ravel()
+    weights = np.tile(half * rule_weights, panels)
     return nodes, weights
 
 
@@ -272,7 +279,7 @@ def _gauss_moment(s: int, b: Fraction, r: float) -> tuple[float, float]:
     return r**s * math.exp(-x) / s * total, rel
 
 
-def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
+def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, float]:
     """Integral of rho^m g(rho) h(rho) over (0, r), in closed form; r may be inf.
 
     ``g`` and ``h`` are term lists (``Profile``) of c rho^a exp(-b rho^2)
@@ -284,7 +291,10 @@ def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
 
     Returns (value, err): err bounds the rounding error of value, each
     contribution's relative bound (a few eps, growing with s and b r^2)
-    times its absolute value, summed.
+    times its absolute value, summed.  ``r_rel`` bounds the relative error
+    of r itself, when r stands for a radius it only approximates; it moves
+    a contribution by at most s r_rel of it (to first order), since
+    r^s exp(-b r^2) / s is at most its integral.
     """
     if not r > 0:
         raise ValueError(f"need r > 0 or r = inf, got {r}")
@@ -306,7 +316,7 @@ def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
             part = f1 * f2 * moment
             parts.append(part)
             # coefficient conversions, products and the final rounded sum
-            err += abs(part) * (rel + 3 * _EPS)
+            err += abs(part) * (rel + 3 * _EPS + s * r_rel)
     return _fsum(parts), err
 
 

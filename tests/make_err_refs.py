@@ -3,7 +3,9 @@
 Each row of ``tests/test_norms.py::ERR_REFS`` names one integral over a
 builtin corpus profile in d = 3: a D- or squared-route integral, one of the
 two integrals of the Hardy and boundary checks, or the p-th power of a k = 0
-definition-route norm, whose reference is the norm itself.  This script
+definition-route norm, whose reference is the norm itself.  Each row of
+``P2_ERR_REFS`` names one p = 2 D- or squared-route integral in d = 3 or 4,
+which radsob takes in closed form.  This script
 recomputes its reference with mpmath at 50 digits, independently of radsob's
 quadrature and root finder: the integrand's sign changes are found on a scan
 grid offset from every rational point and refined by bisection, the integral
@@ -24,7 +26,7 @@ import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_norms import ERR_D, ERR_REFS, err_route_integral  # noqa: E402
+from test_norms import ERR_D, ERR_REFS, P2_ERR_REFS, err_route_integral  # noqa: E402
 
 DIGITS = 50
 SCAN_CELLS = 4000
@@ -104,6 +106,11 @@ def main() -> None:
         ref, n_roots = reference(*err_route_integral(label, route, j, p, r, s), norm=route == "def")
         r_text = "math.inf" if math.isinf(r) else repr(r)
         print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, {s!r}, "{ref}", {n_roots}),')
+    print()
+    for label, route, d, j, r, _ in P2_ERR_REFS:
+        ref, _ = reference(*err_route_integral(label, route, j, 2.0, r, None, d))
+        r_text = "math.inf" if math.isinf(r) else repr(r)
+        print(f'    ("{label}", "{route}", {d}, {j}, {r_text}, "{ref}"),')
 
 
 if __name__ == "__main__":

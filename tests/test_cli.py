@@ -87,6 +87,24 @@ class TestVerify:
         assert doc["passed"] is True
         assert all("error" in c and "pass" in c for c in doc["checks"])
 
+    def test_identities_p2_checks_the_closed_form_against_quadrature(self, capsys, monkeypatch):
+        # at p = 2 all three routes are one closed-form radial moment; a broken one must fail
+        # the p = 2 checks against the adaptive D and squared routes, and no other check
+        real = norms.radial_moment
+
+        def broken(*args, **kwargs):
+            value, err = real(*args, **kwargs)
+            return value * (1 + 1e-8), err
+
+        monkeypatch.setattr(norms, "radial_moment", broken)
+        rc, out, _ = run_cli(capsys, ["verify", "identities"])
+        assert rc == 1
+        checks = json.loads(out)["checks"]
+        failed = {c["name"] for c in checks if not c["pass"]}
+        p2 = {c["name"] for c in checks
+              if c["name"].startswith("lp-identity") and " p=2 " in c["name"]}
+        assert failed == p2 and len(p2) == 2 * 24
+
     def test_hardy_bad_s_is_config_error(self, capsys):
         rc, out, err = run_cli(capsys, ["verify", "hardy", "--s", "-0.7"])
         assert rc == 2
@@ -207,7 +225,9 @@ class TestEquiv:
         assert rc == 2
 
     def test_unconverged_quadrature_is_degenerate(self, capsys):
-        rc, out, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1", "--tol", "1e-30"])
+        # at p = 3 every route integrates adaptively (at p = 2 none does: test_p2_tol_moves_nothing)
+        argv = ["equiv", "--dim", "2", "--k", "0", "--p", "3", "--tol", "1e-30"]
+        rc, out, _ = run_cli(capsys, argv)
         assert rc == 0
         doc = json.loads(out, parse_constant=reject_constant)
         unconverged = {
@@ -222,6 +242,17 @@ class TestEquiv:
         assert unconverged == missed == {e["label"] for e in doc["entries"]}
         for row in doc["ratios"]:
             assert row["min"] is None and row["max"] is None
+
+    def test_p2_tol_moves_nothing(self, capsys):
+        # at p = 2 every route is closed form: an unmeetable tol changes only the echoed param
+        _, default, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1"])
+        rc, out, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1", "--tol", "1e-30"])
+        assert rc == 0
+        doc, want = json.loads(out), json.loads(default)
+        assert doc["params"] == dict(want["params"], tol=1e-30)
+        assert {k: v for k, v in doc.items() if k != "params"} == {
+            k: v for k, v in want.items() if k != "params"}
+        assert all(row["min"] is not None for row in doc["ratios"])
 
     def test_default_tolerance_converges(self, capsys):
         rc, out, _ = run_cli(capsys, ["equiv", "--dim", "2", "--k", "1"])
@@ -419,12 +450,17 @@ class TestPinnedOutputs:
     ratio rows and every other entry stayed identical.  The first and the
     Monte Carlo pin were re-taken when each adaptive 1-D integral's err got a
     floor of 8 eps of its value: only the ``err`` fields of ``D`` and
-    ``squared`` entries moved, each by at most 4.4e-16 of its value.
+    ``squared`` entries moved, each by at most 4.4e-16 of its value.  The
+    first was re-taken when the p = 2 ``D`` and squared routes became closed
+    form: their values moved by at most 3.6e-16 relative, each within the
+    combined err, their errs fell from at most 3.7e-12 to at most 2.1e-13 of
+    the value, the ratio bounds moved in the last digits, and the ``def``
+    entries, params and degenerate list stayed identical.
     """
 
     PINS = [
         (["equiv", "--dim", "4", "--k", "2", "--radius", "inf"],
-         "3a213e36a4051e85d30476d5f97e34fd551ec91b70797ce42e9546b0aea0fd59"),
+         "869bb623a3e95fe58790bf1215461c7ffa6b744b10038c70d9d3f71cca99907b"),
         (["corot", "--dim", "3", "--k", "2"],
          "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1"),
         (["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
@@ -627,6 +663,55 @@ def _run_python(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+class TestExactPathWithoutNumpy:
+    """The closed-form commands neither import numpy nor need it (fresh interpreters)."""
+
+    ARGV = [
+        ["equiv", "--dim", "3", "--k", "2"],
+        ["equiv", "--dim", "3", "--k", "1", "--radius", "inf"],
+        ["corot", "--dim", "2", "--k", "2"],
+        ["gram", "--dim", "5", "--order", "8"],
+        ["moments", "--dim", "3", "--order", "4"],
+        ["verify", "gram"],
+    ]
+
+    @staticmethod
+    def run_without_numpy(body: str) -> subprocess.CompletedProcess:
+        # exit 9 when numpy was imported
+        return _run_python(f"import sys\n{body}\nsys.exit(9 if 'numpy' in sys.modules else 0)\n")
+
+    def test_import_loads_no_numpy(self):
+        proc = self.run_without_numpy("import radsob.cli")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_command_loads_no_numpy(self, argv):
+        proc = self.run_without_numpy(f"import radsob.cli\nassert radsob.cli.main({argv!r}) == 0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+
+    def test_p2_boundedness_report_loads_no_numpy(self):
+        proc = self.run_without_numpy(
+            "from radsob.opspace import boundedness_report\n"
+            "from radsob.profile import builtin_corpus\n"
+            "print(boundedness_report(builtin_corpus(), 3, 2, 2.0, 1.0).to_json())"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["entries"]
+
+    def test_array_path_loads_numpy_into_every_module(self):
+        # the first use rebinds each module's np to numpy itself, so later reads cost nothing
+        proc = self.run_without_numpy(
+            "import radsob.cli\n"
+            "assert radsob.cli.main(['equiv', '--dim', '2', '--k', '0', '--p', '3']) == 0\n"
+            "import numpy\n"
+            "print(sorted(name for name, mod in sys.modules.items() if name.startswith('radsob.')"
+            " and name != 'radsob._lazy' and vars(mod).get('np', numpy) is not numpy), flush=True)"
+        )
+        assert proc.returncode == 9, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestRuntimeWithoutScipy:

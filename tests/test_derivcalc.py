@@ -9,7 +9,9 @@ from radsob.derivcalc import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     _angular_form,
+    _corot_forward_terms,
     _invert_exact,
+    _orbits,
     angular_matrix,
     check_multi_indices,
     corot_angular_matrix,
@@ -366,6 +368,28 @@ class TestAngularMatrix:
                 for b, j2 in enumerate(mat.js):
                     assert isinstance(mat.entries[a][b], Fraction)
                     assert mat.as_float[a][b] == pytest.approx(want[j, j2], rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (4, 4), (5, 4), (6, 3), (3, 0)])
+    def test_orbit_sums_equal_the_full_enumeration(self, d, n):
+        # the sum over every multi-index (and component), exactly as Fractions
+        alphas = list(enumerate_multi(d, n))
+        full = _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in alphas])
+        corot_expansions = [
+            _corot_forward_terms(d, alpha, i) for alpha in alphas for i in range(1, d + 1)
+        ]
+        full_corot = _angular_form(d, n, 1, corot_expansions)
+        assert angular_matrix(d, n) == full
+        assert corot_angular_matrix(d, n) == full_corot
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (5, 3), (7, 2), (4, 0), (30, 7)])
+    def test_orbits_partition_the_multi_indices(self, d, n):
+        orbits = list(_orbits(d, n))
+        assert sum(count for _, count in orbits) == math.comb(n + d - 1, d - 1)
+        for alpha, count in orbits:
+            assert len(alpha) == d and sum(alpha) == n
+            assert list(alpha) == sorted(alpha, reverse=True)
+            assert count == len(set(itertools.permutations(alpha))) if d <= 7 else count > 0
+        assert len({alpha for alpha, _ in orbits}) == len(orbits)
 
     def test_order_one_hand_values(self):
         # sum_i |d_i f(|x|)|^2 = |x|^2 (Df)^2: one entry, the sphere average of |x|^2 = 1

@@ -553,7 +553,8 @@ class TestProfileRoutes:
 
     @pytest.mark.parametrize("route", ["D", "squared"])
     def test_weight_exponents_are_rounded_once(self, route, monkeypatch):
-        # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded
+        # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded; p = 2
+        # is closed form (test_p2_weight_exponents_are_exact)
         seen = []
 
         def spy(prof, p, gamma, upper, rel_tol):
@@ -565,7 +566,7 @@ class TestProfileRoutes:
             ctx.prec = 80
             for d in range(2, 7):
                 for j in range(5):
-                    for p in (1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 5.0, 7.0):
+                    for p in (1.1, 1.25, 1.5, 2.5, 3.0, 3.5, 5.0, 7.0):
                         if route == "D":
                             _profile_d_detail(GAUSS, d, [j], p, 1.0, "p-power", 1e-10)
                             want = Decimal(d - 1) + j * Decimal(p)
@@ -574,6 +575,40 @@ class TestProfileRoutes:
                             _profile_squared_detail(ft, d, [j], p, 1.0, "p-power", 1e-10)
                             want = (Decimal(d - 2) + j * Decimal(p)) / 2
                         assert seen.pop() == float(want), (d, j, p)
+
+    @pytest.mark.parametrize("route", ["D", "squared"])
+    def test_p2_weight_exponents_are_exact(self, route, monkeypatch):
+        # at p = 2 piece j is the radial moment of a profile squared against rho^(d-1+2j), on
+        # (0, r) for both routes: the squared route's s = rho^2 turns (0, r^2) into (0, r)
+        seen = []
+
+        def spy(g, h, m, r, r_rel=0.0):
+            seen.append((type(m), m, r, r_rel))
+            return 1.0, 0.0
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", None)  # no quadrature at p = 2
+        monkeypatch.setattr(norms, "radial_moment", spy)
+        for d in range(2, 7):
+            for j in range(5):
+                for r in (0.5, 1.1, 3.0, math.inf):
+                    if route == "D":
+                        _profile_d_detail(GAUSS, d, [j], 2.0, r, "p-power", 1e-10)
+                    else:
+                        ft = to_squared(GAUSS)
+                        _profile_squared_detail(ft, d, [j], 2.0, r * r, "p-power", 1e-10)
+                    # 1.1^2 is no float: its rounded root stands for the radius of (0, 1.1 * 1.1)
+                    r_rel = 2.0**-53 if route == "squared" and r == 1.1 else 0.0
+                    assert seen.pop() == (int, d - 1 + 2 * j, r, r_rel), (d, j, r)
+
+    def test_p2_squared_radius_that_is_no_float_square(self, monkeypatch):
+        # r^2 = 2 has no float root: the moment is taken at the rounded root, and its err
+        # carries s eps / 2 of each term pair, s = m + a1 + a2 + 1 (here 3 for the pair's b > 0)
+        exact = norms._lp_power(to_squared(GAUSS), 2.0, 0.5, 2.0, 1e-10)
+        value, err = quad.radial_moment(GAUSS, GAUSS, 2, math.sqrt(2.0))
+        assert exact.value == 2 * value
+        assert exact.error_estimate == pytest.approx(2 * (err + 3 * value * 2.0**-53), rel=1e-12)
+        want = float(mpmath.quad(lambda s: mpmath.sqrt(s) * mpmath.exp(-2 * s), [0, 2]))
+        assert abs(exact.value - want) <= exact.error_estimate
 
     def test_weight_exponent_examples(self, monkeypatch):
         seen = []
@@ -625,12 +660,21 @@ class TestUnconvergedQuadratureRaises:
         "sobolev_ball_definition": lambda: sobolev_ball_definition(
             RadialField(2, GAUSS), 0, 3.0, 1.0, tol=1e-30
         ),
-        "sobolev_profile_D": lambda: sobolev_profile_D(GAUSS, 2, 1, 2.0, 1.0, tol=1e-30),
+        "sobolev_profile_D": lambda: sobolev_profile_D(GAUSS, 2, 1, 3.0, 1.0, tol=1e-30),
         "sobolev_profile_squared": lambda: sobolev_profile_squared(
-            to_squared(GAUSS), 2, 1, 2.0, 1.0, tol=1e-30
+            to_squared(GAUSS), 2, 1, 3.0, 1.0, tol=1e-30
         ),
-        "lp_radial": lambda: lp_radial(RadialField(2, GAUSS), 2.0, 1.0, tol=1e-30),
-        "homogeneous_norm": lambda: homogeneous_norm(GAUSS, 2, 1, 2.0, tol=1e-30),
+        "lp_radial": lambda: lp_radial(RadialField(2, GAUSS), 3.0, 1.0, tol=1e-30),
+        "homogeneous_norm": lambda: homogeneous_norm(GAUSS, 2, 0, 3.0, tol=1e-30),
+    }
+    # at p = 2 these are closed form: the same value at any tol
+    P2_CALLS = {
+        "sobolev_profile_D": lambda tol: sobolev_profile_D(GAUSS, 2, 1, 2.0, 1.0, tol=tol),
+        "sobolev_profile_squared": lambda tol: sobolev_profile_squared(
+            to_squared(GAUSS), 2, 1, 2.0, 1.0, tol=tol
+        ),
+        "lp_radial": lambda tol: lp_radial(RadialField(2, GAUSS), 2.0, 1.0, tol=tol),
+        "homogeneous_norm": lambda tol: homogeneous_norm(GAUSS, 2, 1, 2.0, tol=tol),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -638,6 +682,10 @@ class TestUnconvergedQuadratureRaises:
         with pytest.raises(QuadratureConvergenceError, match=f"^{name}: ") as info:
             self.CALLS[name]()
         assert 0 < info.value.estimate < math.inf
+
+    @pytest.mark.parametrize("name", sorted(P2_CALLS))
+    def test_p2_is_exact_at_any_tol(self, name):
+        assert self.P2_CALLS[name](1e-30) == self.P2_CALLS[name](1e-10)
 
     @pytest.mark.parametrize("d, p", [(3, 3.0), (3, 1.0), (4, 1.5)])
     def test_raises_where_fine_and_coarse_panel_sums_agree(self, d, p):
@@ -1105,6 +1153,40 @@ class TestClosedFormRoute:
         assert _corot_lhs_detail(CorotField(3, f), 2, 1.0).value > 0
 
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+    def test_p2_profile_pieces_match_quadrature(self, corpus, d, r):
+        # closed form against adaptive quadrature, piece by piece, within the combined err
+        checked = 0
+        for entry in corpus:
+            f = entry.profile
+            if math.isinf(r) and not f.decays:
+                continue
+            for j in range(4):
+                for g, gamma, upper in [
+                    (d_op(f, j), float(d - 1 + 2 * j), r),
+                    (to_squared(f).derivative(j), (d - 2 + 2 * j) / 2, r * r),
+                ]:
+                    exact = norms._lp_power(g, 2.0, gamma, upper, 1e-12)
+                    adaptive = norms._weighted_lp_power(g, 2.0, gamma, upper, 1e-12)
+                    assert exact.converged and adaptive.converged
+                    gap = abs(exact.value - adaptive.value)
+                    assert gap <= exact.error_estimate + adaptive.error_estimate, (entry.label, j)
+                    checked += 1
+        assert checked > 0
+
+    def test_p2_profile_routes_run_no_quadrature(self, corpus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed-form p = 2 route must not call this")
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", forbidden)
+        for entry in corpus[:8]:
+            for r in (1.0, math.inf) if entry.profile.decays else (1.0,):
+                f, ft = entry.profile, to_squared(entry.profile)
+                assert _profile_d_detail(f, 3, range(3), 2.0, r, "p-power", 1e-10).converged
+                assert _profile_squared_detail(ft, 3, range(3), 2.0, r * r, "p-power", 1e-10).converged
+
+
 class TestOverflow:
     BIG = Profile([(10**200, 0, 1)])
     BIG_MIXED = Profile([(10**200, 0, 1), (-(10**200), 2, 1)])
@@ -1122,8 +1204,20 @@ class TestOverflow:
 
     def test_quadrature_route_overflow_is_flagged(self):
         with np.errstate(all="ignore"):
-            nv = norms._profile_d_detail(self.BIG, 2, [1], 2.0, 1.0, "p-power", 1e-10)
+            nv = norms._profile_d_detail(self.BIG, 2, [1], 3.0, 1.0, "p-power", 1e-10)
         assert math.isnan(nv.value) and not nv.converged
+
+    @pytest.mark.parametrize("route", ["D", "squared"])
+    def test_p2_route_overflow_is_flagged(self, route):
+        # the closed form's pair products overflow to inf
+        if route == "D":
+            nv = norms._profile_d_detail(self.BIG, 2, [0, 1], 2.0, 1.0, "p-power", 1e-10)
+        else:
+            ft = to_squared(self.BIG)
+            nv = norms._profile_squared_detail(ft, 2, [0, 1], 2.0, 1.0, "p-power", 1e-10)
+        assert not (math.isfinite(nv.value) and math.isfinite(nv.err))
+        report = equivalence_report([CorpusEntry("big", self.BIG)], 2, 1, 2.0, 1.0)
+        assert report.degenerate == [{"label": "big", "reason": "non-finite norm"}]
 
     def test_report_writes_null_and_flags_the_profile(self):
         with np.errstate(all="ignore"):
@@ -1287,16 +1381,39 @@ ERR_REFS = [
 ]
 
 
-def err_route_integral(label: str, route: str, j: int, p: float, r: float, s: float | None):
+# the p = 2 closed-form D and squared pieces (norms._lp_power): (label, route, d, j, r, ref)
+P2_ERR_REFS = [
+    ("seed01", "D", 3, 0, 1.0, "0.10498189091839442582228079244"),
+    ("seed16", "D", 3, 0, math.inf, "0.474020353323345514690770564278"),
+    ("seed09", "D", 3, 2, 1.0, "5.23465735255428360289636026693"),
+    ("seed00", "D", 3, 2, math.inf, "10.8606588966877935909545977486"),
+    ("seed13", "D", 4, 0, 1.0, "0.0987154607940852005700328351183"),
+    ("seed03", "D", 4, 0, math.inf, "4.55890034016927083333333333333"),
+    ("seed05", "D", 4, 2, 1.0, "0.0292943175637492561565310103527"),
+    ("seed18", "D", 4, 2, math.inf, "399.616436993634259259259259259"),
+    ("seed11", "squared", 3, 0, 1.0, "0.0892714507942908783588911588412"),
+    ("seed14", "squared", 3, 0, math.inf, "0.961326400140526658142530720794"),
+    ("seed17", "squared", 3, 2, 1.0, "0.00479802380107969375491621438186"),
+    ("seed06", "squared", 3, 2, math.inf, "11.0780950601276003801863426178"),
+    ("rho2", "squared", 4, 0, 1.0, "0.25"),
+    ("rho4_gauss2", "squared", 4, 0, math.inf, "0.263671875"),
+    ("seed01", "squared", 4, 2, 1.0, "0.237936628833038086771457157909"),
+    ("seed15", "squared", 4, 2, math.inf, "3.9199640721450617283950617284"),
+]
+
+
+def err_route_integral(
+    label: str, route: str, j: int, p: float, r: float, s: float | None, d: int = ERR_D
+):
     """(g, p, gamma, upper) of one ERR_REFS row, with gamma as the code under audit rounds it."""
     f = {e.label: e.profile for e in builtin_corpus()}[label]
     if route == "D":
-        return d_op(f, j), p, float(ERR_D - 1 + j * Fraction(p)), r
+        return d_op(f, j), p, float(d - 1 + j * Fraction(p)), r
     if route == "squared":
-        return to_squared(f).derivative(j), p, float((ERR_D - 2 + j * Fraction(p)) / 2), r * r
+        return to_squared(f).derivative(j), p, float((d - 2 + j * Fraction(p)) / 2), r * r
     if route == "hardy":
         return f.derivative(j), p, p * (s + j), r
-    return f, p, ERR_D - 1, r
+    return f, p, d - 1, r
 
 
 def err_row_id(row) -> str:
@@ -1321,6 +1438,22 @@ class TestErrCoversTrueError:
         assert converged
         with mpmath.workdps(50):
             assert abs(mpmath.mpf(value) - mpmath.mpf(ref)) <= err
+
+    @pytest.mark.parametrize(
+        "label, route, d, j, r, ref", P2_ERR_REFS,
+        ids=[f"{row[0]}-{row[1]}-d{row[2]}-j{row[3]}-p2-r{row[4]:g}" for row in P2_ERR_REFS],
+    )
+    def test_p2_closed_form_within_err(self, label, route, d, j, r, ref):
+        g, p, gamma, upper = err_route_integral(label, route, j, 2.0, r, None, d)
+        res = norms._lp_power(g, p, gamma, upper, 1e-10)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+
+    def test_p2_rows_cover_d_j_and_r(self):
+        for route in ("D", "squared"):
+            assert {row[2:5] for row in P2_ERR_REFS if row[1] == route} == {
+                (d, j, r) for d in (3, 4) for j in (0, 2) for r in (1.0, math.inf)
+            }
 
     def test_rows_cover_p_r_and_kinks(self):
         assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
