@@ -92,11 +92,10 @@ def _suite_identities(args, checks: list) -> None:
                 name = f"lp-identity d={d} p={p:g} r={r:g} {entry.label}"
                 field = RadialField(d, entry.profile)
                 rel_tol = min(args.tol, 1e-12)
-                routes = norms._lp_detail(field, p, r, rel_tol)
-                if p == 2:
-                    # all three routes are one closed-form radial moment here: check it
-                    # against adaptive quadrature
-                    routes = (routes.value_def, *norms._lp_oracle(field, r, rel_tol))
+                # at p = 1 and 2 the three routes are the same closed-form incomplete gamma
+                # functions: check the definition route against the adaptive D and squared ones
+                routes = (norms._ball_def_exact(field, [0], p, r, rel_tol),
+                          *norms._lp_oracle(field, p, r, rel_tol))
                 v_def, v_d, v_sq = norms._converged_values(name, *routes)
                 err = max(_rel_diff(v_def, v_d), _rel_diff(v_def, v_sq))
                 checks.append(

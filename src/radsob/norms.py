@@ -14,7 +14,11 @@ all of space, with decaying profiles):
 * ``squared``  -- weighted 1D norms of derivatives of the squared-argument
                   profile, on (0, r^2).
 
-At p = 2 both 1D routes are closed-form radial moments; at other p they
+At p = 2 both 1D routes are closed-form radial moments.  At the other
+integer p they are closed form too: between the certified sign changes of
+the profile, |g|^p = +-g^p stays in the term class, and each piece is a
+difference of lower incomplete gamma functions.  Where the sign changes are
+not certified or the difference cancels past tol, and at fractional p, they
 use adaptive quadrature.
 
 The module also provides weighted Hardy-type inequality checks with the
@@ -50,6 +54,7 @@ from .quad import (
     QuadResult,
     QuadratureConvergenceError,
     _fsum,
+    _gauss_moment,
     composite_nodes,
     integrate_1d,
     integrate_power_weight,
@@ -235,23 +240,209 @@ def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
     )
 
 
-@lru_cache(maxsize=8192)
-def _sign_changes(prof, upper: float) -> tuple[float, ...]:
-    """Interior sign changes of a term-list function on (0, upper).
+_SCAN_CELLS = 64  # first grid of the sign-change scan
+_SCAN_DEPTH = 40  # bisections of a cell before the scan gives up on it
+_SCAN_MAX_CELLS = 1024  # open cells of one bisection level beyond which it gives up
 
-    These are exactly the kink locations of |prof|^p for odd or fractional p;
-    splitting the integration interval there keeps every piece smooth, which
-    the two-level panel error estimator needs (at a kink the coarse and fine
-    panel errors can coincide and hide a large true error).
+
+class _TermTable(NamedTuple):
+    """Two term lists f1, f2 in floats, for evaluating both at many points at once.
+
+    Each (power, rate) pair of either list is a column, and ``coef`` holds f1's
+    coefficients in its first row and f2's in its second (zero where a list has no such
+    term).  A coefficient is within ``coef_rounding`` eps of its row times its entry of
+    ``size``, the sum of the absolute contributions merged into it.  ``sum_rounding`` is
+    n + 5 for a row of n terms, and ``rate_max`` its largest rate.
     """
-    xs = np.linspace(0.0, upper, 513)
-    sign = np.sign(np.asarray(prof.eval(xs), dtype=float))
-    lo, hi = sign[:-1], sign[1:]
-    # a zero grid point past 0, or a cell whose ends differ in sign (signs, not products, which
-    # underflow on tiny values); a NaN end is neither
-    cells = np.flatnonzero(((lo == 0) & (xs[:-1] > 0)) | ((lo != 0) & (lo == -hi)))
-    return tuple(float(xs[i]) if lo[i] == 0 else _brent_root(prof.eval, xs[i], xs[i + 1])
-                 for i in cells)
+
+    coef: np.ndarray  # (2, columns)
+    size: np.ndarray
+    powers: np.ndarray  # (distinct powers, 1), and the row of each column's power in it
+    power_of: np.ndarray
+    rates: np.ndarray  # likewise for the rates
+    rate_of: np.ndarray
+    coef_rounding: np.ndarray  # (2, 1)
+    sum_rounding: np.ndarray
+    rate_max: np.ndarray
+    q: int
+
+    def columns(self, x_pow, x_decay):
+        """x_pow^a exp(-b x_decay^q) for each column (a, b), at each point: one power per
+        distinct a and one exp per distinct b."""
+        decay = x_decay * x_decay if self.q == 2 else x_decay
+        return (x_pow**self.powers)[self.power_of] * np.exp(-self.rates * decay)[self.rate_of]
+
+    def values(self, x):
+        """Both rows' values at the points x, and bounds on their rounding errors.
+
+        A term c x^a e^(-b x^q) rounds to within (4 + 1.5 b x^q) eps of itself (the
+        exponent's 1.5 eps relative error grows by b x^q in exp), and the sum of n terms
+        adds n eps / 2 of their absolute sum; with the coefficients' own rounding the
+        bound is (n + 5 + coef_rounding + 2 b_max x^q) eps times the sizes' sum.
+        """
+        terms = self.columns(x, x)
+        factor = self.sum_rounding + self.coef_rounding + 2.0 * self.rate_max * x**self.q
+        return self.coef @ terms, _EPS * factor * (self.size @ terms)
+
+    def bounds(self, lo, hi):
+        """sum |c| hi^a exp(-b lo^q) per row, c the exact coefficients: a bound of |f1| and of
+        |f2| over each [lo, hi]."""
+        exact = np.abs(self.coef) + _EPS * self.coef_rounding * self.size
+        return exact @ self.columns(hi, lo)
+
+
+def _term_table(f1: dict, f2: dict, coef_rounding: tuple[float, float], q: int) -> _TermTable:
+    """The _TermTable of the terms {(a, b): (c, size)} f1 and f2, with the rounding of each
+    row's coefficients in eps of their sizes."""
+    keys = sorted({*f1, *f2})
+    coef = np.array([[f.get(key, (0.0, 0.0))[0] for key in keys] for f in (f1, f2)])
+    size = np.array([[f.get(key, (0.0, 0.0))[1] for key in keys] for f in (f1, f2)])
+    powers, power_of = np.unique(np.array([a for a, _ in keys], dtype=float), return_inverse=True)
+    rates, rate_of = np.unique(np.array([b for _, b in keys], dtype=float), return_inverse=True)
+    return _TermTable(
+        coef.reshape(2, -1), size.reshape(2, -1),
+        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of,
+        np.array(coef_rounding).reshape(2, 1),
+        np.array([[len(f1) + 5.0], [len(f2) + 5.0]]),
+        np.array([[max((b for _, b in f), default=0.0)] for f in (f1, f2)]),
+        q,
+    )
+
+
+def _derivative_terms(terms: dict, q: int) -> dict:
+    """The derivative of the terms {(a, b): (c, size)} in floats, each coefficient merged
+    from c a x^(a-1) e^(-b x^q) and -q b c x^(a+q-1) e^(-b x^q) of the terms, with its size.
+    The products and the merging add at most 2 eps of the size to each coefficient."""
+    out: dict = {}
+    for (a, b), (c, size) in terms.items():
+        for key, factor in (((a - 1, b), a), ((a + q - 1, b), -q * b)):
+            if factor:
+                c0, s0 = out.get(key, (0.0, 0.0))
+                out[key] = (c0 + factor * c, s0 + abs(factor) * size)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _factored(prof) -> tuple[int, _TermTable, _TermTable]:
+    """(m, (g, g'), (g', g'')): the smallest power m of prof, and the ``_TermTable`` of
+    g = prof / x^m and g', which the scan evaluates, and of g' and g'', which it bounds.
+
+    g has the interior roots of prof and none at 0, where prof's zero of order m would keep
+    the cells next to 0 from ever being certified.  The derivatives are taken in floats,
+    their coefficients' rounding counted in the tables.
+    """
+    m = min(a for _, a, _ in prof.terms)
+    g: dict = {}
+    for c, a, b in prof._float_terms():  # two rates may round to one float
+        c0, s0 = g.get((a - m, b), (0.0, 0.0))
+        g[a - m, b] = (c0 + c, s0 + abs(c))
+    g1 = _derivative_terms(g, prof._q)
+    g2 = _derivative_terms(g1, prof._q)
+    return m, _term_table(g, g1, (1.0, 3.0), prof._q), _term_table(g1, g2, (3.0, 5.0), prof._q)
+
+
+def _sign(v: float) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _bracket_root(prof, shift: int, lo: float, hi: float, v_lo: float) -> float:
+    """The one root in (lo, hi) of prof, where g = prof / x^shift (with the same interior
+    roots) is monotone and the scan found g(lo), of sign v_lo, and g(hi) to differ in sign.
+
+    The root is prof's own, from ``prof.eval``, wherever its ends do not share a sign (an
+    end where prof is exactly zero is the root); otherwise, where prof underflows, it is g's."""
+    def shifted():
+        return type(prof)([(c, a - shift, b) for c, a, b in prof.terms]) if shift else prof
+
+    if lo == 0.0 and shift:
+        g = shifted()
+        # prof vanishes at 0: halve toward the root until the bracket leaves 0
+        for _ in range(64):
+            mid = 0.5 * hi
+            v_mid = float(g.eval(mid))
+            if v_mid == 0.0:
+                return mid
+            if _sign(v_mid) == _sign(v_lo):
+                lo = mid
+                break
+            hi = mid
+    try:
+        return _brent_root(prof.eval, lo, hi)
+    except ValueError:  # prof's ends share a sign: it underflows there
+        return _brent_root(shifted().eval, lo, hi)
+
+
+def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
+    """The exact-zero edges and the sign-change brackets of the scan of ``_sign_changes``, or
+    None where it does not resolve; ``curve`` and ``slope`` are the tables of ``_factored``."""
+    margin = 1.0 + 1e-12  # over the rounding of the bounds themselves
+    # the first cells' edges and midpoints in one evaluation
+    points = np.linspace(0.0, upper, 2 * _SCAN_CELLS + 1)
+    (values, slopes), noises = curve.values(points)
+    if not (np.isfinite(values).all() and np.isfinite(slopes).all()):
+        return None
+    lo, mid, hi = points[:-2:2], points[1::2], points[2::2]
+    v_lo, v_mid, v_hi, d_mid = values[:-2:2], values[1::2], values[2::2], slopes[1::2]
+    noises = noises[:, 1::2]
+    zeros = points[2:-2:2][values[2:-2:2] == 0].tolist()
+    brackets = []
+    for _ in range(_SCAN_DEPTH):
+        half = margin * 0.5 * (hi - lo)
+        bound1, bound2 = slope.bounds(lo, hi)
+        free = np.abs(v_mid) - noises[0] > half * bound1
+        mono = np.abs(d_mid) - noises[1] > half * bound2
+        cross = mono & ~free & (np.sign(v_lo) * np.sign(v_hi) < 0)
+        brackets += zip(lo[cross].tolist(), hi[cross].tolist(), v_lo[cross].tolist())
+        split = ~(free | mono)
+        if not split.any():
+            return zeros, brackets
+        if 2 * np.count_nonzero(split) > _SCAN_MAX_CELLS:
+            return None
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        v_lo, v_mid, v_hi = v_lo[split], v_mid[split], v_hi[split]
+        zeros += mid[v_mid == 0].tolist()
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        v_lo, v_hi = np.concatenate((v_lo, v_mid)), np.concatenate((v_mid, v_hi))
+        mid = 0.5 * (lo + hi)
+        (v_mid, d_mid), noises = curve.values(mid)
+        if not (np.isfinite(v_mid).all() and np.isfinite(d_mid).all()):
+            return None
+    return None
+
+
+@lru_cache(maxsize=8192)
+def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
+    """Interior sign changes of a term-list function on (0, upper), certified; None if unresolved.
+
+    These are the kinks of |prof|^p for odd or fractional p, and the ends of the pieces on
+    which the closed form integrates (+-prof)^p, where a missed pair of roots would be a
+    silent sign error.  The scan works on g = prof / x^m (``_factored``) from a grid of
+    _SCAN_CELLS cells.  A cell [lo, hi] of width h is
+      * root-free when |g(mid)| > L1 h / 2, with L1 = sum |c'| hi^a' exp(-b lo^q) over the
+        terms of g', a bound on |g'| on the cell;
+      * monotone, with at most one root, when |g'(mid)| > L2 h / 2, L2 built alike from g'';
+    each left side net of its rounding bound (``_TermTable.values``).  A monotone cell whose
+    ends differ in sign holds one root, which ``_brent_root`` finds on prof; an end that is
+    exactly zero is a root itself (12 - 12 x^2 at x = 1, a grid point of (0, 2)).  Other
+    cells are bisected.  A cell unresolved after _SCAN_DEPTH bisections (at a double root,
+    say), a non-finite value, or more than _SCAN_MAX_CELLS open cells make the result None.
+    Each edge value is computed once and handed to both cells that share the edge, so a root
+    within rounding of an edge counts once.  Terms of one sign need no scan.
+    """
+    if len({c > 0 for c, _, _ in prof.terms}) < 2:
+        return ()  # terms of one sign: their sum keeps it on (0, inf)
+    with np.errstate(all="ignore"):
+        try:
+            m, curve, slope = _factored(prof)
+            found = _scan_cells(curve, slope, upper)
+            if found is None:
+                return None
+            zeros, brackets = found
+            roots = zeros + [_bracket_root(prof, m, *bracket) for bracket in brackets]
+        except (OverflowError, RuntimeError, ValueError):
+            # a coefficient beyond the float range, or a root search that did not converge
+            return None
+    return tuple(sorted(set(roots)))
 
 
 def _halfline_cut(parts, p: float, extra_power: int, q: int, tol: float) -> tuple[float, float]:
@@ -277,9 +468,11 @@ def _weighted_lp_power(
 ) -> QuadResult:
     """Integral of x^gamma |prof(x)|^p over (0, upper), upper may be inf.
 
-    The interval is split at the sign changes of prof, the kinks of |prof|^p
-    for odd or fractional p.  Memoised: routes and checks that need the same
-    integral share one quadrature.
+    Adaptive quadrature: the route pieces at fractional p, the fallback of the
+    closed form, and the independent oracle of ``verify identities``.  The
+    interval is split at the sign changes of prof, the kinks of |prof|^p for
+    odd or fractional p (none where the scan does not certify them).
+    Memoised: routes and checks that need the same integral share one quadrature.
     """
     if prof.is_zero:
         return QuadResult(0.0, 0.0, 0, True)
@@ -301,7 +494,7 @@ def _weighted_lp_power(
         scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0),
                     _TINY)
         abs_tol = rel_tol * scale
-        kinks = () if _is_even_power(p) else _sign_changes(prof, upper)
+        kinks = () if _is_even_power(p) else _sign_changes(prof, upper) or ()
         edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
         total = err = 0.0
         panels = 0
@@ -390,7 +583,7 @@ def _ball_def_exact(
         return _form_norm(angular_matrix, d, orders, f, r)
     # at p != 2 the domain check admits only order zero, the plain L^p norm:
     # its angular integral is exact
-    res = _weighted_lp_power(f, p, d - 1, r, rel_tol)
+    res = _lp_power(f, p, d - 1, r, rel_tol)
     area = sphere_area(d)
     value, err = _pth_root(area * res.value, area * res.error_estimate, p)
     return NormValue(value, err, 0.0, res.converged)
@@ -436,10 +629,10 @@ def _mc_integrals(
     sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
     differently), and einsum, unlike gemv, sums every row alike.
     """
-    S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
-    wt = weights * nodes ** (d - 1)
     # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
     with np.errstate(over="ignore", invalid="ignore"):
+        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
+        wt = weights * nodes ** (d - 1)
         if len(terms) == 1:
             return float(wt @ _abs_pow(S[0], p)) * _abs_pow(terms[0][0].eval_many(pts), p)
         V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
@@ -562,26 +755,191 @@ def sobolev_ball_definition(
 # The two profile routes
 # ---------------------------------------------------------------------------
 
+# the largest p taken in closed form: g^p has up to binomial(n + p - 1, p) terms for n-term g
+_CLOSED_FORM_MAX_P = 8
+
+
+@lru_cache(maxsize=64)
+def _power_terms(g, p: int) -> tuple[tuple[float, int, float | Fraction], ...]:
+    """(c, a + 1, b) of each term c x^a e^(-b x^q) of the exact power g^p.
+
+    The power is taken on integer numerators over common denominators of the
+    coefficients and of the rates, which is exact and far cheaper than products of
+    Fractions.  c is then correctly rounded to a float (+-inf beyond the float range),
+    and b is a float where that is the rate exactly, as the moment kernel's cache
+    hashes it on every lookup.
+    """
+    c_den = math.lcm(*(c.denominator for c, _, _ in g.terms))
+    b_den = math.lcm(*(b.denominator for _, _, b in g.terms))
+    base = [(c.numerator * (c_den // c.denominator), a, b.numerator * (b_den // b.denominator))
+            for c, a, b in g.terms]
+    power = {(a, b): c for c, a, b in base}
+    for _ in range(p - 1):
+        product: dict[tuple[int, int], int] = {}
+        for (a1, b1), c1 in power.items():
+            for c2, a2, b2 in base:
+                key = (a1 + a2, b1 + b2)
+                product[key] = product.get(key, 0) + c1 * c2
+        power = product
+    scale = c_den**p
+    terms = []
+    for (a, b), c in sorted(power.items()):
+        if c:
+            try:
+                c_float = c / scale
+            except OverflowError:
+                c_float = math.inf if c > 0 else -math.inf
+            rate = b / b_den
+            n, d = rate.as_integer_ratio()
+            terms.append((c_float, a + 1, rate if n * b_den == b * d else Fraction(b, b_den)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=4096)
+def _root_window(prof, x: float) -> tuple[float, float, int] | None:
+    """(delta, lip, m) at a computed sign change x of prof, or None.
+
+    With g = prof / x^m (``_factored``), a true root of prof lies within delta of x, and
+    |g(y)| <= lip |y - root| for y between them: on a window of half-width w = 2^-26 x,
+    |g'| >= least > 0 and |g'| <= lip, and |g(x)| plus its rounding is at most least delta.
+    None when that least slope or delta <= w cannot be shown.
+    """
+    m, curve, slope = _factored(prof)
+    w = 2.0**-26 * x
+    with np.errstate(all="ignore"):
+        (value, d_value), (noise, d_noise) = curve.values(np.array([x]))
+        lip, d_lip = slope.bounds(np.array([x - w]), np.array([x + w]))
+        least = abs(d_value[0]) - d_noise[0] - w * d_lip[0]
+        delta = (abs(value[0]) + noise[0]) / least if least > 0 else math.inf
+    if not delta <= w:
+        return None
+    return float(delta), float(lip[0]), m
+
+
+@lru_cache(maxsize=4096)
+def _scan_cut(g, p: int, extra_power: int, tol: float) -> tuple[float, float]:
+    """``_halfline_cut`` of the integral of x^extra_power |g|^p at tol, with T raised to a
+    power of 2^(1/4), so that the sign-change scans of many weights and p share one range
+    (a power of two could double T, where e^(-b T^2) underflows)."""
+    T, tail = _halfline_cut([(g, 1, 0)], p, extra_power, g._q, tol)
+    return 2.0 ** (math.ceil(4.0 * math.log2(T)) / 4.0), tail
+
+
+@lru_cache(maxsize=1024)
+def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None:
+    """Integral of x^gamma |g(x)|^p over (0, upper) in closed form, for an integer p >= 1.
+
+    ``upper`` may be inf.  Between consecutive sign changes of g (none are needed at even p)
+    |g|^p = +-g^p, and each term c x^a e^(-b x^q) of the exact power g^p integrates over a
+    piece (lo, hi) to c (G(hi) - G(lo)), G the ``_gauss_moment`` kernel at s = gamma + a + 1.
+    A piece takes the sign of g at its midpoint.  err adds the kernel's bounds, the rounding
+    of the coefficient conversions, differences, products and sums (with an absolute 2^-1074
+    each where they underflow), and for each sign change the integral over the strip
+    between it and the true one (``_root_window``), twice.  A decaying g at odd p is scanned
+    for sign changes only up to the power of 2^(1/4) at or past the truncation point T of
+    ``_halfline_cut``, with the signed integral's eps as its tolerance, and err then adds
+    twice the tail bound past T.  None when the sign changes are not certified
+    (``_sign_changes``) or a value is not finite.  Memoised, as the Hardy and boundary
+    checks take the same integrals.
+    """
+    q = g._q
+    terms = _power_terms(g, p)
+    exponents = []
+    for _, a1, b in terms:
+        s = gamma + a1
+        back = s - gamma  # the rounding error of s, exactly (Knuth's TwoSum)
+        exponents.append((s, b, abs((gamma - (s - back)) + (a1 - back))))
+
+    def moments(x: float, kernel=_gauss_moment):
+        return [kernel(s, b, x, q, s_err) for s, b, s_err in exponents]
+
+    at_upper = moments(upper)
+    tail = 0.0
+    roots: tuple[float, ...] = ()
+    if p % 2:
+        scan_upper = upper
+        if upper > 1.0 and g.decays:  # the truncation point is at least 1
+            signed = abs(_fsum([c * v for (c, _, _), (v, _) in zip(terms, at_upper)]))
+            if not math.isfinite(signed):
+                return None
+            # a power of 256 at most eps of the signed integral, which is at most the value
+            tol = math.ldexp(1.0, 8 * ((math.frexp(_EPS * max(signed, _TINY))[1] - 1) // 8))
+            T, cut_tail = _scan_cut(g, p, max(0, math.ceil(gamma)), tol)
+            if T < upper:
+                scan_upper, tail = T, cut_tail
+        roots = _sign_changes(g, scan_upper)
+        if roots is None:
+            return None
+    edges = [0.0, *roots, upper]
+    # a sign change is an edge of no other integral: its moments bypass the kernel's cache
+    at_edges = [[(0.0, 0.0)] * len(terms), *(moments(x, _gauss_moment.__wrapped__) for x in roots),
+                at_upper]
+    signs = [1] * (len(edges) - 1)
+    if p % 2:
+        # the last piece's sign is taken within the scanned range
+        mids = [0.5 * (lo + min(hi, scan_upper)) for lo, hi in zip(edges, edges[1:])]
+        with np.errstate(all="ignore"):
+            at_mids = g.eval(np.array(mids))
+        if not np.isfinite(at_mids).all():
+            return None
+        signs = [_sign(v) for v in at_mids.tolist()]
+    pieces = []
+    err = 2 * tail
+    for j, sign in enumerate(signs):
+        parts = []
+        for (c, _, _), (v_lo, e_lo), (v_hi, e_hi) in zip(terms, at_edges[j], at_edges[j + 1]):
+            diff = v_hi - v_lo
+            part = c * diff
+            parts.append(part)
+            err += abs(c) * (abs(v_hi) * e_hi + abs(v_lo) * e_lo)
+            err += 2 * _EPS * abs(part) + 2.0**-1074 * (abs(diff) + 1.0)
+        piece = _fsum(parts)
+        pieces.append(sign * piece)
+        err += _EPS * abs(piece)
+    for x in roots:
+        window = _root_window(g, x)
+        if window is None:
+            return None
+        delta, lip, m = window
+        e = gamma + m * p  # y^gamma |g(y)|^p = y^(gamma + m p) |g(y) / y^m|^p
+        err += 4 * delta * max((x - delta) ** e, (x + delta) ** e) * (lip * delta) ** p
+    value = _fsum(pieces)
+    return QuadResult(value, err + _EPS * abs(value), 0, True)
+
+
 def _lp_power(g, p: float, gamma: float, upper: float, rel_tol: float) -> QuadResult:
     """Integral of x^gamma |g(x)|^p over (0, upper), upper may be inf: one route piece.
 
-    At p = 2 it is closed form, a radial moment with its rounding bound (never
-    unconverged, whatever rel_tol); gamma is then an integer for a Profile and
-    a multiple of 1/2 for a SquaredProfile, whose s = rho^2 turns the integral
-    of s^gamma g(s)^2 over (0, upper) into twice that of rho^(2 gamma + 1)
-    g(rho^2)^2 over (0, sqrt(upper)).  Otherwise it is adaptive quadrature.
+    At p = 2 with a whole rho exponent it is a radial moment with its rounding bound (never
+    unconverged, whatever rel_tol): gamma an integer for a Profile, and for a
+    SquaredProfile 2 gamma + 1 an integer, as s = rho^2 turns the integral of s^gamma
+    g(s)^2 over (0, upper) into twice that of rho^(2 gamma + 1) g(rho^2)^2 over (0,
+    sqrt(upper)).  At any other integer p <= _CLOSED_FORM_MAX_P, or a fractional gamma, it
+    is ``_closed_lp_power``, taken when its err is at most rel_tol of its value.  Where the
+    sign changes are not certified or the pieces cancel past that, and at fractional p, it
+    is the adaptive ``_weighted_lp_power``.  Both are memoised, so the Hardy and boundary
+    checks share their integrals.
     """
-    if p != 2:
-        return _weighted_lp_power(g, p, gamma, upper, rel_tol)
-    if isinstance(g, SquaredProfile):
+    if g.is_zero:
+        return QuadResult(0.0, 0.0, 0, True)
+    if math.isinf(upper) and not g.decays:
+        raise ValueError("half-line integration requires a decaying profile")
+    if p == 2 and isinstance(g, SquaredProfile) and float(2 * gamma).is_integer():
         r = math.sqrt(upper)
         # the rounded root stands for the exact one unless its square is upper exactly
         exact = math.isinf(r) or Fraction(r) ** 2 == Fraction(upper)
         h = from_squared(g)
         value, err = radial_moment(h, h, int(2 * gamma + 1), r, 0.0 if exact else _EPS / 2)
         return QuadResult(2 * value, 2 * err, 0, True)
-    value, err = radial_moment(g, g, int(gamma), upper)
-    return QuadResult(value, err, 0, True)
+    if p == 2 and isinstance(g, Profile) and gamma == int(gamma) >= 0:
+        value, err = radial_moment(g, g, int(gamma), upper)
+        return QuadResult(value, err, 0, True)
+    if p == int(p) and p <= _CLOSED_FORM_MAX_P:
+        res = _closed_lp_power(g, int(p), gamma, upper)
+        # an overflow (inf or NaN) falls back too: quadrature flags it as unconverged
+        if res is not None and res.error_estimate <= rel_tol * abs(res.value) < math.inf:
+            return res
+    return _weighted_lp_power(g, p, gamma, upper, rel_tol)
 
 
 def _profile_route(quads: list[QuadResult], p: float, aggregation: str) -> NormValue:
@@ -675,10 +1033,19 @@ def _route_triple(
     samples: int, aggregation: str, rel_tol: float,
 ) -> LpDetail:
     """The def, D and squared routes of f(|x|) in R^d over the given derivative orders."""
+
+    def squared() -> NormValue:
+        r_squared = r * r
+        if math.isinf(r_squared) and math.isfinite(r) and not f.decays:
+            # over (0, r^2) where r^2 overflows, a profile without decay cannot be integrated in
+            # floats; one that decays has vanished long before, and its half-line value is its value
+            return NormValue(math.nan, math.inf)
+        return _profile_squared_detail(to_squared(f), d, orders, p, r_squared, aggregation, rel_tol)
+
     return LpDetail(
         _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, rel_tol),
         _profile_d_detail(f, d, orders, p, r, aggregation, rel_tol),
-        _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, rel_tol),
+        squared(),
     )
 
 
@@ -688,20 +1055,22 @@ def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDeta
     )
 
 
-def _lp_oracle(field: RadialField, r: float, rel_tol: float) -> tuple[NormValue, NormValue]:
-    """The p = 2 D and squared norms of ``_lp_detail`` by adaptive quadrature.
+def _lp_oracle(
+    field: RadialField, p: float, r: float, rel_tol: float
+) -> tuple[NormValue, NormValue]:
+    """The D and squared norms of ``_lp_detail`` by adaptive quadrature.
 
-    At p = 2 all three routes of ``_lp_detail`` are one closed-form radial
-    moment; these are the independent side that ``verify identities`` checks
-    it against.
+    At integer p all three routes of ``_lp_detail`` are closed form, and at
+    p = 1 and 2 they reduce to the same incomplete gamma functions; these are
+    the independent side that ``verify identities`` checks them against.
     """
     d, f = field.d, field.profile
     area = sphere_area(d)
-    v_d = _profile_route([_weighted_lp_power(f, 2.0, float(d - 1), r, rel_tol)], 2.0, "p-power")
+    v_d = _profile_route([_weighted_lp_power(f, p, float(d - 1), r, rel_tol)], p, "p-power")
     v_sq = _profile_route(
-        [_weighted_lp_power(to_squared(f), 2.0, (d - 2) / 2, r * r, rel_tol)], 2.0, "p-power"
+        [_weighted_lp_power(to_squared(f), p, (d - 2) / 2, r * r, rel_tol)], p, "p-power"
     )
-    return _scale_power(v_d, area, 2.0), _scale_power(v_sq, area / 2.0, 2.0)
+    return _scale_power(v_d, area, p), _scale_power(v_sq, area / 2.0, p)
 
 
 def lp_radial(
@@ -710,11 +1079,11 @@ def lp_radial(
     """The L^p norm of the field by its three equal-by-identity routes.
 
     Returns (value_def, value_D, value_squared): the k = 0 values of
-    ``sobolev_ball_definition`` (closed form at p = 2), ``sobolev_profile_D``
+    ``sobolev_ball_definition`` (closed form at integer p), ``sobolev_profile_D``
     times |S^(d-1)|^(1/p) and ``sobolev_profile_squared`` times
-    (|S^(d-1)|/2)^(1/p), which agree up to the combined error.  At p = 2
-    all three are one closed-form radial moment; away from it, def and D
-    share one quadrature and squared is independent.
+    (|S^(d-1)|/2)^(1/p), which agree up to the combined error.  At integer p
+    all three are closed form, def and D one shared integral; at fractional p
+    def and D share one quadrature and squared is independent.
     """
     _check_domain(p=p, r=r)
     return _converged_values("lp_radial", *_lp_detail(field, p, r, tol))
@@ -799,8 +1168,8 @@ def _hardy_integrals(f, p: float, r: float, s: float, tol: float):
     _check_domain(p=p, r=r)
     if s <= -1.0 / p:
         raise ValueError(f"need s > -1/p = {-1.0 / p}, got {s}")
-    zeroth = _weighted_lp_power(f, p, p * s, r, tol)
-    grad = _weighted_lp_power(f.derivative(), p, p * (s + 1.0), r, tol)
+    zeroth = _lp_power(f, p, p * s, r, tol)
+    grad = _lp_power(f.derivative(), p, p * (s + 1.0), r, tol)
     return zeroth, grad, zeroth.converged and grad.converged
 
 
@@ -815,7 +1184,7 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
     Passing r = math.inf selects the boundary-free half-line variant, which
     requires a decaying function.  ``f`` may be a Profile or a
     SquaredProfile.  Returns the evaluated sides; slack >= 0 up to
-    quadrature error.
+    the error of its integrals.
     """
     lhs_res, grad_res, converged = _hardy_integrals(f, p, r, s, tol)
     const = p / (p * s + 1.0)

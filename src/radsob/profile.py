@@ -30,16 +30,22 @@ Term = tuple[Fraction, int, Fraction]  # (coefficient, power, decay rate)
 def _canonical_terms(terms: Iterable[Sequence]) -> tuple[Term, ...]:
     merged: dict[tuple[int, Fraction], Fraction] = {}
     for c, a, b in terms:
-        if a != int(a):  # int() alone would truncate a power such as 2.9
-            raise ValueError(f"power must be an integer, got {a!r}")
-        a = int(a)
+        if type(a) is not int:
+            if a != int(a):  # int() alone would truncate a power such as 2.9
+                raise ValueError(f"power must be an integer, got {a!r}")
+            a = int(a)
         if a < 0:
             raise ValueError(f"power must be >= 0, got {a}")
-        b = Fraction(b)
+        # products and derivatives hand in Fractions already: convert only the rest
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if b < 0:
             raise ValueError(f"decay rate must be >= 0, got {b}")
+        if type(c) is not Fraction:
+            c = Fraction(c)
         key = (a, b)
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(c)
+        prev = merged.get(key)
+        merged[key] = c if prev is None else prev + c
     return tuple(
         (c, a, b) for (a, b), c in sorted(merged.items()) if c != 0
     )
@@ -52,7 +58,7 @@ class _TermSum:
     the benchmark tracer wraps them per class.
     """
 
-    __slots__ = ("terms", "_floats")
+    __slots__ = ("terms", "_floats", "_hash")
 
     def __init__(self, terms: Iterable[Sequence] = ()):
         object.__setattr__(self, "terms", _canonical_terms(terms))
@@ -94,7 +100,13 @@ class _TermSum:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.terms))
+        # every lru_cache lookup hashes its profile: hash the Fraction terms once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self).__name__, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*x^{a}*exp(-{b}*..)" for c, a, b in self.terms) or "0"
@@ -159,23 +171,27 @@ class _TermSum:
             return float(out)
         return out
 
+    @lru_cache(maxsize=4096)
     def _derivative(self, j: int = 1):
         """Exact j-th derivative; the class is closed under differentiation.
 
         d/dx c x^a e^(-b x^q) = c a x^(a-1) e^(-b x^q) - q b c x^(a+q-1) e^(-b x^q).
+        Memoised per (profile, j): the inequality checks and the kink scans ask for the
+        same derivatives many times.
         """
         if j < 0:
             raise ValueError("derivative order must be >= 0")
-        q, out = self._q, self
-        for _ in range(j):
-            terms: list[Term] = []
-            for c, a, b in out.terms:
-                if a:
-                    terms.append((c * a, a - 1, b))
-                if b:
-                    terms.append((-q * b * c, a + q - 1, b))
-            out = type(self)(terms)
-        return out
+        if j == 0:
+            return self
+        out = self._derivative(j - 1)  # memoised: each order is differentiated once
+        q = self._q
+        terms: list[Term] = []
+        for c, a, b in out.terms:
+            if a:
+                terms.append((c * a, a - 1, b))
+            if b:
+                terms.append((-q * b * c, a + q - 1, b))
+        return type(self)(terms)
 
 
 class Profile(_TermSum):

@@ -2,8 +2,10 @@
 
 Provides adaptive 1D quadrature on intervals (composite 15-node
 Gauss-Legendre panels with bisection refinement), rigorous truncation of
-half-line integrals from analytic envelopes, closed-form radial moments of
-products of Gaussian-type term lists with explicit rounding bounds, exact
+half-line integrals from analytic envelopes, one closed-form moment kernel
+(the incomplete gamma integral of x^(s-1) exp(-b x^q), q = 1 or 2, with an
+explicit rounding bound) and the radial moments of products of
+Gaussian-type term lists built on it, exact
 surface areas and monomial moments of the unit sphere, and seeded uniform
 samples of the sphere for exponents without a closed angular form.
 """
@@ -225,58 +227,106 @@ def truncation_point(
 # Closed-form radial moments
 # ---------------------------------------------------------------------------
 
-def _gauss_moment_full(s: int, b: Fraction) -> tuple[float, float]:
-    """Gamma(s/2) / (2 b^(s/2)), the integral of rho^(s-1) exp(-b rho^2) over (0, inf).
+def _pow(x: float, y: float) -> float:
+    """x ** y, or inf where the power overflows the float range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
-    The rational part is exact; returns the value and a relative error bound.
+
+def _gauss_moment_full(s: float, b: Fraction, q: int) -> tuple[float, float]:
+    """Gamma(a) / (q b^a) with a = s/q, the integral of x^(s-1) exp(-b x^q) over (0, inf).
+
+    Returns the value and a relative error bound.  b is a Fraction, or a float equal to
+    the rate.  At an integer or half-integer a the rational part is exact; otherwise it
+    takes math.gamma (within 3.5 eps of Gamma over 40 000 random arguments in (0.01, 170),
+    bounded here by 16 eps) and a float power of b.  A value, or a power of b, beyond the
+    float range makes it inf.
     """
-    n, odd = divmod(s, 2)
-    if not odd:
-        return float(Fraction(math.factorial(n - 1)) / (2 * b**n)), _EPS
-    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-    q = Fraction(math.factorial(2 * n), 2 * 4**n * math.factorial(n)) / b**n
-    return float(q) * math.sqrt(math.pi / float(b)), 3 * _EPS
+    twice = 2 * s / q  # exact: q is 1 or 2
+    b = Fraction(b)
+    try:
+        if twice.is_integer():
+            n, odd = divmod(int(twice), 2)
+            if not odd:
+                return float(Fraction(math.factorial(n - 1)) / (q * b**n)), _EPS
+            # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
+            c = Fraction(math.factorial(2 * n), q * 4**n * math.factorial(n)) / b**n
+            return float(c) * math.sqrt(math.pi / float(b)), 3 * _EPS
+        a = twice / 2
+        # float(b) carries eps/2, which b^a turns into a eps/2; pow, division and product 3 eps
+        return math.gamma(a) / (q * float(b) ** a), _EPS * (16.0 + a / 2 + 3.0)
+    except OverflowError:
+        return math.inf, _EPS
 
 
 @lru_cache(maxsize=4096)
-def _gauss_moment(s: int, b: Fraction, r: float) -> tuple[float, float]:
-    """Integral of rho^(s-1) exp(-b rho^2) over (0, r) for s >= 1, b > 0, r <= inf.
+def _gauss_moment(
+    s: float, b: Fraction, r: float, q: int = 2, s_err: float = 0.0
+) -> tuple[float, float]:
+    """Integral of x^(s-1) exp(-b x^q) over (0, r) for real s > 0, b >= 0, q in {1, 2}, r <= inf.
 
-    Returns the value and a bound on its relative rounding error.  For finite
-    r it is the lower incomplete gamma function gamma(s/2, x) / (2 b^(s/2))
-    with x = b r^2 (DLMF 8.2.1), summed from its series of positive terms
-    (DLMF 8.7.1)
+    Returns the value and a bound on its relative error.  b is a Fraction, or a float
+    equal to the rate (whose hash is cheaper to take on each lookup).  At b = 0 it is
+    r^s / s (a half-line then raises ValueError).  Otherwise, for finite r it is the lower
+    incomplete gamma function gamma(a, x) / (q b^a) with a = s/q and x = b r^q
+    (DLMF 8.2.1), summed from its series of positive terms (DLMF 8.7.1)
 
-        r^s e^(-x) / s * sum_k x^k / ((a+1)(a+2)...(a+k)),   a = s/2,
+        r^s e^(-x) / s * sum_k x^k / ((a+1)(a+2)...(a+k)),
 
-    unless the upper incomplete part is below eps / 8 of the whole, when the
-    complete integral is returned.
+    unless the upper incomplete part is below eps / 8 of the whole (or x overflows),
+    when the complete integral is returned.  ``s_err`` bounds the distance of s from the
+    exponent meant, when s is a rounded sum: the bound then adds 2 s_err times a bound on
+    |d ln(value) / ds|, which is ln r - (1/a + sum_k t_k H_k / sum_k t_k) / q on the series,
+    H_k = 1/(a+1) + ... + 1/(a+k), and (psi(a) - ln b) / q on the complete integral (the
+    factor 2 covers the second order, as s_err is a few ulp of s).  A power beyond the
+    float range makes the value inf, or NaN, and never raises.
     """
-    full, full_rel = _gauss_moment_full(s, b)
-    if math.isinf(r):
-        return full, full_rel
-    a = s / 2.0
-    x = float(b) * r * r  # relative error 1.5 eps, which moves the value by <= 1.5 eps x
+    halfline = math.isinf(r)
+    if not b:
+        if halfline:
+            raise ValueError("half-line integration requires a decaying profile")
+        slope = 2 * (abs(math.log(r)) + 1.0 / s) if s_err else 0.0
+        return _pow(r, s) / s, 2 * _EPS + s_err * slope
+    a = s / q
+    # psi(a) lies in (ln a - 1/a, ln a)
+    full_slope = 2 * (abs(math.log(a)) + 1.0 / a + abs(math.log(float(b)))) / q if s_err else 0.0
+    if halfline:
+        full, full_rel = _gauss_moment_full(s, b, q)
+        return full, full_rel + s_err * full_slope
+    # relative error 1.5 eps, which moves the value by <= 1.5 eps x
+    x = float(b) * r * r if q == 2 else float(b) * r
     if x > a + 1.0:
         # Gamma(a, x) <= x^(a-1) e^(-x) / (1 - max(a-1, 0)/x) for x > a - 1
         log_q = (a - 1.0) * math.log(x) - x - math.log1p(-max(a - 1.0, 0.0) / x) - math.lgamma(a)
-        if log_q < math.log(_EPS / 8.0):
-            return full, full_rel + _EPS / 8.0
+        if not log_q >= math.log(_EPS / 8.0):  # an overflowing x makes log_q NaN
+            full, full_rel = _gauss_moment_full(s, b, q)
+            return full, full_rel + _EPS / 8.0 + s_err * full_slope
     terms = [1.0]
     t = 1.0
     k = 0
+    moment = harmonic = weighted = 0.0
     while True:
         k += 1
         t = t * x / (a + k)
         terms.append(t)
+        moment += k * t
+        if s_err:
+            harmonic += 1.0 / (a + k)
+            weighted += t * harmonic
         # the sum is >= 1 and the remaining terms shrink by ratio <= 1/2 from here
         if t <= _EPS / 16.0 and x <= 0.5 * (a + k + 1):
             break
     total = math.fsum(terms)
-    # term k carries 2k roundings; the prefactor (pow, exp, division, product) four
-    kbar = math.fsum(i * v for i, v in enumerate(terms)) / total
-    rel = _EPS * (kbar + 1.5 * x + 4.0 + 1.0 / 16.0)
-    return r**s * math.exp(-x) / s * total, rel
+    # term k carries 2k roundings, and 3k where a + k is inexact; the prefactor (pow, exp,
+    # division, product) four
+    kbar = moment / total
+    steps = 1.0 if (2 * s / q).is_integer() else 1.5
+    rel = _EPS * (steps * kbar + 1.5 * x + 4.0 + 1.0 / 16.0)
+    if s_err:
+        rel += 2 * s_err * (abs(math.log(r)) + (1.0 / a + weighted / total) / q)
+    return _pow(r, s) * math.exp(-x) / s * total, rel
 
 
 def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, float]:
@@ -285,9 +335,10 @@ def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, fl
     ``g`` and ``h`` are term lists (``Profile``) of c rho^a exp(-b rho^2)
     and ``m >= 0`` is an integer.  Each pair of terms is integrated on its
     own, without forming the product list: with s = m + a1 + a2 + 1 and
-    b = b1 + b2 it contributes c1 c2 gamma(s/2, b r^2) / (2 b^(s/2)), or
-    c1 c2 Gamma(s/2) / (2 b^(s/2)) when r = inf, or c1 c2 r^s / s when
-    b = 0.  An r that is not > 0 or a non-decaying half-line pair raises ValueError.
+    b = b1 + b2 it contributes c1 c2 times ``_gauss_moment(s, b, r)``, which is
+    gamma(s/2, b r^2) / (2 b^(s/2)), or Gamma(s/2) / (2 b^(s/2)) when r = inf,
+    or r^s / s when b = 0.  An r that is not > 0 or a non-decaying half-line
+    pair raises ValueError; a radius whose powers overflow gives inf or NaN.
 
     Returns (value, err): err bounds the rounding error of value, each
     contribution's relative bound (a few eps, growing with s and b r^2)
@@ -298,7 +349,6 @@ def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, fl
     """
     if not r > 0:
         raise ValueError(f"need r > 0 or r = inf, got {r}")
-    halfline = math.isinf(r)
     parts = []
     err = 0.0
     h_terms = [(float(c), a, b) for c, a, b in h.terms]
@@ -306,13 +356,7 @@ def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, fl
         f1 = float(c1)
         for f2, a2, b2 in h_terms:
             s = m + a1 + a2 + 1
-            b = b1 + b2
-            if b:
-                moment, rel = _gauss_moment(s, b, r)
-            elif halfline:
-                raise ValueError("half-line integration requires a decaying profile")
-            else:
-                moment, rel = r**s / s, 2 * _EPS
+            moment, rel = _gauss_moment(s, b1 + b2, r)
             part = f1 * f2 * moment
             parts.append(part)
             # coefficient conversions, products and the final rounded sum

@@ -1,6 +1,7 @@
 """Extended-precision references for the err audit of ``norms._weighted_lp_power``.
 
-Each row of ``tests/test_norms.py::ERR_REFS`` names one integral over a
+Each row of ``tests/test_norms.py::ERR_REFS`` (and of ``KINK_ERR_REFS``, the integer-p
+Hardy integrals with sign changes that the closed form integrates piecewise) names one integral over a
 builtin corpus profile in d = 3: a D- or squared-route integral, one of the
 two integrals of the Hardy and boundary checks, or the p-th power of a k = 0
 definition-route norm, whose reference is the norm itself.  Each row of
@@ -26,7 +27,7 @@ import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_norms import ERR_D, ERR_REFS, P2_ERR_REFS, err_route_integral  # noqa: E402
+from test_norms import ERR_D, ERR_REFS, KINK_ERR_REFS, P2_ERR_REFS, err_route_integral  # noqa: E402
 
 DIGITS = 50
 SCAN_CELLS = 4000
@@ -102,11 +103,12 @@ def reference(prof, p: float, gamma: float, upper: float, norm: bool = False) ->
 
 
 def main() -> None:
-    for label, route, j, p, r, s, _, _ in ERR_REFS:
-        ref, n_roots = reference(*err_route_integral(label, route, j, p, r, s), norm=route == "def")
-        r_text = "math.inf" if math.isinf(r) else repr(r)
-        print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, {s!r}, "{ref}", {n_roots}),')
-    print()
+    for table, s_text in ((ERR_REFS, repr), (KINK_ERR_REFS, lambda s: "KINK_S")):
+        for label, route, j, p, r, s, _, _ in table:
+            ref, n_roots = reference(*err_route_integral(label, route, j, p, r, s), norm=route == "def")
+            r_text = "math.inf" if math.isinf(r) else repr(r)
+            print(f'    ("{label}", "{route}", {j}, {p!r}, {r_text}, {s_text(s)}, "{ref}", {n_roots}),')
+        print()
     for label, route, d, j, r, _ in P2_ERR_REFS:
         ref, _ = reference(*err_route_integral(label, route, j, 2.0, r, None, d))
         r_text = "math.inf" if math.isinf(r) else repr(r)

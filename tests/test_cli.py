@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -105,6 +106,24 @@ class TestVerify:
               if c["name"].startswith("lp-identity") and " p=2 " in c["name"]}
         assert failed == p2 and len(p2) == 2 * 24
 
+    def test_identities_p1_checks_the_closed_form_against_quadrature(self, capsys, monkeypatch):
+        # at p = 1 the three routes are the same closed-form incomplete gamma functions; a broken
+        # closed form must fail the p = 1 checks against the adaptive D and squared routes
+        real = norms._closed_lp_power
+
+        def broken(*args):
+            res = real(*args)
+            return None if res is None else dataclasses.replace(res, value=res.value * (1 + 1e-8))
+
+        monkeypatch.setattr(norms, "_closed_lp_power", broken)
+        rc, out, _ = run_cli(capsys, ["verify", "identities"])
+        assert rc == 1
+        checks = json.loads(out)["checks"]
+        failed = {c["name"] for c in checks if not c["pass"]}
+        p1 = {c["name"] for c in checks
+              if c["name"].startswith("lp-identity") and " p=1 " in c["name"]}
+        assert failed == p1 and len(p1) == 2 * 24
+
     def test_hardy_bad_s_is_config_error(self, capsys):
         rc, out, err = run_cli(capsys, ["verify", "hardy", "--s", "-0.7"])
         assert rc == 2
@@ -130,11 +149,13 @@ class TestVerify:
 
     def test_hardy_single_s_output_is_pinned(self, capsys):
         # sha256 of the output when each check ran its own two quadratures, re-taken when
-        # params came to hold only the suite's flags (every check stayed byte-identical)
+        # params came to hold only the suite's flags (every check stayed byte-identical), and
+        # when integer p came to be integrated in closed form: the same 480 names and passes,
+        # and 18 error fields moved between 0 and at most 2.3e-16 in magnitude
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "906b37dbbf4397965bc90cd5be098b8e84324078a8e948862c6c632b25ea3434"
+            "279c14f2bf1226388eadc47c3933c3c03b46ec3701be4e1b4a5f79da27307e54"
         )
 
     @pytest.mark.parametrize("suite", ["identities", "hardy", "gram", "whitney"])
@@ -455,7 +476,12 @@ class TestPinnedOutputs:
     form: their values moved by at most 3.6e-16 relative, each within the
     combined err, their errs fell from at most 3.7e-12 to at most 2.1e-13 of
     the value, the ratio bounds moved in the last digits, and the ``def``
-    entries, params and degenerate list stayed identical.
+    entries, params and degenerate list stayed identical.  The Monte Carlo pin
+    was re-taken when the p = 3 ``D`` and squared routes became closed form:
+    their values moved by at most 9.7e-15 relative, each within the combined
+    err, their errs rose from at most 2.3e-13 to at most 2.8e-12 of the value
+    (a rounding bound in place of a quadrature estimate), the ratio bounds
+    moved in the last digits, and the ``def`` entries stayed identical.
     """
 
     PINS = [
@@ -465,7 +491,7 @@ class TestPinnedOutputs:
          "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1"),
         (["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
           "--samples", "500", "--seed", "1"],
-         "01a8ff6d39c659b30780d8a1d174ac7b2a94b926f3eec94d9d7f824460fb5891"),
+         "be10e0efa2d5caeaee196f4ac9dbedd5c48fea1a5113a18a277d43823e854cd5"),
     ]
 
     @pytest.mark.parametrize("argv, sha", PINS)
@@ -545,6 +571,27 @@ class TestNonFiniteNorms:
         assert proc.stderr == ""
         doc = json.loads(proc.stdout, parse_constant=reject_constant)
         assert doc["degenerate"] == [{"label": "big", "reason": "non-finite norm"}]
+
+    @pytest.mark.parametrize("argv", [
+        ["equiv", "--dim", "3", "--k", "2", "--radius", "1e300"],
+        ["equiv", "--dim", "3", "--k", "2", "--radius", "1e300", "--p", "3", "--method",
+         "monte-carlo", "--samples", "200"],
+    ])
+    def test_radius_whose_powers_overflow_is_flagged(self, argv):
+        # r^s and the squared route's r^2 overflow: flagged entries, no error, no numpy warning
+        proc = _run_python(f"import sys, radsob.cli; sys.exit(radsob.cli.main({argv!r}))")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=reject_constant)
+        flagged = {row["label"] for row in doc["degenerate"]}
+        assert {"one", "rho2"} <= flagged
+        assert {row["reason"] for row in doc["degenerate"]} == {"non-finite norm"}
+        for e in doc["entries"]:
+            if e["value"] is None or e["err"] is None:
+                assert e["label"] in flagged
+        # a decaying profile's D route is its half-line value
+        assert all(e["value"] is not None for e in doc["entries"]
+                   if e["label"] == "gauss" and e["route"] == "D")
 
     def test_huge_p_prints_no_numpy_warning(self):
         # |f|^p overflows to inf at p = 1e308, and a zero weight times inf is NaN

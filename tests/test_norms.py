@@ -554,14 +554,14 @@ class TestProfileRoutes:
     @pytest.mark.parametrize("route", ["D", "squared"])
     def test_weight_exponents_are_rounded_once(self, route, monkeypatch):
         # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded; p = 2
-        # is closed form (test_p2_weight_exponents_are_exact)
+        # is a radial moment (test_p2_weight_exponents_are_exact)
         seen = []
 
         def spy(prof, p, gamma, upper, rel_tol):
             seen.append(gamma)
             return QuadResult(1.0, 0.0, 1, True)
 
-        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        monkeypatch.setattr(norms, "_lp_power", spy)
         with localcontext() as ctx:
             ctx.prec = 80
             for d in range(2, 7):
@@ -617,7 +617,7 @@ class TestProfileRoutes:
             seen.append(gamma)
             return QuadResult(1.0, 0.0, 1, True)
 
-        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        monkeypatch.setattr(norms, "_lp_power", spy)
         _profile_d_detail(GAUSS, 2, [4], 7.0, 1.0, "p-power", 1e-10)
         _profile_d_detail(GAUSS, 3, [1], 1.5, 1.0, "p-power", 1e-10)
         assert seen == [29.0, 3.5]
@@ -807,7 +807,24 @@ class TestHardy:
 
 
 class TestWeightedIntegralMemo:
+    F = Profile([(1, 0, 1), (-2, 2, 0)])  # one sign change in (0, 1), so odd p splits there
+
     def test_hardy_and_boundary_share_their_integrals(self, monkeypatch):
+        # at integer p both integrals are closed form, computed once for both checks
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not fall back here")
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", forbidden)
+        norms._closed_lp_power.cache_clear()
+        hardy_check(self.F, 3.0, 1.0, 0.5)
+        info = norms._closed_lp_power.cache_info()
+        assert (info.hits, info.misses) == (0, 2)  # f and f'
+        assert len(norms._sign_changes(self.F, 1.0)) == 1
+        boundary_check(self.F, 3.0, 1.0, 0.5)
+        info = norms._closed_lp_power.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_hardy_and_boundary_share_their_quadratures_at_fractional_p(self, monkeypatch):
         calls = []
         for name in ("integrate_power_weight", "integrate_1d"):
             real = getattr(norms, name)
@@ -818,18 +835,19 @@ class TestWeightedIntegralMemo:
 
             monkeypatch.setattr(norms, name, spy)
         norms._weighted_lp_power.cache_clear()
-        f = Profile([(1, 0, 1), (-2, 2, 0)])  # one sign change in (0, 1), so p = 3 splits there
-        hardy_check(f, 3.0, 1.0, 0.5)
+        hardy_check(self.F, 1.5, 1.0, 0.5)
         after_hardy = len(calls)
         assert after_hardy == 3  # f in two pieces (split at its sign change), f' in one
-        boundary_check(f, 3.0, 1.0, 0.5)
+        boundary_check(self.F, 1.5, 1.0, 0.5)
         assert len(calls) == after_hardy
 
     def test_lp_radial_def_and_d_share_one_quadrature(self):
-        norms._weighted_lp_power.cache_clear()
-        lp_radial(RadialField(3, Profile([(1, 0, 1), (-2, 2, 0)])), 3.0, 1.0)
-        info = norms._weighted_lp_power.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
+        # one closed form at integer p, one adaptive quadrature at fractional p
+        for p, memo in ((3.0, norms._closed_lp_power), (1.5, norms._weighted_lp_power)):
+            memo.cache_clear()
+            lp_radial(RadialField(3, self.F), p, 1.0)
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (1, 2), p
 
 
 class TestBoundary:
@@ -979,9 +997,12 @@ class TestCorpusTable:
     # sha256 of report JSON computed with the per-report builders this one replaced,
     # re-taken when each adaptive panel's error estimate got its rounding floor, and
     # again when each adaptive 1-D integral's err got a floor of 8 eps of its value
-    # (both times only err fields moved)
-    EQUIVALENCE_SHA = "c6ba83cc3f0c0d0f4e268ff3e8c7d3705392aa3fdde2fd244c2ddbefcd312b9d"
-    BOUNDEDNESS_SHA = "48c1389c429c5b774675a4cca81eae86ae9ed3a6080b5308f2959e868f8392a2"
+    # (both times only err fields moved), and when p = 3 came to be integrated in closed
+    # form: every value moved by at most 1.1e-15 relative, within the combined err, the
+    # errs rose from at most 8.7e-15 to at most 8.0e-14 of the value, and the ratio
+    # bounds moved in the last digits
+    EQUIVALENCE_SHA = "a0b51b0d7ec5dd8f9ab34dfc9d0515a1ce7a6dec5e5b648357d7661da23b8757"
+    BOUNDEDNESS_SHA = "24b8040eec279e7d7693e7d137e1b442740f7d1854efb912d3dfd88492b53b62"
     # corot: JSON with every err set to 0, and the errs themselves (the closed-form
     # p = 2 errs now go through _pth_root, which rounds them differently in the last bits)
     COROT_SHA = "152bcdb52fa4aadf5fe30f01bcc86599746f4f32f73fdc02a9216690acbb6653"
@@ -1402,6 +1423,22 @@ P2_ERR_REFS = [
 ]
 
 
+# integer-p Hardy integrals whose integrand changes sign, at s = -1/6: the closed form
+# (norms._closed_lp_power) integrates them piece by piece between the sign changes; rows as ERR_REFS
+KINK_S = -1 / 6
+KINK_ERR_REFS = [
+    ("seed00", "hardy", 1, 1.0, 2.0, KINK_S, "0.919506013011292072164805491904", 2),
+    ("seed00", "hardy", 1, 3.0, math.inf, KINK_S, "0.460707487517207180473484527098", 2),
+    ("seed02", "hardy", 1, 1.0, math.inf, KINK_S, "4.97346023903217575922922590664", 2),
+    ("seed08", "hardy", 0, 3.0, 1.0, KINK_S, "0.0121598253045441706304319470528", 1),
+    ("seed08", "hardy", 1, 3.0, 2.0, KINK_S, "21.9998140320653622193007950404", 2),
+    ("seed10", "hardy", 1, 1.0, math.inf, KINK_S, "1.36176042647084127623536493313", 2),
+    ("seed14", "hardy", 0, 1.0, 1.0, KINK_S, "0.600756683796001843771842385231", 1),
+    ("seed16", "hardy", 1, 3.0, 1.0, KINK_S, "0.0125330955392939027363268763385", 1),
+    ("rho4_gauss2", "hardy", 1, 3.0, 2.0, KINK_S, "0.288829719341746514346391123403", 1),
+]
+
+
 def err_route_integral(
     label: str, route: str, j: int, p: float, r: float, s: float | None, d: int = ERR_D
 ):
@@ -1474,3 +1511,189 @@ class TestErrCoversTrueError:
         g, _, _, upper = err_route_integral("rho4_gauss2", "D", 1, 1.0, 2.0, None)
         assert norms._sign_changes(g, upper) == (1.0,)
         assert [row[7] for row in ERR_REFS if row[:5] == ("rho4_gauss2", "D", 1, 1.0, 2.0)] == [1]
+
+    @pytest.mark.parametrize(
+        "label, route, j, p, r, s, ref, sign_changes", KINK_ERR_REFS,
+        ids=map(err_row_id, KINK_ERR_REFS),
+    )
+    def test_closed_form_pieces_within_err(self, label, route, j, p, r, s, ref, sign_changes):
+        g, p, gamma, upper = err_route_integral(label, route, j, p, r, s)
+        scan_upper = upper if math.isfinite(upper) else 8.0
+        assert len(norms._sign_changes(g, scan_upper)) == sign_changes
+        closed = norms._closed_lp_power(g, int(p), gamma, upper)
+        adaptive = norms._weighted_lp_power(g, p, gamma, upper, 1e-12)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(closed.value) - mpmath.mpf(ref)) <= closed.error_estimate
+            assert abs(mpmath.mpf(adaptive.value) - mpmath.mpf(ref)) <= adaptive.error_estimate
+
+    @pytest.mark.parametrize(
+        "label, route, j, p, r, s, ref, sign_changes",
+        [row for row in ERR_REFS if row[3] == int(row[3]) and row[1] != "def"],
+        ids=map(err_row_id, [row for row in ERR_REFS if row[3] == int(row[3]) and row[1] != "def"]),
+    )
+    def test_closed_form_within_err_on_the_audit_rows(self, label, route, j, p, r, s, ref, sign_changes):
+        g, p, gamma, upper = err_route_integral(label, route, j, p, r, s)
+        res = norms._closed_lp_power(g, int(p), gamma, upper)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+
+
+def _mp_lp_power(g, p, gamma, upper, points):
+    """int_0^upper x^gamma |g(x)|^p at 40 digits, split at the given interior points."""
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(c.numerator) / c.denominator, a, mpmath.mpf(b.numerator) / b.denominator)
+                 for c, a, b in g.terms]
+
+        def integrand(x):
+            v = mpmath.fsum(c * x**a * mpmath.exp(-b * x**g._q) for c, a, b in terms)
+            return x**gamma * abs(v) ** p
+
+        end = mpmath.inf if math.isinf(upper) else mpmath.mpf(upper)
+        return mpmath.quad(integrand, [0, *points, end])
+
+
+class TestClosedForm:
+    """Integer-p weighted integrals in closed form between certified sign changes."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, math.inf])
+    def test_matches_adaptive_quadrature_within_combined_err(self, corpus, p, r):
+        # the Hardy suite's weights x^(p s) and x^(p (s + 1)), on f, f', f~ and f~'
+        checked = 0
+        for entry in corpus:
+            f = entry.profile
+            if math.isinf(r) and not f.decays:
+                continue
+            ft = to_squared(f)
+            for s in (-1.0 / (2 * p), 0.0, 0.5, 1.0, 3.0):
+                for g, gamma, upper in [(f, p * s, r), (f.derivative(), p * (s + 1.0), r),
+                                        (ft, p * s, r * r), (ft.derivative(), p * (s + 1.0), r * r)]:
+                    closed = norms._closed_lp_power(g, p, gamma, upper)
+                    assert closed is not None, (entry.label, s)
+                    adaptive = norms._weighted_lp_power(g, float(p), gamma, upper, 1e-12)
+                    assert adaptive.converged
+                    gap = abs(closed.value - adaptive.value)
+                    assert gap <= closed.error_estimate + adaptive.error_estimate, (entry.label, s, g)
+                    checked += 1
+        assert checked >= 240
+
+    def test_root_on_a_grid_point_splits_the_interval(self):
+        # f' of rho4_gauss2, (12 rho^3 - 12 rho^5) e^(-2 rho^2), vanishes at the grid point 1 of
+        # (0, 2) and of (0, 8); with the sign wrong past it the p = 1 integral would be off by 2x
+        g = Profile([(12, 3, 2), (-12, 5, 2)])
+        assert norms._sign_changes(g, 2.0) == (1.0,)
+        assert norms._sign_changes(g, 8.0) == (1.0,)
+        for p, upper in ((1, 2.0), (3, 2.0), (1, math.inf), (3, math.inf)):
+            res = norms._closed_lp_power(g, p, 0.5, upper)
+            want = _mp_lp_power(g, p, 0.5, upper, [1])
+            assert abs(res.value - want) <= res.error_estimate, (p, upper)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=64),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1, 3]),
+        st.sampled_from([-0.5, 0.0, 1.5]),
+        st.sampled_from([2.0, math.inf]),
+    )
+    def test_close_root_pair_is_right_or_falls_back(self, a, digits, p, gamma, upper):
+        # (rho^2 - a)(rho^2 - a - eps) e^(-rho^2): two roots 1e-digits apart
+        eps = Fraction(1, 10**digits)
+        g = Profile([(a * (a + eps), 0, 1), (-(2 * a + eps), 2, 1), (1, 4, 1)])
+        roots = [mpmath.sqrt(mpmath.mpf(a.numerator) / a.denominator),
+                 mpmath.sqrt(mpmath.mpf((a + eps).numerator) / (a + eps).denominator)]
+        res = norms._closed_lp_power(g, p, gamma, upper)
+        if res is not None:
+            want = _mp_lp_power(g, p, gamma, upper, roots)
+            assert abs(res.value - want) <= res.error_estimate
+        got = norms._lp_power(g, float(p), gamma, upper, 1e-10)
+        assert got.converged
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=64),
+        st.sampled_from([1, 3]),
+        st.sampled_from([2.0, math.inf]),
+    )
+    def test_tangential_root_is_right_or_falls_back(self, a, p, upper):
+        # (rho^2 - a)^2 e^(-rho^2) touches zero at sqrt(a) without a sign change
+        g = Profile([(a * a, 0, 1), (-2 * a, 2, 1), (1, 4, 1)])
+        res = norms._closed_lp_power(g, p, 0.5, upper)
+        if res is not None:
+            root = mpmath.sqrt(mpmath.mpf(a.numerator) / a.denominator)
+            want = _mp_lp_power(g, p, 0.5, upper, [root])
+            assert abs(res.value - want) <= res.error_estimate
+
+    def test_unresolved_scan_falls_back_to_quadrature(self, monkeypatch):
+        g = Profile([(1, 0, 1), (-2, 2, 0)])
+        monkeypatch.setattr(norms, "_sign_changes", lambda prof, upper: None)
+        norms._closed_lp_power.cache_clear()
+        assert norms._closed_lp_power(g, 3, 0.5, 1.0) is None
+        calls = []
+        real = norms._weighted_lp_power
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        res = norms._lp_power(g, 3.0, 0.5, 1.0, 1e-12)
+        assert calls == [(g, 3.0, 0.5, 1.0, 1e-12)] and res.converged
+        norms._closed_lp_power.cache_clear()
+
+    def test_cancelling_pieces_fall_back_to_quadrature(self, monkeypatch):
+        # an err above rel_tol of the value sends the integral to adaptive quadrature
+        g = Profile([(1, 0, 1), (-2, 2, 0)])
+        closed = norms._closed_lp_power(g, 3, 0.5, 1.0)
+        rel = closed.error_estimate / closed.value
+        assert norms._lp_power(g, 3.0, 0.5, 1.0, 2 * rel) is closed
+        assert norms._lp_power(g, 3.0, 0.5, 1.0, rel / 2) is norms._weighted_lp_power(
+            g, 3.0, 0.5, 1.0, rel / 2)
+
+    def test_every_quadrature_is_a_fallback(self, capsys, corpus, monkeypatch):
+        # every integer-p Hardy, boundary, order-0 definition and p = 3 route integral is closed
+        # form, and integrate_1d runs only where the closed form fell back: an uncertified scan,
+        # or pieces that cancel past rel_tol
+        from radsob import cli
+
+        real_weighted, inside = norms._weighted_lp_power, []
+        fallbacks = []
+
+        def weighted(g, p, gamma, upper, rel_tol):
+            if p == int(p) and not inside:
+                closed = norms._closed_lp_power(g, int(p), gamma, upper)
+                assert closed is None or not closed.error_estimate <= rel_tol * abs(closed.value)
+                fallbacks.append((g, p, gamma, upper))
+            inside.append(1)
+            try:
+                return real_weighted(g, p, gamma, upper, rel_tol)
+            finally:
+                inside.pop()
+
+        def guarded(name):
+            real = getattr(norms, name)
+
+            def call(*args, **kwargs):
+                assert inside, f"{name} outside a fallback"
+                return real(*args, **kwargs)
+
+            return call
+
+        norms._weighted_lp_power.cache_clear()
+        monkeypatch.setattr(norms, "_weighted_lp_power", weighted)
+        for name in ("integrate_1d", "integrate_power_weight"):
+            monkeypatch.setattr(norms, name, guarded(name))
+        assert cli.main(["verify", "hardy"]) == 0
+        hardy_fallbacks = len(set(fallbacks))
+        capsys.readouterr()
+        equivalence_report(corpus, 3, 0, 3.0, 1.0)
+        equivalence_report(corpus, 3, 2, 3.0, 1.0, method="monte-carlo", samples=50)
+        boundedness_report(corpus, 3, 0, 3.0, 1.0)
+        # the Hardy grid's 2 640 integrals mostly take the closed form
+        assert hardy_fallbacks < 2640 // 10
+        real_weighted.cache_clear()
+
+    def test_zero_profile_and_non_decaying_half_line(self):
+        assert norms._lp_power(Profile([]), 3.0, 0.5, math.inf, 1e-12).value == 0.0
+        with pytest.raises(ValueError, match="decaying"):
+            norms._lp_power(ONE, 3.0, 0.5, math.inf, 1e-12)

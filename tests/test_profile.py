@@ -63,6 +63,20 @@ class TestDerivative:
     def test_rho2(self):
         assert RHO2.derivative() == Profile([(2, 1, 0)])
 
+    def test_each_derivative_is_computed_once(self):
+        f = Profile([(3, 4, 2), (-1, 2, Fraction(1, 2))])
+        assert f.derivative(2) is f.derivative(2)
+        assert Profile(f.terms).derivative(2) is f.derivative(2)  # equal profiles share it
+        ft = SquaredProfile(f.terms)
+        assert ft.derivative(2) == SquaredProfile(f.terms).derivative(2) != f.derivative(2)
+        with pytest.raises(ValueError):
+            f.derivative(-1)
+
+    def test_hash_is_taken_once(self):
+        f = Profile([(3, 4, 2), (-1, 2, Fraction(1, 2))])
+        assert hash(f) == hash(Profile(f.terms)) != hash(SquaredProfile(f.terms))
+        assert f._hash == hash(f)
+
     def test_exp_squared_third(self):
         ft = SquaredProfile([(1, 0, 1)])
         assert ft.derivative(3) == SquaredProfile([(-1, 0, 1)])

@@ -442,6 +442,66 @@ class TestRadialMoment:
             radial_moment(gauss, gauss, 2, r)
 
 
+class TestGaussMoment:
+    """The one moment kernel: int_0^r x^(s-1) exp(-b x^q) dx at real s and q in {1, 2}."""
+
+    @staticmethod
+    def reference(s, b, r, q):
+        with mpmath.workdps(40):
+            a, rate = mpmath.mpf(s) / q, mpmath.mpf(b.numerator) / b.denominator
+            if not b:
+                return mpmath.mpf(r) ** s / s
+            upper = mpmath.inf if math.isinf(r) else rate * mpmath.mpf(r) ** q
+            return mpmath.gammainc(a, 0, upper) / (q * rate**a)
+
+    def test_matches_mpmath_within_bound(self):
+        rng = random.Random(11)
+        for case in range(400):
+            q = rng.choice([1, 2])
+            s = rng.choice([rng.uniform(0.05, 60.0), rng.randrange(1, 40), rng.randrange(1, 80) / 2])
+            b = Fraction(rng.choice([0, 1, 2, 3, 4, 6, 9]), rng.choice([1, 2, 3, 7]))
+            r = rng.choice([0.3, 0.5, 1.0, 1.7, 2.0, 3.3, 8.0] + ([math.inf] if b else []))
+            value, rel = quad._gauss_moment(s, b, r, q)
+            want = self.reference(s, b, r, q)
+            assert abs(mpmath.mpf(value) - want) <= rel * want, (case, s, b, r, q)
+            assert rel <= 1e-13
+
+    def test_rounded_exponent_within_bound(self):
+        # s_err covers a rounded sum s: the value is within its bound of the moment at s + ds
+        rng = random.Random(12)
+        for case in range(200):
+            q = rng.choice([1, 2])
+            s = rng.uniform(0.05, 40.0)
+            ds = s * 1e-9 * rng.uniform(-1.0, 1.0)
+            b = Fraction(rng.choice([1, 2, 3, 9]), rng.choice([1, 2, 7]))
+            r = rng.choice([0.01, 0.3, 1.0, 2.0, 8.0, math.inf])
+            value, rel = quad._gauss_moment(s, b, r, q, abs(ds))
+            with mpmath.workdps(40):
+                want = self.reference(mpmath.mpf(s) + mpmath.mpf(ds), b, r, q)
+                assert abs(mpmath.mpf(value) - want) <= rel * want, (case, s, b, r, q)
+
+    def test_float_rate_is_the_fraction(self):
+        for args in [(3, 1.0), (7.5, 1.5), (4.25, 0.5)]:
+            s, b = args
+            for r in (0.5, 2.0, math.inf):
+                for q in (1, 2):
+                    assert quad._gauss_moment(s, b, r, q) == quad._gauss_moment.__wrapped__(
+                        s, Fraction(b), r, q)
+
+    def test_overflowing_radius_gives_inf_or_the_full_integral(self):
+        # b r^2 beyond the float range is the complete integral; r^s beyond it is inf
+        full = quad._gauss_moment(3, Fraction(1), math.inf)[0]
+        assert quad._gauss_moment(3, Fraction(1), 1e300)[0] == full
+        assert quad._gauss_moment(3, Fraction(0), 1e300)[0] == math.inf
+        assert quad._gauss_moment(400.5, Fraction(1, 2), math.inf)[0] == math.inf
+        value, err = radial_moment(Profile([(1, 0, 0), (-1, 2, 0)]), Profile([(1, 0, 0)]), 2, 1e300)
+        assert math.isnan(value) and not math.isfinite(err)
+
+    def test_non_decaying_half_line_rejected(self):
+        with pytest.raises(ValueError, match="decaying"):
+            quad._gauss_moment(2.5, Fraction(0), math.inf, 1)
+
+
 class TestSphereMomentRatio:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_float_moment(self, d):
