@@ -1526,12 +1526,11 @@ class TestErrCoversTrueError:
             assert abs(mpmath.mpf(closed.value) - mpmath.mpf(ref)) <= closed.error_estimate
             assert abs(mpmath.mpf(adaptive.value) - mpmath.mpf(ref)) <= adaptive.error_estimate
 
-    @pytest.mark.parametrize(
-        "label, route, j, p, r, s, ref, sign_changes",
-        [row for row in ERR_REFS if row[3] == int(row[3]) and row[1] != "def"],
-        ids=map(err_row_id, [row for row in ERR_REFS if row[3] == int(row[3]) and row[1] != "def"]),
-    )
-    def test_closed_form_within_err_on_the_audit_rows(self, label, route, j, p, r, s, ref, sign_changes):
+    INTEGER_P_ROWS = [row for row in ERR_REFS if row[3] == int(row[3]) and row[1] != "def"]
+
+    @pytest.mark.parametrize("row", INTEGER_P_ROWS, ids=map(err_row_id, INTEGER_P_ROWS))
+    def test_closed_form_within_err_on_the_audit_rows(self, row):
+        label, route, j, p, r, s, ref, _ = row
         g, p, gamma, upper = err_route_integral(label, route, j, p, r, s)
         res = norms._closed_lp_power(g, int(p), gamma, upper)
         with mpmath.workdps(50):
@@ -1541,8 +1540,8 @@ class TestErrCoversTrueError:
 def _mp_lp_power(g, p, gamma, upper, points):
     """int_0^upper x^gamma |g(x)|^p at 40 digits, split at the given interior points."""
     with mpmath.workdps(40):
-        terms = [(mpmath.mpf(c.numerator) / c.denominator, a, mpmath.mpf(b.numerator) / b.denominator)
-                 for c, a, b in g.terms]
+        terms = [(mpmath.mpf(c.numerator) / c.denominator, a,
+                  mpmath.mpf(b.numerator) / b.denominator) for c, a, b in g.terms]
 
         def integrand(x):
             v = mpmath.fsum(c * x**a * mpmath.exp(-b * x**g._q) for c, a, b in terms)
@@ -1566,8 +1565,10 @@ class TestClosedForm:
                 continue
             ft = to_squared(f)
             for s in (-1.0 / (2 * p), 0.0, 0.5, 1.0, 3.0):
-                for g, gamma, upper in [(f, p * s, r), (f.derivative(), p * (s + 1.0), r),
-                                        (ft, p * s, r * r), (ft.derivative(), p * (s + 1.0), r * r)]:
+                for g, gamma, upper in [
+                    (f, p * s, r), (f.derivative(), p * (s + 1.0), r),
+                    (ft, p * s, r * r), (ft.derivative(), p * (s + 1.0), r * r),
+                ]:
                     closed = norms._closed_lp_power(g, p, gamma, upper)
                     assert closed is not None, (entry.label, s)
                     adaptive = norms._weighted_lp_power(g, float(p), gamma, upper, 1e-12)

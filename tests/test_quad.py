@@ -458,7 +458,9 @@ class TestGaussMoment:
         rng = random.Random(11)
         for case in range(400):
             q = rng.choice([1, 2])
-            s = rng.choice([rng.uniform(0.05, 60.0), rng.randrange(1, 40), rng.randrange(1, 80) / 2])
+            s = rng.choice(
+                [rng.uniform(0.05, 60.0), rng.randrange(1, 40), rng.randrange(1, 80) / 2]
+            )
             b = Fraction(rng.choice([0, 1, 2, 3, 4, 6, 9]), rng.choice([1, 2, 3, 7]))
             r = rng.choice([0.3, 0.5, 1.0, 1.7, 2.0, 3.3, 8.0] + ([math.inf] if b else []))
             value, rel = quad._gauss_moment(s, b, r, q)
