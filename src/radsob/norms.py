@@ -250,19 +250,20 @@ class _TermTable(NamedTuple):
 
     Each (power, rate) pair of either list is a column, and ``coef`` holds f1's
     coefficients in its first row and f2's in its second (zero where a list has no such
-    term).  A coefficient is within ``coef_rounding`` eps of its row times its entry of
-    ``size``, the sum of the absolute contributions merged into it.  ``sum_rounding`` is
-    n + 5 for a row of n terms, and ``rate_max`` its largest rate.
+    term).  A coefficient is within a few eps (its row's rounding) of its entry of
+    ``size``, the sum of the absolute contributions merged into it, so ``bound_coef`` is
+    at least the absolute value of the exact coefficient.  ``rounding`` is, per row, n + 5
+    for its n terms plus that coefficient rounding, and ``rate_max`` its largest rate.
     """
 
     coef: np.ndarray  # (2, columns)
     size: np.ndarray
+    bound_coef: np.ndarray
     powers: np.ndarray  # (distinct powers, 1), and the row of each column's power in it
     power_of: np.ndarray
     rates: np.ndarray  # likewise for the rates
     rate_of: np.ndarray
-    coef_rounding: np.ndarray  # (2, 1)
-    sum_rounding: np.ndarray
+    rounding: np.ndarray  # (2, 1)
     rate_max: np.ndarray
     q: int
 
@@ -278,34 +279,32 @@ class _TermTable(NamedTuple):
         A term c x^a e^(-b x^q) rounds to within (4 + 1.5 b x^q) eps of itself (the
         exponent's 1.5 eps relative error grows by b x^q in exp), and the sum of n terms
         adds n eps / 2 of their absolute sum; with the coefficients' own rounding the
-        bound is (n + 5 + coef_rounding + 2 b_max x^q) eps times the sizes' sum.
+        bound is (``rounding`` + 2 b_max x^q) eps times the sizes' sum.
         """
         terms = self.columns(x, x)
-        factor = self.sum_rounding + self.coef_rounding + 2.0 * self.rate_max * x**self.q
+        factor = self.rounding + 2.0 * self.rate_max * (x * x if self.q == 2 else x)
         return self.coef @ terms, _EPS * factor * (self.size @ terms)
 
     def bounds(self, lo, hi):
         """sum |c| hi^a exp(-b lo^q) per row, c the exact coefficients: a bound of |f1| and of
         |f2| over each [lo, hi]."""
-        exact = np.abs(self.coef) + _EPS * self.coef_rounding * self.size
-        return exact @ self.columns(hi, lo)
+        return self.bound_coef @ self.columns(hi, lo)
 
 
 def _term_table(f1: dict, f2: dict, coef_rounding: tuple[float, float], q: int) -> _TermTable:
     """The _TermTable of the terms {(a, b): (c, size)} f1 and f2, with the rounding of each
     row's coefficients in eps of their sizes."""
     keys = sorted({*f1, *f2})
-    coef = np.array([[f.get(key, (0.0, 0.0))[0] for key in keys] for f in (f1, f2)])
-    size = np.array([[f.get(key, (0.0, 0.0))[1] for key in keys] for f in (f1, f2)])
+    coef, size = np.array(
+        [[[f.get(key, (0.0, 0.0))[i] for key in keys] for f in (f1, f2)] for i in (0, 1)]
+    ).reshape(2, 2, -1)
+    rounding = np.array([[len(f1) + 5.0 + coef_rounding[0]], [len(f2) + 5.0 + coef_rounding[1]]])
     powers, power_of = np.unique(np.array([a for a, _ in keys], dtype=float), return_inverse=True)
     rates, rate_of = np.unique(np.array([b for _, b in keys], dtype=float), return_inverse=True)
     return _TermTable(
-        coef.reshape(2, -1), size.reshape(2, -1),
-        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of,
-        np.array(coef_rounding).reshape(2, 1),
-        np.array([[len(f1) + 5.0], [len(f2) + 5.0]]),
-        np.array([[max((b for _, b in f), default=0.0)] for f in (f1, f2)]),
-        q,
+        coef, size, np.abs(coef) + _EPS * np.array(coef_rounding).reshape(2, 1) * size,
+        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of, rounding,
+        np.array([[max((b for _, b in f), default=0.0)] for f in (f1, f2)]), q,
     )
 
 
@@ -392,15 +391,18 @@ def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
         free = np.abs(v_mid) - noises[0] > half * bound1
         mono = np.abs(d_mid) - noises[1] > half * bound2
         cross = mono & ~free & (np.sign(v_lo) * np.sign(v_hi) < 0)
-        brackets += zip(lo[cross].tolist(), hi[cross].tolist(), v_lo[cross].tolist())
+        if cross.any():
+            brackets += zip(lo[cross].tolist(), hi[cross].tolist(), v_lo[cross].tolist())
         split = ~(free | mono)
-        if not split.any():
+        open_cells = np.count_nonzero(split)
+        if not open_cells:
             return zeros, brackets
-        if 2 * np.count_nonzero(split) > _SCAN_MAX_CELLS:
+        if 2 * open_cells > _SCAN_MAX_CELLS:
             return None
         lo, mid, hi = lo[split], mid[split], hi[split]
         v_lo, v_mid, v_hi = v_lo[split], v_mid[split], v_hi[split]
-        zeros += mid[v_mid == 0].tolist()
+        if not v_mid.all():
+            zeros += mid[v_mid == 0].tolist()
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         v_lo, v_hi = np.concatenate((v_lo, v_mid)), np.concatenate((v_mid, v_hi))
         mid = 0.5 * (lo + hi)
