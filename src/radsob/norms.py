@@ -1037,18 +1037,22 @@ def _route_triple(
     """The def, D and squared routes of f(|x|) in R^d over the given derivative orders."""
 
     def squared() -> NormValue:
-        r_squared = r * r
-        if math.isinf(r_squared) and math.isfinite(r) and not f.decays:
-            # over (0, r^2) where r^2 overflows, a profile without decay cannot be integrated in
-            # floats; one that decays has vanished long before, and its half-line value is its value
+        if _square_overflows(f, r):
             return NormValue(math.nan, math.inf)
-        return _profile_squared_detail(to_squared(f), d, orders, p, r_squared, aggregation, rel_tol)
+        return _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, rel_tol)
 
     return LpDetail(
         _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, rel_tol),
         _profile_d_detail(f, d, orders, p, r, aggregation, rel_tol),
         squared(),
     )
+
+
+def _square_overflows(f, r: float) -> bool:
+    """Whether the squared route of f over (0, r^2) cannot be taken in floats: r is finite
+    but r^2 overflows, and f does not decay.  One that decays has vanished long before r^2,
+    and its half-line value (r^2 = inf) is its value."""
+    return math.isinf(r * r) and math.isfinite(r) and not f.decays
 
 
 def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDetail:

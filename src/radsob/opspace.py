@@ -9,6 +9,7 @@ interval norms stay in a bounded, refinement-stable interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,11 +17,13 @@ from .norms import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     NormReport,
+    NormValue,
     _ball_def_detail,
     _check_domain,
     _converged_values,
     _corpus_table,
     _profile_squared_detail,
+    _square_overflows,
 )
 from .profile import CorpusEntry, RadialField, SquaredProfile, from_squared, to_squared
 
@@ -97,7 +100,10 @@ def boundedness_report(
         if extend(ft, d) != field:
             raise AssertionError(f"trace/extend round trip failed for {entry.label}")
         v_field = _ball_def_detail(field, range(k + 1), p, r, method, seed, samples, tol)
-        v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)
+        if _square_overflows(ft, r):
+            v_trace = NormValue(math.nan, math.inf)
+        else:
+            v_trace = _profile_squared_detail(ft, d, range(k + 1), p, r * r, "p-power", tol)
         return [("field", method, v_field), ("trace", "exact-angular", v_trace)]
 
     pairs = [("trace/field", "trace", "field", 1), ("field/trace", "field", "trace", 1)]

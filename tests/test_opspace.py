@@ -65,6 +65,16 @@ class TestBoundedness:
             assert abs(lo_c - lo_f) <= 1e-6 * abs(lo_f)
             assert abs(hi_c - hi_f) <= 1e-6 * abs(hi_f)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_radius_whose_square_overflows_is_flagged(self, corpus, p):
+        # r^2 = inf: a profile without decay is flagged, one that decays keeps its norms
+        report = boundedness_report(corpus[:4], 3, 0, p, 1e300)
+        assert report.degenerate == [{"label": "one", "reason": "non-finite norm"},
+                                     {"label": "rho2", "reason": "non-finite norm"}]
+        halfline = boundedness_report(corpus[2:4], 3, 0, p, math.inf)
+        for got, want in zip(report.entries[4:], halfline.entries, strict=True):
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+
     def test_zero_profile_excluded(self):
         from radsob.profile import CorpusEntry
 
