@@ -14,12 +14,12 @@ all of space, with decaying profiles):
 * ``squared``  -- weighted 1D norms of derivatives of the squared-argument
                   profile, on (0, r^2).
 
-At p = 2 both 1D routes are closed-form radial moments.  At the other
-integer p they are closed form too: between the certified sign changes of
-the profile, |g|^p = +-g^p stays in the term class, and each piece is a
-difference of lower incomplete gamma functions.  Where the sign changes are
-not certified or the difference cancels past tol, and at fractional p, they
-use adaptive quadrature.
+At every integer p up to 8 both 1D routes are closed form: between the
+certified sign changes of the profile (none are needed at even p), |g|^p =
++-g^p stays in the term class, and each piece is a difference of lower
+incomplete gamma functions.  Where the sign changes are not certified or the
+difference cancels past tol (never at p = 2), and at fractional p, they use
+adaptive quadrature.
 
 The module also provides weighted Hardy-type inequality checks with the
 explicit constants p/(ps+1) and 2^(p-1)(s+1)^p, boundary-value estimates,
@@ -47,9 +47,7 @@ from .derivcalc import (
     forward_terms,
 )
 from .indexpoly import MonomialPoly, enumerate_multi
-from .profile import (
-    CorpusEntry, Profile, RadialField, SquaredProfile, d_op, from_squared, to_squared
-)
+from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
 from .quad import (
     QuadResult,
     QuadratureConvergenceError,
@@ -169,10 +167,6 @@ def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
     return c * 2 ** max(p - 1.0, 0.0), power, rate
 
 
-def _is_even_power(p: float) -> bool:
-    return p == int(p) and int(p) % 2 == 0
-
-
 _ROOT_XTOL = 1e-15
 _ROOT_RTOL = 4 * _EPS
 _ROOT_MAXITER = 100
@@ -250,10 +244,10 @@ class _TermTable(NamedTuple):
 
     Each (power, rate) pair of either list is a column, and ``coef`` holds f1's
     coefficients in its first row and f2's in its second (zero where a list has no such
-    term).  A coefficient is within a few eps (its row's rounding) of its entry of
-    ``size``, the sum of the absolute contributions merged into it, so ``bound_coef`` is
-    at least the absolute value of the exact coefficient.  ``rounding`` is, per row, n + 5
-    for its n terms plus that coefficient rounding, and ``rate_max`` its largest rate.
+    term).  A coefficient is the float of an exact one, or the float sum of those whose rates
+    round to one float, within eps of its entry of ``size``, the sum of their absolute
+    values; so ``bound_coef`` is at least the absolute value of the exact coefficient.
+    ``rounding`` is, per row, n + 6 for its n terms, and ``rate_max`` its largest rate.
     """
 
     coef: np.ndarray  # (2, columns)
@@ -291,70 +285,60 @@ class _TermTable(NamedTuple):
         return self.bound_coef @ self.columns(hi, lo)
 
 
-def _term_table(f1: dict, f2: dict, coef_rounding: tuple[float, float], q: int) -> _TermTable:
-    """The _TermTable of the terms {(a, b): (c, size)} f1 and f2, with the rounding of each
-    row's coefficients in eps of their sizes."""
-    keys = sorted({*f1, *f2})
-    coef, size = np.array(
-        [[[f.get(key, (0.0, 0.0))[i] for key in keys] for f in (f1, f2)] for i in (0, 1)]
-    ).reshape(2, 2, -1)
-    rounding = np.array([[len(f1) + 5.0 + coef_rounding[0]], [len(f2) + 5.0 + coef_rounding[1]]])
-    powers, power_of = np.unique(np.array([a for a, _ in keys], dtype=float), return_inverse=True)
-    rates, rate_of = np.unique(np.array([b for _, b in keys], dtype=float), return_inverse=True)
-    return _TermTable(
-        coef, size, np.abs(coef) + _EPS * np.array(coef_rounding).reshape(2, 1) * size,
-        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of, rounding,
-        np.array([[max((b for _, b in f), default=0.0)] for f in (f1, f2)]), q,
-    )
-
-
-def _derivative_terms(terms: dict, q: int) -> dict:
-    """The derivative of the terms {(a, b): (c, size)} in floats, each coefficient merged
-    from c a x^(a-1) e^(-b x^q) and -q b c x^(a+q-1) e^(-b x^q) of the terms, with its size.
-    The products and the merging add at most 2 eps of the size to each coefficient."""
+def _rounded_terms(f) -> dict:
+    """The terms of f as {(a, b): (c, size)} in floats, c merged from the terms whose rates
+    round to one float b, and size the sum of their absolute values."""
     out: dict = {}
-    for (a, b), (c, size) in terms.items():
-        for key, factor in (((a - 1, b), a), ((a + q - 1, b), -q * b)):
-            if factor:
-                c0, s0 = out.get(key, (0.0, 0.0))
-                out[key] = (c0 + factor * c, s0 + abs(factor) * size)
+    for c, a, b in f.terms:  # not f._float_terms(), which would keep the floats on f
+        key, c = (a, float(b)), float(c)
+        c0, s0 = out.get(key, (0.0, 0.0))
+        out[key] = (c0 + c, s0 + abs(c))
     return out
 
 
+def _term_table(f1, f2) -> _TermTable:
+    """The _TermTable of the exact term lists f1 and f2."""
+    rows = _rounded_terms(f1), _rounded_terms(f2)
+    keys = sorted({*rows[0], *rows[1]})
+    coef, size = np.array(
+        [[[f.get(key, (0.0, 0.0))[i] for key in keys] for f in rows] for i in (0, 1)]
+    ).reshape(2, 2, -1)
+    powers, power_of = np.unique(np.array([a for a, _ in keys], dtype=float), return_inverse=True)
+    rates, rate_of = np.unique(np.array([b for _, b in keys], dtype=float), return_inverse=True)
+    return _TermTable(
+        coef, size, np.abs(coef) + _EPS * size,
+        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of,
+        np.array([[len(f) + 6.0] for f in rows]),
+        np.array([[max((b for _, b in f), default=0.0)] for f in rows]), f1._q,
+    )
+
+
 @lru_cache(maxsize=64)
-def _factored(prof) -> tuple[int, _TermTable, _TermTable]:
-    """(m, (g, g'), (g', g'')): the smallest power m of prof, and the ``_TermTable`` of
-    g = prof / x^m and g', which the scan evaluates, and of g' and g'', which it bounds.
+def _factored(prof) -> tuple[int, object, _TermTable, _TermTable]:
+    """(m, g, (g, g'), (g', g'')): the smallest power m of prof, g = prof / x^m, and the
+    ``_TermTable`` of g and g', which the scan evaluates, and of g' and g'', which it bounds.
 
     g has the interior roots of prof and none at 0, where prof's zero of order m would keep
-    the cells next to 0 from ever being certified.  The derivatives are taken in floats,
-    their coefficients' rounding counted in the tables.
+    the cells next to 0 from ever being certified.  Its derivatives are the exact, memoised
+    ``derivative`` of the term algebra, converted to floats once.
     """
     m = min(a for _, a, _ in prof.terms)
-    g: dict = {}
-    for c, a, b in prof._float_terms():  # two rates may round to one float
-        c0, s0 = g.get((a - m, b), (0.0, 0.0))
-        g[a - m, b] = (c0 + c, s0 + abs(c))
-    g1 = _derivative_terms(g, prof._q)
-    g2 = _derivative_terms(g1, prof._q)
-    return m, _term_table(g, g1, (1.0, 3.0), prof._q), _term_table(g1, g2, (3.0, 5.0), prof._q)
+    g = type(prof)([(c, a - m, b) for c, a, b in prof.terms]) if m else prof
+    g1, g2 = g.derivative(), g.derivative(2)
+    return m, g, _term_table(g, g1), _term_table(g1, g2)
 
 
 def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _bracket_root(prof, shift: int, lo: float, hi: float, v_lo: float) -> float:
-    """The one root in (lo, hi) of prof, where g = prof / x^shift (with the same interior
-    roots) is monotone and the scan found g(lo), of sign v_lo, and g(hi) to differ in sign.
+def _bracket_root(prof, m: int, g, lo: float, hi: float, v_lo: float) -> float:
+    """The one root in (lo, hi) of prof, where g = prof / x^m (``_factored``) is monotone
+    and the scan found g(lo), of sign v_lo, and g(hi) to differ in sign.
 
     The root is prof's own, from ``prof.eval``, wherever its ends do not share a sign (an
     end where prof is exactly zero is the root); otherwise, where prof underflows, it is g's."""
-    def shifted():
-        return type(prof)([(c, a - shift, b) for c, a, b in prof.terms]) if shift else prof
-
-    if lo == 0.0 and shift:
-        g = shifted()
+    if lo == 0.0 and m:
         # prof vanishes at 0: halve toward the root until the bracket leaves 0
         for _ in range(64):
             mid = 0.5 * hi
@@ -368,7 +352,7 @@ def _bracket_root(prof, shift: int, lo: float, hi: float, v_lo: float) -> float:
     try:
         return _brent_root(prof.eval, lo, hi)
     except ValueError:  # prof's ends share a sign: it underflows there
-        return _brent_root(shifted().eval, lo, hi)
+        return _brent_root(g.eval, lo, hi)
 
 
 def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
@@ -435,12 +419,12 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
         return ()  # terms of one sign: their sum keeps it on (0, inf)
     with np.errstate(all="ignore"):
         try:
-            m, curve, slope = _factored(prof)
+            m, g, curve, slope = _factored(prof)
             found = _scan_cells(curve, slope, upper)
             if found is None:
                 return None
             zeros, brackets = found
-            roots = zeros + [_bracket_root(prof, m, *bracket) for bracket in brackets]
+            roots = zeros + [_bracket_root(prof, m, g, *bracket) for bracket in brackets]
         except (OverflowError, RuntimeError, ValueError):
             # a coefficient beyond the float range, or a root search that did not converge
             return None
@@ -496,7 +480,7 @@ def _weighted_lp_power(
         scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0),
                     _TINY)
         abs_tol = rel_tol * scale
-        kinks = () if _is_even_power(p) else _sign_changes(prof, upper) or ()
+        kinks = () if p % 2 == 0 else _sign_changes(prof, upper) or ()
         edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
         total = err = 0.0
         panels = 0
@@ -806,7 +790,7 @@ def _root_window(prof, x: float) -> tuple[float, float, int] | None:
     |g'| >= least > 0 and |g'| <= lip, and |g(x)| plus its rounding is at most least delta.
     None when that least slope or delta <= w cannot be shown.
     """
-    m, curve, slope = _factored(prof)
+    m, _, curve, slope = _factored(prof)
     w = 2.0**-26 * x
     with np.errstate(all="ignore"):
         (value, d_value), (noise, d_noise) = curve.values(np.array([x]))
@@ -831,18 +815,19 @@ def _scan_cut(g, p: int, extra_power: int, tol: float) -> tuple[float, float]:
 def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None:
     """Integral of x^gamma |g(x)|^p over (0, upper) in closed form, for an integer p >= 1.
 
-    ``upper`` may be inf.  Between consecutive sign changes of g (none are needed at even p)
-    |g|^p = +-g^p, and each term c x^a e^(-b x^q) of the exact power g^p integrates over a
-    piece (lo, hi) to c (G(hi) - G(lo)), G the ``_gauss_moment`` kernel at s = gamma + a + 1.
-    A piece takes the sign of g at its midpoint.  err adds the kernel's bounds, the rounding
-    of the coefficient conversions, differences, products and sums (with an absolute 2^-1074
-    each where they underflow), and for each sign change the integral over the strip
-    between it and the true one (``_root_window``), twice.  A decaying g at odd p is scanned
-    for sign changes only up to the power of 2^(1/4) at or past the truncation point T of
-    ``_halfline_cut``, with the signed integral's eps as its tolerance, and err then adds
-    twice the tail bound past T.  None when the sign changes are not certified
-    (``_sign_changes``) or a value is not finite.  Memoised, as the Hardy and boundary
-    checks take the same integrals.
+    ``upper`` may be inf.  Between consecutive sign changes of g (none are needed at even
+    p) |g|^p = +-g^p, and each term c x^a e^(-b x^q) of the exact power g^p integrates over
+    a piece (lo, hi) to c (G(hi) - G(lo)), G the ``_gauss_moment`` kernel at s = gamma + a +
+    1; a ``SquaredProfile`` (q = 1) is integrated in s itself, so no root of a squared
+    radius is taken.  A piece takes the sign of g at its midpoint.  err adds the kernel's
+    bounds, the rounding of the coefficient conversions, differences, products and sums
+    (with an absolute 2^-1074 each where they underflow), and for each sign change the
+    integral over the strip between it and the true one (``_root_window``), twice.  A
+    decaying g at odd p is scanned for sign changes only up to the power of 2^(1/4) at or
+    past the truncation point T of ``_halfline_cut``, with the signed integral's eps as its
+    tolerance, and err then adds twice the tail bound past T.  None, at odd p only, when
+    the sign changes are not certified (``_sign_changes``) or a value is not finite.
+    Memoised, as the Hardy and boundary checks take the same integrals.
     """
     q = g._q
     terms = _power_terms(g, p)
@@ -912,34 +897,20 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
 def _lp_power(g, p: float, gamma: float, upper: float, rel_tol: float) -> QuadResult:
     """Integral of x^gamma |g(x)|^p over (0, upper), upper may be inf: one route piece.
 
-    At p = 2 with a whole rho exponent it is a radial moment with its rounding bound (never
-    unconverged, whatever rel_tol): gamma an integer for a Profile, and for a
-    SquaredProfile 2 gamma + 1 an integer, as s = rho^2 turns the integral of s^gamma
-    g(s)^2 over (0, upper) into twice that of rho^(2 gamma + 1) g(rho^2)^2 over (0,
-    sqrt(upper)).  At any other integer p <= _CLOSED_FORM_MAX_P, or a fractional gamma, it
-    is ``_closed_lp_power``, taken when its err is at most rel_tol of its value.  Where the
-    sign changes are not certified or the pieces cancel past that, and at fractional p, it
-    is the adaptive ``_weighted_lp_power``.  Both are memoised, so the Hardy and boundary
-    checks share their integrals.
+    At an integer p <= _CLOSED_FORM_MAX_P it is ``_closed_lp_power``, taken at p = 2 as it
+    is (a rounding bound, whatever rel_tol) and at any other p when its err is at most
+    rel_tol of its value.  Where the sign changes are not certified or the pieces cancel
+    past that, and at fractional p, it is the adaptive ``_weighted_lp_power``.  Both are
+    memoised, so the Hardy and boundary checks share their integrals.
     """
     if g.is_zero:
         return QuadResult(0.0, 0.0, 0, True)
     if math.isinf(upper) and not g.decays:
         raise ValueError("half-line integration requires a decaying profile")
-    if p == 2 and isinstance(g, SquaredProfile) and float(2 * gamma).is_integer():
-        r = math.sqrt(upper)
-        # the rounded root stands for the exact one unless its square is upper exactly
-        exact = math.isinf(r) or Fraction(r) ** 2 == Fraction(upper)
-        h = from_squared(g)
-        value, err = radial_moment(h, h, int(2 * gamma + 1), r, 0.0 if exact else _EPS / 2)
-        return QuadResult(2 * value, 2 * err, 0, True)
-    if p == 2 and isinstance(g, Profile) and gamma == int(gamma) >= 0:
-        value, err = radial_moment(g, g, int(gamma), upper)
-        return QuadResult(value, err, 0, True)
     if p == int(p) and p <= _CLOSED_FORM_MAX_P:
         res = _closed_lp_power(g, int(p), gamma, upper)
-        # an overflow (inf or NaN) falls back too: quadrature flags it as unconverged
-        if res is not None and res.error_estimate <= rel_tol * abs(res.value) < math.inf:
+        # at p != 2 an overflow (inf or NaN) falls back too: quadrature flags it as unconverged
+        if p == 2 or res is not None and res.error_estimate <= rel_tol * abs(res.value) < math.inf:
             return res
     return _weighted_lp_power(g, p, gamma, upper, rel_tol)
 

@@ -329,23 +329,22 @@ def _gauss_moment(
     return _pow(r, s) * math.exp(-x) / s * total, rel
 
 
-def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, float]:
+def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
     """Integral of rho^m g(rho) h(rho) over (0, r), in closed form; r may be inf.
 
-    ``g`` and ``h`` are term lists (``Profile``) of c rho^a exp(-b rho^2)
-    and ``m >= 0`` is an integer.  Each pair of terms is integrated on its
-    own, without forming the product list: with s = m + a1 + a2 + 1 and
-    b = b1 + b2 it contributes c1 c2 times ``_gauss_moment(s, b, r)``, which is
-    gamma(s/2, b r^2) / (2 b^(s/2)), or Gamma(s/2) / (2 b^(s/2)) when r = inf,
-    or r^s / s when b = 0.  An r that is not > 0 or a non-decaying half-line
-    pair raises ValueError; a radius whose powers overflow gives inf or NaN.
+    The radial factor of the p = 2 quadratic forms, which pair two radial
+    derivations g and h.  ``g`` and ``h`` are term lists (``Profile``) of
+    c rho^a exp(-b rho^2) and ``m >= 0`` is an integer.  Each pair of terms
+    is integrated on its own, without forming the product list: with s = m +
+    a1 + a2 + 1 and b = b1 + b2 it contributes c1 c2 times
+    ``_gauss_moment(s, b, r)``, which is gamma(s/2, b r^2) / (2 b^(s/2)), or
+    Gamma(s/2) / (2 b^(s/2)) when r = inf, or r^s / s when b = 0.  An r
+    that is not > 0 or a non-decaying half-line pair raises ValueError; a
+    radius whose powers overflow gives inf or NaN.
 
     Returns (value, err): err bounds the rounding error of value, each
     contribution's relative bound (a few eps, growing with s and b r^2)
-    times its absolute value, summed.  ``r_rel`` bounds the relative error
-    of r itself, when r stands for a radius it only approximates; it moves
-    a contribution by at most s r_rel of it (to first order), since
-    r^s exp(-b r^2) / s is at most its integral.
+    times its absolute value, summed.
     """
     if not r > 0:
         raise ValueError(f"need r > 0 or r = inf, got {r}")
@@ -360,7 +359,7 @@ def radial_moment(g, h, m: int, r: float, r_rel: float = 0.0) -> tuple[float, fl
             part = f1 * f2 * moment
             parts.append(part)
             # coefficient conversions, products and the final rounded sum
-            err += abs(part) * (rel + 3 * _EPS + s * r_rel)
+            err += abs(part) * (rel + 3 * _EPS)
     return _fsum(parts), err
 
 

@@ -481,12 +481,18 @@ class TestPinnedOutputs:
     their values moved by at most 9.7e-15 relative, each within the combined
     err, their errs rose from at most 2.3e-13 to at most 2.8e-12 of the value
     (a rounding bound in place of a quadrature estimate), the ratio bounds
-    moved in the last digits, and the ``def`` entries stayed identical.
+    moved in the last digits, and the ``def`` entries stayed identical.  The
+    first was re-taken when the p = 2 ``D`` and squared pieces came to be taken
+    by the one integer-p closed form (the exact power g^2, and the squared
+    pieces in s itself): their values moved by at most 9.9e-16 relative, each
+    within 0.004 of the combined err, their errs by 0.69 to 1.25 times, the
+    ratio bounds moved in the last digits (by at most 9.8e-16 relative), and
+    the ``def`` entries, params and degenerate list stayed identical.
     """
 
     PINS = [
         (["equiv", "--dim", "4", "--k", "2", "--radius", "inf"],
-         "869bb623a3e95fe58790bf1215461c7ffa6b744b10038c70d9d3f71cca99907b"),
+         "9dcdb902803c2427698f8a2a1513981d9793646006829f7155caa23d79920b1d"),
         (["corot", "--dim", "3", "--k", "2"],
          "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1"),
         (["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
@@ -718,6 +724,11 @@ class TestExactPathWithoutNumpy:
     ARGV = [
         ["equiv", "--dim", "3", "--k", "2"],
         ["equiv", "--dim", "3", "--k", "1", "--radius", "inf"],
+        ["equiv", "--dim", "4", "--k", "2", "--radius", "inf"],
+        # a squared radius that is no float square, one that overflows, and a tol no sum meets
+        ["equiv", "--dim", "3", "--k", "2", "--radius", "1.1"],
+        ["equiv", "--dim", "3", "--k", "2", "--radius", "1e300"],
+        ["equiv", "--dim", "2", "--k", "1", "--tol", "1e-30"],
         ["corot", "--dim", "2", "--k", "2"],
         ["gram", "--dim", "5", "--order", "8"],
         ["moments", "--dim", "3", "--order", "4"],

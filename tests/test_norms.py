@@ -553,8 +553,8 @@ class TestProfileRoutes:
 
     @pytest.mark.parametrize("route", ["D", "squared"])
     def test_weight_exponents_are_rounded_once(self, route, monkeypatch):
-        # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded; p = 2
-        # is a radial moment (test_p2_weight_exponents_are_exact)
+        # gamma is d - 1 + j p (D) or (d - 2 + j p) / 2 (squared), correctly rounded; at p = 2
+        # it is exact (test_p2_weight_exponents_are_exact)
         seen = []
 
         def spy(prof, p, gamma, upper, rel_tol):
@@ -578,35 +578,40 @@ class TestProfileRoutes:
 
     @pytest.mark.parametrize("route", ["D", "squared"])
     def test_p2_weight_exponents_are_exact(self, route, monkeypatch):
-        # at p = 2 piece j is the radial moment of a profile squared against rho^(d-1+2j), on
-        # (0, r) for both routes: the squared route's s = rho^2 turns (0, r^2) into (0, r)
+        # at p = 2 piece j is the closed form at the exact weight exponent d - 1 + 2j (D) or
+        # (d - 2 + 2j) / 2 (squared), on (0, r) or (0, r^2): the squared route integrates in s
         seen = []
 
-        def spy(g, h, m, r, r_rel=0.0):
-            seen.append((type(m), m, r, r_rel))
-            return 1.0, 0.0
+        def spy(g, p, gamma, upper):
+            seen.append((p, type(gamma), gamma, upper))
+            return QuadResult(1.0, 0.0, 0, True)
 
         monkeypatch.setattr(norms, "_weighted_lp_power", None)  # no quadrature at p = 2
-        monkeypatch.setattr(norms, "radial_moment", spy)
+        monkeypatch.setattr(norms, "_closed_lp_power", spy)
         for d in range(2, 7):
             for j in range(5):
                 for r in (0.5, 1.1, 3.0, math.inf):
                     if route == "D":
                         _profile_d_detail(GAUSS, d, [j], 2.0, r, "p-power", 1e-10)
+                        want = (2, float, float(d - 1 + 2 * j), r)
                     else:
                         ft = to_squared(GAUSS)
                         _profile_squared_detail(ft, d, [j], 2.0, r * r, "p-power", 1e-10)
-                    # 1.1^2 is no float: its rounded root stands for the radius of (0, 1.1 * 1.1)
-                    r_rel = 2.0**-53 if route == "squared" and r == 1.1 else 0.0
-                    assert seen.pop() == (int, d - 1 + 2 * j, r, r_rel), (d, j, r)
+                        want = (2, float, float((d - 2 + 2 * j) / 2), r * r)
+                    assert seen.pop() == want, (d, j, r)
 
     def test_p2_squared_radius_that_is_no_float_square(self, monkeypatch):
-        # r^2 = 2 has no float root: the moment is taken at the rounded root, and its err
-        # carries s eps / 2 of each term pair, s = m + a1 + a2 + 1 (here 3 for the pair's b > 0)
+        # r^2 = 2 has no float root: the squared piece is taken on (0, 2.0) itself, no root of it
+        seen = []
+        real = norms._closed_lp_power
+
+        def spy(g, p, gamma, upper):
+            seen.append(upper)
+            return real(g, p, gamma, upper)
+
+        monkeypatch.setattr(norms, "_closed_lp_power", spy)
         exact = norms._lp_power(to_squared(GAUSS), 2.0, 0.5, 2.0, 1e-10)
-        value, err = quad.radial_moment(GAUSS, GAUSS, 2, math.sqrt(2.0))
-        assert exact.value == 2 * value
-        assert exact.error_estimate == pytest.approx(2 * (err + 3 * value * 2.0**-53), rel=1e-12)
+        assert seen == [2.0]
         want = float(mpmath.quad(lambda s: mpmath.sqrt(s) * mpmath.exp(-2 * s), [0, 2]))
         assert abs(exact.value - want) <= exact.error_estimate
 
@@ -1207,6 +1212,19 @@ class TestClosedFormRoute:
                 assert _profile_d_detail(f, 3, range(3), 2.0, r, "p-power", 1e-10).converged
                 assert _profile_squared_detail(ft, 3, range(3), 2.0, r * r, "p-power", 1e-10).converged
 
+    def test_p2_inequality_integrals_never_fall_back(self, corpus, monkeypatch):
+        # at p = 2 the closed form is taken whatever tol, fractional weight exponents included
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a p = 2 integral fell back to quadrature")
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", forbidden)
+        for entry in corpus:
+            f = entry.profile
+            for s in (-0.25, 0.0, 0.5):
+                for r in (1.0, math.inf) if f.decays else (1.0,):
+                    assert hardy_check(f, 2.0, r, s, tol=1e-30).converged
+                assert boundary_check(f, 2.0, 1.0, s, tol=1e-30).converged
+
 
 class TestOverflow:
     BIG = Profile([(10**200, 0, 1)])
@@ -1420,6 +1438,11 @@ P2_ERR_REFS = [
     ("rho4_gauss2", "squared", 4, 0, math.inf, "0.263671875"),
     ("seed01", "squared", 4, 2, 1.0, "0.237936628833038086771457157909"),
     ("seed15", "squared", 4, 2, math.inf, "3.9199640721450617283950617284"),
+    # 1.1 * 1.1 is no float square: the squared pieces are integrated up to it in s itself
+    ("seed07", "D", 3, 0, 1.1, "0.0121282690331698192915880379454"),
+    ("seed09", "D", 3, 2, 1.1, "32.0981527129985869069975175868"),
+    ("seed05", "squared", 3, 0, 1.1, "0.0868396160574558654870673823921"),
+    ("seed18", "squared", 3, 2, 1.1, "0.292065658909906955255981512246"),
 ]
 
 
@@ -1490,7 +1513,7 @@ class TestErrCoversTrueError:
         for route in ("D", "squared"):
             assert {row[2:5] for row in P2_ERR_REFS if row[1] == route} == {
                 (d, j, r) for d in (3, 4) for j in (0, 2) for r in (1.0, math.inf)
-            }
+            } | {(3, j, 1.1) for j in (0, 2)}
 
     def test_rows_cover_p_r_and_kinks(self):
         assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
