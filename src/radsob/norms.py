@@ -71,6 +71,10 @@ _MC_COARSE_PANELS = 12
 # samples per block of the Monte Carlo samples x nodes grid: a block of 64 samples x 480 nodes
 # (240 KB) and its one temporary stay in a 2 MB L2 cache; 128 samples ran 2.5x slower
 _MC_SAMPLE_BLOCK = 64
+# samples per block of the two-summand expansion, whose arrays are samples x (p + 1): at p = 3
+# a block takes 128 KB, and its numpy calls stay few
+_MC_EXPANSION_BLOCK = 4096
+_MC_EXPANSION_MAX_P = 8
 _TINY = 1e-60
 _EPS = 2.0**-52
 
@@ -598,6 +602,97 @@ def _abs_pow(u: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.n
     return out
 
 
+def _expands(terms: Sequence, p: float) -> bool:
+    """Whether ``_mc_integrals`` sums this d^alpha f by the two-summand expansion.
+
+    Beyond p = 8 the expansion's cancellation, which grows like 2^p, is left to the grid.
+    """
+    return len(terms) == 2 and p == int(p) and p <= _MC_EXPANSION_MAX_P
+
+
+def _compensated_prefix(c: np.ndarray) -> np.ndarray:
+    """The prefix sums along the last axis of c, from 0 to the total, each within about 1 ulp.
+
+    np.cumsum adds in order, so Knuth's TwoSum recovers the rounding error of each addition
+    exactly, and their running sum corrects the prefix sums.
+    """
+    out = np.zeros((*c.shape[:-1], c.shape[-1] + 1))
+    s = np.cumsum(c, axis=-1, out=out[..., 1:])
+    prev = out[..., :-1]
+    back = s - prev
+    lost = (prev - (s - back)) + (c - back)
+    out[..., 1:] += np.cumsum(lost, axis=-1)
+    return out
+
+
+def _diamond(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The diamond angle of (x, y) in (-2, 2]: increasing with atan2(y, x), and up by exactly 1
+    in a quarter turn.  It is NaN at (0, 0)."""
+    t = y / (np.abs(x) + np.abs(y))
+    return np.where(np.signbit(x), np.copysign(2.0, y) - t, t)
+
+
+def _expansion_sums(
+    V: np.ndarray, a: np.ndarray, b: np.ndarray, wt: np.ndarray, p: int
+) -> np.ndarray:
+    """Per-sample sums over the nodes of wt_n |v1 a_n + v2 b_n|^p, (v1, v2) the rows of V.
+
+    At integer p, |U|^p = sign(U) U^p and U^p = sum_j C(p, j) v1^(p-j) v2^j a^(p-j) b^j, so a
+    sample needs only the node sums X_j of the p + 1 coefficients C(p, j) wt a^(p-j) b^j, which
+    Horner's rule in v2, with the powers of v1 alongside, combines.  At even p the sign is +1 on
+    every node.  At odd p, U > 0 on the nodes whose direction lies within a quarter turn of the
+    sample's.  With the nodes sorted by diamond angle those form one window of prefix sums,
+    found by two binary searches, and X_j = 2 window - total.  A sample whose v1 has its sign bit
+    set is taken negated, as |U|^p is even in (v1, v2): its angle then lies in [-1, 1] and its
+    window within [-2, 2].  Samples go in blocks, so memory does not grow with their number, and
+    no block size changes a sample's value.  ``_mc_rounding`` bounds the rounding.
+    """
+    j = np.arange(p + 1)[:, None]
+    binom = np.array([[math.comb(p, i)] for i in range(p + 1)], dtype=float)
+    coef = binom * wt * a ** (p - j) * b**j  # (p + 1) x nodes
+    odd = p % 2 == 1
+    if odd:
+        angle = _diamond(a, b)
+        order = np.argsort(angle, kind="stable")
+        angle = angle[order]
+        prefix = _compensated_prefix(coef[:, order])
+        total = prefix[:, -1:]
+    else:
+        total = _compensated_prefix(coef)[:, -1:]
+    acc = np.empty(len(V))
+    for lo in range(0, len(V), _MC_EXPANSION_BLOCK):
+        x, y = V[lo : lo + _MC_EXPANSION_BLOCK].T
+        sums = total
+        if odd:
+            x, y = np.abs(x), y * np.copysign(1.0, x)
+            phi = y / (x + np.abs(y))  # the diamond angle, as x >= 0
+            # a node on the window's edge has U = 0 up to the rounding _mc_rounding bounds
+            sums = np.take(prefix, np.searchsorted(angle, phi + 1.0), axis=1)
+            sums -= np.take(prefix, np.searchsorted(angle, phi - 1.0), axis=1)
+            sums *= 2.0
+            sums -= total
+        # sum_j X_j x^(p-j) y^j by Horner's rule from j = p down
+        out = np.empty(len(x))
+        out[:] = sums[p]
+        x_pow = np.ones(len(x))
+        term = np.empty(len(x))
+        for i in range(p - 1, -1, -1):
+            out *= y
+            x_pow *= x
+            out += np.multiply(sums[i], x_pow, out=term)
+        acc[lo : lo + _MC_EXPANSION_BLOCK] = out
+    return acc
+
+
+def _mc_columns(
+    terms, nodes: np.ndarray, weights: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The radial columns rho^deg_t g_t(rho) at the nodes, one row per summand, and the weights
+    times rho^(d-1)."""
+    S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
+    return S, weights * nodes ** (d - 1)
+
+
 def _mc_integrals(
     terms: Sequence[tuple[MonomialPoly, Profile, int]],
     pts: np.ndarray,
@@ -609,19 +704,21 @@ def _mc_integrals(
     """Per-sample radial integrals of rho^(d-1) |sum_t rho^deg_t g_t(rho) poly_t(omega)|^p.
 
     ``terms`` are the (poly_t, g_t, deg_t) and ``pts`` the sample directions omega.  One
-    summand factors into one Gauss sum of |rho^deg g(rho)|^p times |poly(omega)|^p.  Otherwise
-    the samples x nodes grid is summed in blocks of samples, so memory does not grow with their
-    number.  The result does not depend on the block size (two or more): no block has one
-    sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
+    summand factors into one Gauss sum of |rho^deg g(rho)|^p times |poly(omega)|^p.  Two
+    summands at integer p up to 8 take ``_expansion_sums``, in O(samples + nodes) sums.
+    Otherwise the samples x nodes grid is summed in blocks of samples, so memory does not grow
+    with their number.  The result does not depend on the block size (two or more): no block
+    has one sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
     differently), and einsum, unlike gemv, sums every row alike.
     """
     # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
     with np.errstate(over="ignore", invalid="ignore"):
-        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
-        wt = weights * nodes ** (d - 1)
+        S, wt = _mc_columns(terms, nodes, weights, d)
         if len(terms) == 1:
             return float(wt @ _abs_pow(S[0], p)) * _abs_pow(terms[0][0].eval_many(pts), p)
         V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
+        if _expands(terms, p):
+            return _expansion_sums(V, *S, wt, int(p))
         acc = np.empty(len(V))
         # one buffer for every block and one for its |.|^p: a block of 64 samples x 480 nodes
         # (240 KB) lies above glibc's mmap threshold, and allocated afresh for each block it
@@ -633,6 +730,33 @@ def _mc_integrals(
             U = np.matmul(V[lo:hi], S, out=block[: hi - lo])
             acc[lo:hi] = np.einsum("bn,n->b", _abs_pow(U, p, scratch[: hi - lo]), wt)
         return acc
+
+
+def _mc_rounding(
+    terms: Sequence[tuple[MonomialPoly, Profile, int]],
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    d: int,
+    p: float,
+) -> float:
+    """A bound on the rounding of every sample's sum by ``_expansion_sums``, 0 for the others.
+
+    A sample's sum is off by at most 4 (p + 8) eps |v|^p sum_n wt_n |(a_n, b_n)|^p.  By
+    Cauchy-Schwarz |v|^p |(a, b)|^p bounds (|v1 a| + |v2 b|)^p, the size of every term the
+    coefficients, the compensated prefix sums, the window differences and Horner's rule add; they
+    round to at most (5 p / 2 + 11) eps of it.  A node whose sign the diamond angles put on the
+    wrong side lies within 8 eps of the window's edge in angle, so there |U| <= 8 eps |v| |(a,
+    b)|, and counting its |U|^p with the wrong sign costs at most 16 eps of its size.  On the
+    unit sphere each |v_t| is at most the absolute coefficient sum of poly_t, so the bound holds
+    for every sample without evaluating one.
+    """
+    if not _expands(terms, p):
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a, b), wt = _mc_columns(terms, nodes, weights, d)
+        size = float(wt @ np.hypot(a, b) ** p)
+    v_max = math.hypot(*(float(sum(map(abs, poly.coeffs.values()))) for poly, _, _ in terms))
+    return 4 * (p + 8) * _EPS * size * v_max**p
 
 
 @lru_cache(maxsize=1)
@@ -688,6 +812,7 @@ def _ball_def_mc(
         acc_alpha = _mc_integrals(terms, pts, *fine, d, p)
         acc_coarse = _mc_integrals(terms, pts, *coarse, d, p)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
+        quad_err += _mc_rounding(terms, *fine, d, p)
         acc += acc_alpha
 
     area = sphere_area(d)

@@ -1,10 +1,11 @@
 """Extended-precision references for the err audit of ``norms._weighted_lp_power``.
 
 Each row of ``tests/test_norms.py::ERR_REFS`` (and of ``KINK_ERR_REFS``, the integer-p
-Hardy integrals with sign changes that the closed form integrates piecewise) names one integral over a
-builtin corpus profile in d = 3: a D- or squared-route integral, one of the
-two integrals of the Hardy and boundary checks, or the p-th power of a k = 0
-definition-route norm, whose reference is the norm itself.  Each row of
+Hardy integrals with sign changes that the closed form integrates piecewise, and of
+``SCAN_FALLBACK_ERR_REFS``, on profiles whose sign changes the scan cannot certify) names one
+integral over a builtin corpus profile (or one of ``SCAN_FALLBACK_PROFILES``) in d = 3: a D-
+or squared-route integral, one of the two integrals of the Hardy and boundary checks, or the
+p-th power of a k = 0 definition-route norm, whose reference is the norm itself.  Each row of
 ``P2_ERR_REFS`` names one p = 2 D- or squared-route integral in d = 3 or 4,
 which radsob takes in closed form.  This script
 recomputes its reference with mpmath at 50 digits, independently of radsob's
@@ -27,7 +28,9 @@ import mpmath
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_norms import ERR_D, ERR_REFS, KINK_ERR_REFS, P2_ERR_REFS, err_route_integral  # noqa: E402
+from test_norms import (  # noqa: E402
+    ERR_D, ERR_REFS, KINK_ERR_REFS, P2_ERR_REFS, SCAN_FALLBACK_ERR_REFS, err_route_integral,
+)
 
 DIGITS = 50
 SCAN_CELLS = 4000
@@ -103,7 +106,9 @@ def reference(prof, p: float, gamma: float, upper: float, norm: bool = False) ->
 
 
 def main() -> None:
-    for table, s_text in ((ERR_REFS, repr), (KINK_ERR_REFS, lambda s: "KINK_S")):
+    for table, s_text in (
+        (ERR_REFS, repr), (KINK_ERR_REFS, lambda s: "KINK_S"), (SCAN_FALLBACK_ERR_REFS, repr)
+    ):
         for label, route, j, p, r, s, _, _ in table:
             ref, n_roots = reference(*err_route_integral(label, route, j, p, r, s), norm=route == "def")
             r_text = "math.inf" if math.isinf(r) else repr(r)

@@ -313,7 +313,8 @@ class TestBallDefinition:
 
 class TestFactoredMonteCarlo:
     """One kernel per alpha and rule: a one-summand d^alpha f integrates as |poly(w)|^p times
-    one sample-free Gauss sum; a multi-summand one sums the samples x nodes grid in blocks of
+    one sample-free Gauss sum; a two-summand one at integer p up to 8 sums the expansion of
+    U^p over nodes sorted by direction; any other sums the samples x nodes grid in blocks of
     samples."""
 
     CASES = [(3, 1), (3, 2), (5, 2)]
@@ -359,13 +360,15 @@ class TestFactoredMonteCarlo:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("r", [1.0, math.inf])
-    @pytest.mark.parametrize("d, n", CASES)
+    @pytest.mark.parametrize("d, n", [*CASES, (3, 4)])
     def test_only_multi_summand_alphas_reach_the_kernel_with_samples(
-        self, corpus, monkeypatch, d, n, r
+        self, corpus, monkeypatch, d, n, r, p
     ):
-        """Each alpha gets one kernel call per rule and on the half-line scale panel, and only
-        a multi-summand one sums the samples x nodes grid, in blocks of samples."""
+        """Each alpha gets one kernel call per rule and on the half-line scale panel.  A
+        one-summand alpha sums no samples x nodes grid, nor does a two-summand one at integer p;
+        the others sum it in blocks of samples."""
         calls, blocks = [], []
         real_kernel, real_einsum = norms._mc_integrals, np.einsum
 
@@ -380,21 +383,24 @@ class TestFactoredMonteCarlo:
         monkeypatch.setattr(norms, "_mc_integrals", kernel)
         monkeypatch.setattr(np, "einsum", einsum)
         entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
+        if n == 4:
+            entries = entries[:4]
         alphas = 0
         for entry in entries:
-            norms._ball_def_mc(RadialField(d, entry.profile), [n], 3.0, r, 1, self.SAMPLES)
+            norms._ball_def_mc(RadialField(d, entry.profile), [n], p, r, 1, self.SAMPLES)
             alphas += len(self.alpha_terms(entry.profile, d, n))
         assert len(calls) == (3 if math.isinf(r) else 2) * alphas
         for i, (count, nodes) in enumerate(calls):
             shapes = [shape for call, shape in blocks if call == i]
-            if count == 1:
+            if count == 1 or (count == 2 and p == int(p)):
                 assert shapes == []
             else:
                 assert sum(rows for rows, _ in shapes) == self.SAMPLES
                 assert all(rows <= norms._MC_SAMPLE_BLOCK and cols == nodes for rows, cols in shapes)
                 assert len(shapes) > 1
-        # alpha = (2, 0, ...) has two summands from n = 2 on
+        # alpha = (2, 0, ...) has two summands from n = 2 on, and (4, 0, ...) three at n = 4
         assert any(count > 1 for count, _ in calls) == (n >= 2)
+        assert any(count > 2 for count, _ in calls) == (n >= 4)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("d, n", CASES[1:])
@@ -434,6 +440,84 @@ class TestFactoredMonteCarlo:
             assert rel_diff(nv.value, ref.value) <= 1e-14, entry.label
             assert rel_diff(nv.mc_se, ref.mc_se) <= 1e-10, entry.label
 
+    @staticmethod
+    def rounding_bound(V, a, b, wt, p):
+        """The bound of norms._mc_rounding at each sample's own |v|, on columns given directly."""
+        size = wt @ np.hypot(a, b) ** p
+        return 4 * (p + 8) * norms._EPS * size * np.hypot(V[:, 0], V[:, 1]) ** p
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("d, n", [(3, 2), (5, 2), (3, 3), (5, 3)])
+    def test_expansion_matches_the_full_kernel(self, corpus, d, n, p):
+        # each sample within the rounding bound at its own |v| of the grid, which takes |U|^p
+        # node by node; the sample means, which the estimator sums, within 1e-14 relative
+        pts = SphereSampler(d, 11, self.SAMPLES).points
+        checked = 0
+        for entry in corpus:
+            for terms in self.alpha_terms(entry.profile, d, n):
+                if len(terms) != 2:
+                    continue
+                for rule in self.RULES:
+                    got = norms._mc_integrals(terms, pts, *rule, d, p)
+                    want = self.unfactored(terms, pts, *rule, d, p)
+                    V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
+                    (a, b), wt = norms._mc_columns(terms, *rule, d)
+                    bound = self.rounding_bound(V, a, b, wt, p)
+                    assert np.all(np.abs(got - want) <= bound), entry.label
+                    assert rel_diff(got.mean(), want.mean()) <= 1e-14, entry.label
+                    # the err term bounds every sample's, and stays far below a Monte Carlo error
+                    err_term = norms._mc_rounding(terms, *rule, d, p)
+                    assert bound.max() <= err_term <= 1e-8 * want.mean()
+                checked += 1
+        assert checked > 0
+
+    def test_only_the_expansion_has_a_rounding_bound(self):
+        for n, p in ((1, 3.0), (2, 1.5), (2, 3.0), (2, 9.0), (4, 3.0)):
+            for terms in self.alpha_terms(GAUSS, 3, n):
+                bound = norms._mc_rounding(terms, *self.RULES[0], 3, p)
+                assert (bound > 0) == (len(terms) == 2 and p == 3.0)
+
+    # nodes with a = b = 0, with b = 0 (a of either sign, b = -0.0 too), with a = 0, and two
+    # in the same direction; samples on an axis (v1 or v2 zero, of either sign) or at 0, and
+    # samples orthogonal to a node, where U = 0 lies on the edge of the sign window
+    EDGE_A = np.array([0.0, 1.5, -2.0, -3.0, 0.0, 0.7, 1.4, -0.3, 2.0])
+    EDGE_B = np.array([0.0, 0.0, 0.0, -0.0, -1.0, 0.2, 0.4, 1.1, -0.5])
+    EDGE_WT = np.linspace(0.1, 0.9, 9)
+    EDGE_V = np.array([
+        [0.0, 1.0], [0.0, -1.0], [-0.0, 1.0], [-0.0, -1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, -0.0],
+        [-1.0, -0.0], [0.0, 0.0], [-0.0, -0.0], [0.2, -0.7], [-0.2, 0.7], [0.5, 2.0],
+        [-1.1, -0.3], [0.3, 1.4], [2.0, 0.3], [0.4, 1.6],
+    ])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_expansion_edge_cases(self, monkeypatch, p):
+        a, b, wt, V = self.EDGE_A, self.EDGE_B, self.EDGE_WT, self.EDGE_V
+        want = np.abs(V @ np.stack([a, b])) ** p @ wt
+        with np.errstate(invalid="ignore"):  # the direction of the zero sample is 0 / 0
+            got = norms._expansion_sums(V, a, b, wt, p)
+        assert np.all(np.abs(got - want) <= self.rounding_bound(V, a, b, wt, p))
+        assert got[8] == got[9] == 0.0
+        # the same values at any block size
+        monkeypatch.setattr(norms, "_MC_EXPANSION_BLOCK", 3)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(norms._expansion_sums(V, a, b, wt, p), got)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_column_makes_every_sample_non_finite(self, p, bad):
+        a = self.EDGE_A.copy()
+        a[5] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = norms._expansion_sums(self.EDGE_V, a, self.EDGE_B, self.EDGE_WT, p)
+        assert not np.isfinite(got).any()
+
+    def test_overflowing_profile_is_flagged(self):
+        # (1e200 e^(-rho^2))^3 overflows: the d = 3, k = 2, p = 3 table flags the profile
+        corpus = [CorpusEntry("big", Profile([(10**200, 0, 1)]))]
+        with np.errstate(all="raise"):
+            report = equivalence_report(corpus, 3, 2, 3.0, 1.0, "monte-carlo", samples=200)
+        assert report.degenerate == [{"label": "big", "reason": "non-finite norm"}]
+
     def test_peak_memory_does_not_grow_with_the_samples(self):
         # d^2 f of rho^4 exp(-2 rho^2) has multi-summand alphas; the nodes x samples grid of
         # one rule at 40 000 samples alone would take 154 MB
@@ -446,6 +530,52 @@ class TestFactoredMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestMonteCarloZScores:
+    """The Monte Carlo standard error is calibrated: over 20 seeds, z = (MC - reference) / SE
+    behaves as a standard normal.  With a right SE, the share of |z| <= 2 falls below 0.8 (16 of
+    20) with probability 0.0017, and mean z^2, a chi-square with 20 degrees of freedom over 20,
+    leaves [0.27, 2.37] with probability 0.001.  The seeds are fixed, so the test is
+    deterministic; the bands say how unlikely a failure is on correct code."""
+
+    SEEDS = range(1, 21)
+    SAMPLES = 400
+    SHARE_BAND = (0.8, 1.0)
+    MEAN_SQUARE_BAND = (0.27, 2.37)
+
+    def assert_standard_normal(self, z):
+        z = np.array(z)
+        assert len(z) == len(self.SEEDS)
+        share = float(np.mean(np.abs(z) <= 2))
+        assert self.SHARE_BAND[0] <= share <= self.SHARE_BAND[1], z
+        assert self.MEAN_SQUARE_BAND[0] <= float(np.mean(z**2)) <= self.MEAN_SQUARE_BAND[1], z
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_even_p_against_exact_angular(self, corpus, k):
+        # at p = 2 every two-summand alpha takes the even branch of the expansion
+        field = RadialField(3, {e.label: e.profile for e in corpus}["seed04"])
+        exact = _ball_def_detail(field, range(k + 1), 2.0, 1.0, "exact-angular", 0, 0, 1e-10)
+        z = []
+        for seed in self.SEEDS:
+            mc = _ball_def_detail(
+                field, range(k + 1), 2.0, 1.0, "monte-carlo", seed, self.SAMPLES, 1e-10
+            )
+            z.append((mc.value - exact.value) / mc.mc_se)
+        self.assert_standard_normal(z)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_odd_p_seed_against_seed(self, corpus, k):
+        # at p = 3 no exact reference exists: two independent seeds, with their combined SE
+        field = RadialField(3, {e.label: e.profile for e in corpus}["seed04"])
+        z = []
+        for seed in self.SEEDS:
+            a, b = (
+                _ball_def_detail(field, range(k + 1), 3.0, 1.0, "monte-carlo", s, self.SAMPLES, 1e-10)
+                for s in (2 * seed - 1, 2 * seed)
+            )
+            z.append((a.value - b.value) / math.hypot(a.mc_se, b.mc_se))
+        self.assert_standard_normal(z)
 
 
 class TestAbsPow:
@@ -1462,11 +1592,28 @@ KINK_ERR_REFS = [
 ]
 
 
+# profiles on which the sign-change scan gives up (norms._sign_changes returns None): a double
+# root, the same under a Gaussian, and two roots 5e-10 apart.  At integer p the closed form then
+# falls back to adaptive quadrature; rows as ERR_REFS
+SCAN_FALLBACK_PROFILES = {
+    "rho2m1_sq": Profile([(1, 4, 0), (-2, 2, 0), (1, 0, 0)]),
+    "rho2m1_sq_gauss": Profile([(1, 4, 1), (-2, 2, 1), (1, 0, 1)]),
+    "rho2m1_close_pair": Profile(
+        [(1, 4, 0), (-2 - Fraction(1, 10**9), 2, 0), (1 + Fraction(1, 10**9), 0, 0)]
+    ),
+}
+SCAN_FALLBACK_ERR_REFS = [
+    ("rho2m1_sq", "D", 0, 3.0, 2.0, None, "297.112132312132312132312132312", 0),
+    ("rho2m1_sq_gauss", "D", 0, 3.0, math.inf, None, "0.0290672950897223051559826344068", 0),
+    ("rho2m1_close_pair", "D", 0, 3.0, 2.0, None, "297.112131968302808439029947811", 0),
+]
+
+
 def err_route_integral(
     label: str, route: str, j: int, p: float, r: float, s: float | None, d: int = ERR_D
 ):
     """(g, p, gamma, upper) of one ERR_REFS row, with gamma as the code under audit rounds it."""
-    f = {e.label: e.profile for e in builtin_corpus()}[label]
+    f = {**{e.label: e.profile for e in builtin_corpus()}, **SCAN_FALLBACK_PROFILES}[label]
     if route == "D":
         return d_op(f, j), p, float(d - 1 + j * Fraction(p)), r
     if route == "squared":
@@ -1558,6 +1705,46 @@ class TestErrCoversTrueError:
         res = norms._closed_lp_power(g, int(p), gamma, upper)
         with mpmath.workdps(50):
             assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+
+
+class TestScanFallback:
+    """Where the sign-change scan gives up on a real profile, the integer-p closed form falls
+    back to adaptive quadrature, which converges to within its err of the reference."""
+
+    @pytest.mark.parametrize(
+        "label, route, j, p, r, s, ref, sign_changes", SCAN_FALLBACK_ERR_REFS,
+        ids=map(err_row_id, SCAN_FALLBACK_ERR_REFS),
+    )
+    def test_falls_back_to_quadrature_within_err(
+        self, monkeypatch, label, route, j, p, r, s, ref, sign_changes
+    ):
+        g, p, gamma, upper = err_route_integral(label, route, j, p, r, s)
+        if math.isfinite(upper):
+            assert norms._sign_changes(g, upper) is None
+        assert norms._closed_lp_power(g, int(p), gamma, upper) is None
+        calls = []
+        real = norms._weighted_lp_power
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(norms, "_weighted_lp_power", spy)
+        res = norms._lp_power(g, p, gamma, upper, 1e-10)
+        assert calls == [(g, p, gamma, upper, 1e-10)] and res.converged
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(res.value) - mpmath.mpf(ref)) <= res.error_estimate
+
+    def test_double_root_value_is_pinned(self):
+        # int_0^2 rho^2 (rho^2 - 1)^6, term by term: sum_i C(6, i) (-1)^i 2^(15 - 2i) / (15 - 2i)
+        exact = sum(
+            Fraction(math.comb(6, i) * (-1) ** i * 2 ** (2 * (6 - i) + 3), 2 * (6 - i) + 3)
+            for i in range(7)
+        )
+        res = norms._lp_power(SCAN_FALLBACK_PROFILES["rho2m1_sq"], 3.0, 2.0, 2.0, 1e-10)
+        assert res.value == pytest.approx(297.1121323121322, rel=1e-15)
+        assert abs(Fraction(res.value) - exact) <= res.error_estimate <= 1e-14 * exact
+        assert norms._sign_changes(SCAN_FALLBACK_PROFILES["rho2m1_sq"], 2.0) is None
 
 
 def _mp_lp_power(g, p, gamma, upper, points):
