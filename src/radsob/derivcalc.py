@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ._lazy import np
 from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi, multi_factorial
 from .profile import RadialField, d_op
-from .quad import sphere_area, sphere_moment_ratio
+from .quad import sphere_moment_ratio
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -148,8 +148,8 @@ class AngularMatrix:
     P_js[a] * P_js[b], divided by |S^(d-1)|, which makes it rational.  Then
 
         sum over the derivatives of int_{|x| < r} |d^alpha u|^2
-            = sum_{a,b} as_float[a][b] * int_0^r rho^(d-1+degrees[a]+degrees[b])
-                                          (D^js[a] f)(rho) (D^js[b] f)(rho) d rho.
+            = |S^(d-1)| sum_{a,b} entries[a][b] * int_0^r rho^(d-1+degrees[a]+degrees[b])
+                                                   (D^js[a] f)(rho) (D^js[b] f)(rho) d rho.
     """
 
     d: int
@@ -157,12 +157,6 @@ class AngularMatrix:
     js: tuple[int, ...]
     degrees: tuple[int, ...]
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @cached_property
-    def as_float(self) -> tuple[tuple[float, ...], ...]:
-        """The entries times |S^(d-1)|, in floating point."""
-        area = sphere_area(self.d)
-        return tuple(tuple(area * float(v) for v in row) for row in self.entries)
 
 
 def _orbits(d: int, n: int):

@@ -56,7 +56,6 @@ from .quad import (
     composite_nodes,
     integrate_1d,
     integrate_power_weight,
-    radial_moment,
     rough_scale,
     sphere_area,
     truncation_point,
@@ -371,13 +370,17 @@ def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
     lo, mid, hi = points[:-2:2], points[1::2], points[2::2]
     v_lo, v_mid, v_hi, d_mid = values[:-2:2], values[1::2], values[2::2], slopes[1::2]
     noises = noises[:, 1::2]
-    zeros = points[2:-2:2][values[2:-2:2] == 0].tolist()
+    # an edge of value 0 is a root where g differs in sign on either side, else it is stuck
+    at_zero, sides = values[2:-2:2] == 0, np.sign(values[1:-2:2]) * np.sign(values[3::2]) < 0
+    zeros, stuck = points[2:-2:2][at_zero & sides].tolist(), points[2:-2:2][at_zero & ~sides]
     brackets = []
     for _ in range(_SCAN_DEPTH):
         half = margin * 0.5 * (hi - lo)
         bound1, bound2 = slope.bounds(lo, hi)
         free = np.abs(v_mid) - noises[0] > half * bound1
         mono = np.abs(d_mid) - noises[1] > half * bound2
+        if stuck.size:
+            mono &= ~(np.isin(lo, stuck) | np.isin(hi, stuck))
         cross = mono & ~free & (np.sign(v_lo) * np.sign(v_hi) < 0)
         if cross.any():
             brackets += zip(lo[cross].tolist(), hi[cross].tolist(), v_lo[cross].tolist())
@@ -390,7 +393,9 @@ def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
         lo, mid, hi = lo[split], mid[split], hi[split]
         v_lo, v_mid, v_hi = v_lo[split], v_mid[split], v_hi[split]
         if not v_mid.all():
-            zeros += mid[v_mid == 0].tolist()
+            at_zero, sides = v_mid == 0, np.sign(v_lo) * np.sign(v_hi) < 0
+            zeros += mid[at_zero & sides].tolist()
+            stuck = np.concatenate((stuck, mid[at_zero & ~sides]))
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         v_lo, v_hi = np.concatenate((v_lo, v_mid)), np.concatenate((v_mid, v_hi))
         mid = 0.5 * (lo + hi)
@@ -412,9 +417,10 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
         terms of g', a bound on |g'| on the cell;
       * monotone, with at most one root, when |g'(mid)| > L2 h / 2, L2 built alike from g'';
     each left side net of its rounding bound (``_TermTable.values``).  A monotone cell whose
-    ends differ in sign holds one root, which ``_brent_root`` finds on prof; an end that is
-    exactly zero is a root itself (12 - 12 x^2 at x = 1, a grid point of (0, 2)).  Other
-    cells are bisected.  A cell unresolved after _SCAN_DEPTH bisections (at a double root,
+    ends differ in sign holds one root, which ``_brent_root`` finds on prof; a scan point where
+    g is exactly zero is a root where g differs in sign on either side (12 - 12 x^2 at x = 1, a
+    grid point of (0, 2)), else no cell ending there is monotone.  Other cells are bisected.
+    A cell unresolved after _SCAN_DEPTH bisections (at a double root,
     say), a non-finite value, or more than _SCAN_MAX_CELLS open cells make the result None.
     Each edge value is computed once and handed to both cells that share the edge, so a root
     within rounding of an edge counts once.  Terms of one sign need no scan.
@@ -528,31 +534,108 @@ def _scale_power(nv: NormValue, c: float, p: float) -> NormValue:
 
 
 # ---------------------------------------------------------------------------
+# Exact term sums and their closed-form moments
+# ---------------------------------------------------------------------------
+
+def _product_terms(products) -> tuple[tuple[float, int, float | Fraction], ...]:
+    """(c, a + 1, b) of each term c x^a e^(-b x^q) of the exact sum over ``products`` of the
+    product of each one's term lists, which all have one length.
+
+    The products are taken on integer numerators over common denominators of all coefficients
+    and of all rates, exact and far cheaper than products of Fractions.  c is then correctly
+    rounded to a float (+-inf beyond the float range), and b is a float where that is the rate
+    exactly, as the moment kernel's cache hashes it on every lookup.
+    """
+    factors = [terms for product in products for terms in product]
+    c_den = math.lcm(*(c.denominator for terms in factors for c, _, _ in terms))
+    b_den = math.lcm(*(b.denominator for terms in factors for _, _, b in terms))
+    sums: dict[tuple[int, int], int] = {}
+    for product in products:
+        total = {(0, 0): 1}
+        for terms in product:
+            base = [(c.numerator * c_den // c.denominator, a, b.numerator * b_den // b.denominator)
+                    for c, a, b in terms]
+            step: dict[tuple[int, int], int] = {}
+            for (a1, b1), c1 in total.items():
+                for c2, a2, b2 in base:
+                    key = (a1 + a2, b1 + b2)
+                    step[key] = step.get(key, 0) + c1 * c2
+            total = step
+        for key, c in total.items():
+            sums[key] = sums.get(key, 0) + c
+    scale = c_den ** len(products[0]) if products else 1
+    terms = []
+    for (a, b), c in sorted(sums.items()):
+        if c:
+            try:
+                c_float = c / scale
+            except OverflowError:
+                c_float = math.inf if c > 0 else -math.inf
+            rate = b / b_den
+            n, d = rate.as_integer_ratio()
+            terms.append((c_float, a + 1, rate if n * b_den == b * d else Fraction(b, b_den)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=64)
+def _power_terms(g, p: int) -> tuple[tuple[float, int, float | Fraction], ...]:
+    """(c, a + 1, b) of each term c x^a e^(-b x^q) of the exact power g^p."""
+    return _product_terms([(g.terms,) * p])
+
+
+def _moment_sum(terms, at_lo, at_hi, err: float) -> tuple[float, float]:
+    """sum c (G(hi) - G(lo)) over the terms (c, ., .) of a term sum, G(lo) and G(hi) the moment
+    kernel's (value, relative bound) of each term at the two ends, and err plus the kernel's
+    bounds and the rounding of the differences, products and sum (with an absolute 2^-1074 each
+    where they underflow)."""
+    parts = []
+    for (c, _, _), (v_lo, e_lo), (v_hi, e_hi) in zip(terms, at_lo, at_hi):
+        diff = v_hi - v_lo
+        part = c * diff
+        parts.append(part)
+        err += abs(c) * (abs(v_hi) * e_hi + abs(v_lo) * e_lo)
+        err += 2 * _EPS * abs(part) + 2.0**-1074 * (abs(diff) + 1.0)
+    total = _fsum(parts)
+    return total, err + _EPS * abs(total)
+
+
+def _pair_integral(pairs, r: float) -> tuple[float, float]:
+    """Integral of sum w rho^m g(rho) h(rho) over (0, r), r <= inf, and a bound on its rounding
+    error, over the (w, m, g, h) of ``pairs``: w an int or Fraction, m >= 0 an integer, g and h
+    term lists (``Profile``).
+
+    The sum is one exact term list (``_product_terms``), integrated term by term by
+    ``_moment_sum``.  An r that is not > 0 (a NaN radius would never end the incomplete-gamma
+    series) or a non-decaying term on the half-line raises ValueError; a radius whose powers
+    overflow gives inf or NaN.
+    """
+    if not r > 0:
+        raise ValueError(f"need r > 0 or r = inf, got {r}")
+    terms = _product_terms([([(w, m, 0)], g.terms, h.terms) for w, m, g, h in pairs])
+    at_r = [_gauss_moment(s, b, r) for _, s, b in terms]
+    return _moment_sum(terms, [(0.0, 0.0)] * len(terms), at_r, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # The d-dimensional definition route
 # ---------------------------------------------------------------------------
 
 def _form_square(mat: AngularMatrix, f: Profile, r: float) -> tuple[float, float]:
     """Squared L^2 norm over the ball (or space) of all derivatives of one order.
 
-    Evaluates the quadratic form of ``mat`` on the radial derivations D^j f
-    with closed-form radial moments; returns the value and a bound on its
-    rounding error.
+    |S^(d-1)| times the quadratic form of ``mat`` on the radial derivations D^j f, one exact
+    term sum (``_pair_integral``); returns the value and a bound on its rounding error.
     """
-    radial = [d_op(f, j) for j in mat.js]
-    weights = mat.as_float
-    parts = []
-    err = 0.0
-    for a in range(len(radial)):
-        for b in range(a, len(radial)):
-            w = weights[a][b] if a == b else 2.0 * weights[a][b]
-            if w == 0.0:
-                continue
-            m = mat.d - 1 + mat.degrees[a] + mat.degrees[b]
-            v, e = radial_moment(radial[a], radial[b], m, r)
-            parts.append(w * v)
-            # plus the rounding of the float angular entry (|S^(d-1)| included), the product and the sum
-            err += abs(w) * (e + 8 * _EPS * abs(v))
-    return _fsum(parts), err
+    d, radial = mat.d, [d_op(f, j) for j in mat.js]
+    pairs = [
+        ((2 - (a == b)) * mat.entries[a][b], d - 1 + mat.degrees[a] + mat.degrees[b],
+         radial[a], radial[b])
+        for a in range(len(radial)) for b in range(a, len(radial)) if mat.entries[a][b]
+    ]
+    value, err = _pair_integral(pairs, r)
+    area = sphere_area(d)
+    # pi^(d/2) carries d/4 + 1 eps, Gamma(d/2) 16 (as in quad._gauss_moment_full), / and * one
+    return area * value, area * (err + (0.25 * d + 18) * _EPS * abs(value))
 
 
 def _form_norm(
@@ -870,42 +953,6 @@ def sobolev_ball_definition(
 _CLOSED_FORM_MAX_P = 8
 
 
-@lru_cache(maxsize=64)
-def _power_terms(g, p: int) -> tuple[tuple[float, int, float | Fraction], ...]:
-    """(c, a + 1, b) of each term c x^a e^(-b x^q) of the exact power g^p.
-
-    The power is taken on integer numerators over common denominators of the
-    coefficients and of the rates, which is exact and far cheaper than products of
-    Fractions.  c is then correctly rounded to a float (+-inf beyond the float range),
-    and b is a float where that is the rate exactly, as the moment kernel's cache
-    hashes it on every lookup.
-    """
-    c_den = math.lcm(*(c.denominator for c, _, _ in g.terms))
-    b_den = math.lcm(*(b.denominator for _, _, b in g.terms))
-    base = [(c.numerator * (c_den // c.denominator), a, b.numerator * (b_den // b.denominator))
-            for c, a, b in g.terms]
-    power = {(a, b): c for c, a, b in base}
-    for _ in range(p - 1):
-        product: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in power.items():
-            for c2, a2, b2 in base:
-                key = (a1 + a2, b1 + b2)
-                product[key] = product.get(key, 0) + c1 * c2
-        power = product
-    scale = c_den**p
-    terms = []
-    for (a, b), c in sorted(power.items()):
-        if c:
-            try:
-                c_float = c / scale
-            except OverflowError:
-                c_float = math.inf if c > 0 else -math.inf
-            rate = b / b_den
-            n, d = rate.as_integer_ratio()
-            terms.append((c_float, a + 1, rate if n * b_den == b * d else Fraction(b, b_den)))
-    return tuple(terms)
-
-
 @lru_cache(maxsize=4096)
 def _root_window(prof, x: float) -> tuple[float, float, int] | None:
     """(delta, lip, m) at a computed sign change x of prof, or None.
@@ -944,10 +991,9 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
     p) |g|^p = +-g^p, and each term c x^a e^(-b x^q) of the exact power g^p integrates over
     a piece (lo, hi) to c (G(hi) - G(lo)), G the ``_gauss_moment`` kernel at s = gamma + a +
     1; a ``SquaredProfile`` (q = 1) is integrated in s itself, so no root of a squared
-    radius is taken.  A piece takes the sign of g at its midpoint.  err adds the kernel's
-    bounds, the rounding of the coefficient conversions, differences, products and sums
-    (with an absolute 2^-1074 each where they underflow), and for each sign change the
-    integral over the strip between it and the true one (``_root_window``), twice.  A
+    radius is taken.  A piece takes the sign of g at its midpoint.  err adds the bound of
+    ``_moment_sum`` on each piece, the rounding of the sum of the pieces, and for each sign
+    change the integral over the strip between it and the true one (``_root_window``), twice.  A
     decaying g at odd p is scanned for sign changes only up to the power of 2^(1/4) at or
     past the truncation point T of ``_halfline_cut``, with the signed integral's eps as its
     tolerance, and err then adds twice the tail bound past T.  None, at odd p only, when
@@ -998,16 +1044,8 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
     pieces = []
     err = 2 * tail
     for j, sign in enumerate(signs):
-        parts = []
-        for (c, _, _), (v_lo, e_lo), (v_hi, e_hi) in zip(terms, at_edges[j], at_edges[j + 1]):
-            diff = v_hi - v_lo
-            part = c * diff
-            parts.append(part)
-            err += abs(c) * (abs(v_hi) * e_hi + abs(v_lo) * e_lo)
-            err += 2 * _EPS * abs(part) + 2.0**-1074 * (abs(diff) + 1.0)
-        piece = _fsum(parts)
+        piece, err = _moment_sum(terms, at_edges[j], at_edges[j + 1], err)
         pieces.append(sign * piece)
-        err += _EPS * abs(piece)
     for x in roots:
         window = _root_window(g, x)
         if window is None:

@@ -4,10 +4,9 @@ Provides adaptive 1D quadrature on intervals (composite 15-node
 Gauss-Legendre panels with bisection refinement), rigorous truncation of
 half-line integrals from analytic envelopes, one closed-form moment kernel
 (the incomplete gamma integral of x^(s-1) exp(-b x^q), q = 1 or 2, with an
-explicit rounding bound) and the radial moments of products of
-Gaussian-type term lists built on it, exact
-surface areas and monomial moments of the unit sphere, and seeded uniform
-samples of the sphere for exponents without a closed angular form.
+explicit rounding bound), exact surface areas and monomial moments of the
+unit sphere, and seeded uniform samples of the sphere for exponents without
+a closed angular form.
 """
 
 from __future__ import annotations
@@ -327,40 +326,6 @@ def _gauss_moment(
     if s_err:
         rel += 2 * s_err * (abs(math.log(r)) + (1.0 / a + weighted / total) / q)
     return _pow(r, s) * math.exp(-x) / s * total, rel
-
-
-def radial_moment(g, h, m: int, r: float) -> tuple[float, float]:
-    """Integral of rho^m g(rho) h(rho) over (0, r), in closed form; r may be inf.
-
-    The radial factor of the p = 2 quadratic forms, which pair two radial
-    derivations g and h.  ``g`` and ``h`` are term lists (``Profile``) of
-    c rho^a exp(-b rho^2) and ``m >= 0`` is an integer.  Each pair of terms
-    is integrated on its own, without forming the product list: with s = m +
-    a1 + a2 + 1 and b = b1 + b2 it contributes c1 c2 times
-    ``_gauss_moment(s, b, r)``, which is gamma(s/2, b r^2) / (2 b^(s/2)), or
-    Gamma(s/2) / (2 b^(s/2)) when r = inf, or r^s / s when b = 0.  An r
-    that is not > 0 or a non-decaying half-line pair raises ValueError; a
-    radius whose powers overflow gives inf or NaN.
-
-    Returns (value, err): err bounds the rounding error of value, each
-    contribution's relative bound (a few eps, growing with s and b r^2)
-    times its absolute value, summed.
-    """
-    if not r > 0:
-        raise ValueError(f"need r > 0 or r = inf, got {r}")
-    parts = []
-    err = 0.0
-    h_terms = [(float(c), a, b) for c, a, b in h.terms]
-    for c1, a1, b1 in g.terms:
-        f1 = float(c1)
-        for f2, a2, b2 in h_terms:
-            s = m + a1 + a2 + 1
-            moment, rel = _gauss_moment(s, b1 + b2, r)
-            part = f1 * f2 * moment
-            parts.append(part)
-            # coefficient conversions, products and the final rounded sum
-            err += abs(part) * (rel + 3 * _EPS)
-    return _fsum(parts), err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ integral over a builtin corpus profile (or one of ``SCAN_FALLBACK_PROFILES``) in
 or squared-route integral, one of the two integrals of the Hardy and boundary checks, or the
 p-th power of a k = 0 definition-route norm, whose reference is the norm itself.  Each row of
 ``P2_ERR_REFS`` names one p = 2 D- or squared-route integral in d = 3 or 4,
-which radsob takes in closed form.  This script
+which radsob takes in closed form, and each row of ``FORM_ERR_REFS`` one p = 2
+quadratic form of the definition route or of the corotational norm: the exact
+rational entries A_ab of its angular matrix times |S^(d-1)| and the mpmath
+integrals of rho^(d-1+deg_a+deg_b) D^(j_a)f D^(j_b)f, one per pair.  This script
 recomputes its reference with mpmath at 50 digits, independently of radsob's
 quadrature and root finder: the integrand's sign changes are found on a scan
 grid offset from every rational point and refined by bisection, the integral
@@ -29,8 +32,11 @@ import mpmath
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_norms import (  # noqa: E402
-    ERR_D, ERR_REFS, KINK_ERR_REFS, P2_ERR_REFS, SCAN_FALLBACK_ERR_REFS, err_route_integral,
+    ERR_D, ERR_REFS, FORM_ERR_REFS, FORM_MATRICES, KINK_ERR_REFS, P2_ERR_REFS,
+    SCAN_FALLBACK_ERR_REFS, err_route_integral,
 )
+
+from radsob.profile import builtin_corpus, d_op  # noqa: E402
 
 DIGITS = 50
 SCAN_CELLS = 4000
@@ -93,6 +99,38 @@ def _norm(integral, p: float, digits: int):
         return (area * integral) ** (1 / mpmath.mpf(p))
 
 
+def _form(matrix: str, d: int, n: int, label: str, r: float, digits: int):
+    """|S^(d-1)| sum over a <= b of (2 - delta_ab) A_ab int_0^r rho^(d-1+deg_a+deg_b) D^(j_a)f
+    D^(j_b)f at ``digits`` digits, each pair by tanh-sinh on its own, split at powers of two."""
+    mat = FORM_MATRICES[matrix](d, n)
+    f = {e.label: e.profile for e in builtin_corpus()}[label]
+    with mpmath.workdps(digits):
+        radial = [[(_mp(c), a, _mp(b)) for c, a, b in d_op(f, j).terms] for j in mat.js]
+
+        def g(terms, x):
+            return mpmath.fsum(c * x**a * mpmath.exp(-b * x * x) for c, a, b in terms)
+
+        end = mpmath.mpf(r) if math.isfinite(r) else mpmath.inf
+        points = [mpmath.mpf(0), *(mpmath.mpf(2) ** i for i in range(-1, 6) if 2**i < r), end]
+        total = mpmath.mpf(0)
+        for a in range(len(radial)):
+            for b in range(a, len(radial)):
+                if not mat.entries[a][b]:
+                    continue
+                m = d - 1 + mat.degrees[a] + mat.degrees[b]
+                pair = mpmath.quad(lambda x: x**m * g(radial[a], x) * g(radial[b], x), points)
+                total += (2 - (a == b)) * _mp(mat.entries[a][b]) * pair
+        area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        return area * total
+
+
+def _agreed(value, check) -> str:
+    """``value`` to 30 digits, once the run at 15 more digits agrees far below them."""
+    if abs(value - check) > mpmath.mpf(10) ** -40 * abs(check):
+        raise RuntimeError(f"{DIGITS} and {DIGITS + 15} digits disagree: {value} against {check}")
+    return mpmath.nstr(value, 30)
+
+
 def reference(prof, p: float, gamma: float, upper: float, norm: bool = False) -> tuple[str, int]:
     """The integral of x^gamma |prof(x)|^p over (0, upper), or with ``norm`` its k = 0 norm in
     d = ERR_D, and the integrand's number of interior sign changes."""
@@ -100,9 +138,7 @@ def reference(prof, p: float, gamma: float, upper: float, norm: bool = False) ->
     check, _ = _integral(prof, p, gamma, upper, DIGITS + 15)
     if norm:
         value, check = _norm(value, p, DIGITS), _norm(check, p, DIGITS + 15)
-    if abs(value - check) > mpmath.mpf(10) ** -40 * abs(check):
-        raise RuntimeError(f"{DIGITS} and {DIGITS + 15} digits disagree: {value} against {check}")
-    return mpmath.nstr(value, 30), n_roots
+    return _agreed(value, check), n_roots
 
 
 def main() -> None:
@@ -118,6 +154,11 @@ def main() -> None:
         ref, _ = reference(*err_route_integral(label, route, j, 2.0, r, None, d))
         r_text = "math.inf" if math.isinf(r) else repr(r)
         print(f'    ("{label}", "{route}", {d}, {j}, {r_text}, "{ref}"),')
+    print()
+    for matrix, d, n, label, r, _ in FORM_ERR_REFS:
+        ref = _agreed(_form(matrix, d, n, label, r, DIGITS), _form(matrix, d, n, label, r, DIGITS + 15))
+        r_text = "math.inf" if math.isinf(r) else repr(r)
+        print(f'    ("{matrix}", {d}, {n}, "{label}", {r_text}, "{ref}"),')
 
 
 if __name__ == "__main__":

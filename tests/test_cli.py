@@ -89,15 +89,15 @@ class TestVerify:
         assert all("error" in c and "pass" in c for c in doc["checks"])
 
     def test_identities_p2_checks_the_closed_form_against_quadrature(self, capsys, monkeypatch):
-        # at p = 2 all three routes are one closed-form radial moment; a broken one must fail
-        # the p = 2 checks against the adaptive D and squared routes, and no other check
-        real = norms.radial_moment
+        # at p = 2 the def route is the closed-form quadratic form; a broken one must fail the
+        # p = 2 checks against the adaptive D and squared routes, and no other check
+        real = norms._pair_integral
 
         def broken(*args, **kwargs):
             value, err = real(*args, **kwargs)
             return value * (1 + 1e-8), err
 
-        monkeypatch.setattr(norms, "radial_moment", broken)
+        monkeypatch.setattr(norms, "_pair_integral", broken)
         rc, out, _ = run_cli(capsys, ["verify", "identities"])
         assert rc == 1
         checks = json.loads(out)["checks"]
@@ -492,16 +492,21 @@ class TestPinnedOutputs:
     to be summed by the expansion of U^p over nodes sorted by direction: the
     ``def`` values moved by at most 1.8e-16 relative, their errs by at most
     2.8e-11 relative (the expansion's rounding bound joins them), and the
-    ratio rows and every other entry stayed identical.
+    ratio rows and every other entry stayed identical.  The first two were
+    re-taken when each p = 2 quadratic form came to be one exact term sum
+    times |S^(d-1)|: the ``def``, ``lhs`` and ``rhs`` values moved by at most
+    4.6e-15 relative, each within 0.018 of the combined err, their errs by
+    0.67 to 1.87 times, the ratio bounds by at most 2.3e-15 relative, and the
+    ``D`` and squared entries stayed identical.
     """
 
     # each id names its command, so re-taking a pin keeps the test's name
     PINS = [
         pytest.param(["equiv", "--dim", "4", "--k", "2", "--radius", "inf"],
-                     "9dcdb902803c2427698f8a2a1513981d9793646006829f7155caa23d79920b1d",
+                     "5d320e323d832a88c842392621e4108c944a39d30641f7b7eb199853a53e2063",
                      id="equiv-d4-k2-inf"),
         pytest.param(["corot", "--dim", "3", "--k", "2"],
-                     "e45599061c8cfc841b4c31e9ff07ab004d1aa3b0cfcd936a4f109c991b282df1",
+                     "de23e6e5fc1ad5aa64de9e3a52b74d58f50299fcf93de79cf40bcfd1d7e80cf6",
                      id="corot-d3-k2"),
         pytest.param(["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
                       "--samples", "500", "--seed", "1"],

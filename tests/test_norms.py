@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radsob import norms, opspace, quad
-from radsob.derivcalc import _corot_forward_terms, forward_terms
+from radsob.derivcalc import (
+    _corot_forward_terms, angular_matrix, corot_angular_matrix, forward_terms,
+)
 from radsob.indexpoly import enumerate_multi
 from radsob.norms import (
     CorotField,
@@ -136,7 +139,7 @@ class TestDomain:
             raise AssertionError("an integral ran before the parameter check")
 
         for mod in (quad, norms):
-            monkeypatch.setattr(mod, "radial_moment", refuse)
+            monkeypatch.setattr(mod, "_gauss_moment", refuse)
             monkeypatch.setattr(mod, "integrate_1d", refuse)
         call = _ENTRY_POINTS[name][1]
         with pytest.raises(ValueError):
@@ -1139,12 +1142,14 @@ class TestCorpusTable:
     EQUIVALENCE_SHA = "a0b51b0d7ec5dd8f9ab34dfc9d0515a1ce7a6dec5e5b648357d7661da23b8757"
     BOUNDEDNESS_SHA = "24b8040eec279e7d7693e7d137e1b442740f7d1854efb912d3dfd88492b53b62"
     # corot: JSON with every err set to 0, and the errs themselves (the closed-form
-    # p = 2 errs now go through _pth_root, which rounds them differently in the last bits)
-    COROT_SHA = "152bcdb52fa4aadf5fe30f01bcc86599746f4f32f73fdc02a9216690acbb6653"
+    # p = 2 errs now go through _pth_root, which rounds them differently in the last bits);
+    # re-taken when each quadratic form came to be one exact term sum: one value moved by
+    # 1.7e-16 relative, within 0.006 of the combined err, and the errs by 0.92 to 1.85 times
+    COROT_SHA = "a813ba6c6e7363fbfcd80776db51eb953f8716b87d00bd85b294b3a5d883ba4e"
     COROT_ERRS = (
-        "0x1.2375a4a069693p-48", "0x1.ce0f50ba7c0b2p-49", "0x1.5cf0df0221d05p-48",
-        "0x1.9b1ee901981ecp-48", "0x1.2f9a9e6a649d3p-47", "0x1.44c03bff8ddf4p-48",
-        "0x1.6f607c5fdec30p-46", "0x1.867a7e172ec48p-45",
+        "0x1.076f411ad56dep-47", "0x1.aa844a84c1455p-48", "0x1.3b638e7d01064p-47",
+        "0x1.7b7efe77a01c6p-47", "0x1.17c73d7f844e3p-47", "0x1.01532257104f4p-47",
+        "0x1.743cdf07369d1p-46", "0x1.7c1fa5800cd63p-45",
     )
 
     @staticmethod
@@ -1356,6 +1361,108 @@ class TestClosedFormRoute:
                 assert boundary_check(f, 2.0, 1.0, s, tol=1e-30).converged
 
 
+def _mp_radial_moment(g, h, m, r):
+    """The integral of rho^m g h over (0, r) by mpmath quadrature at 50 digits."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for c1, a1, b1 in g.terms:
+            for c2, a2, b2 in h.terms:
+                c = mpmath.mpf(c1.numerator * c2.numerator) / (c1.denominator * c2.denominator)
+                b = mpmath.mpf(b1.numerator * b2.denominator + b2.numerator * b1.denominator) / (
+                    b1.denominator * b2.denominator
+                )
+                s = m + a1 + a2 + 1
+                upper = mpmath.inf if math.isinf(r) else mpmath.mpf(r)
+                # split at the peak of the integrand so the quadrature sees a smooth bump
+                peak = mpmath.sqrt((s - 1) / (2 * b)) if b and s > 1 else mpmath.mpf(0)
+                points = [0, peak, upper] if 0 < peak < upper else [0, upper]
+                total += c * mpmath.quad(lambda x: x ** (s - 1) * mpmath.exp(-b * x * x), points)
+        return total
+
+
+class TestPairIntegral:
+    """The radial factor of the p = 2 quadratic forms: int_0^r sum w rho^m g h, one exact term sum."""
+
+    DECAYS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4)]
+
+    def _random_profile(self, rng, decaying):
+        decays = self.DECAYS[1:] if decaying else self.DECAYS
+        return Profile(
+            [
+                (Fraction(rng.randrange(-40, 41) or 1, rng.choice([1, 2, 3, 8])), rng.randrange(0, 13),
+                 rng.choice(decays))
+                for _ in range(rng.randint(1, 3))
+            ]
+        )
+
+    def test_matches_mpmath_within_bound(self):
+        rng = random.Random(7)
+        for case in range(60):
+            r = rng.choice([0.3, 1.0, 1.7, 3.0, math.inf])
+            g = self._random_profile(rng, math.isinf(r))
+            h = self._random_profile(rng, math.isinf(r))
+            m = rng.randrange(0, 13)
+            value, err = norms._pair_integral([(1, m, g, h)], r)
+            want = _mp_radial_moment(g, h, m, r)
+            assert abs(mpmath.mpf(value) - want) <= err, (case, g, h, m, r)
+            # the bound is a rounding bound, not a loose quadrature estimate
+            scale, _ = norms._pair_integral(
+                [(1, m, Profile([(abs(c), a, b) for c, a, b in g.terms]),
+                  Profile([(abs(c), a, b) for c, a, b in h.terms]))],
+                r,
+            )
+            assert err <= 1e-12 * scale
+
+    def test_weighted_pairs_sum_within_bound(self):
+        # rational weights and several pairs make one term sum: within err of the weighted sum
+        # of the references, also where the pairs cancel to near zero
+        rng = random.Random(8)
+        for case in range(20):
+            r = rng.choice([1.0, 1.1, math.inf])
+            pairs = [
+                (Fraction(rng.randrange(-9, 10) or 1, rng.choice([1, 3, 7])), rng.randrange(0, 7),
+                 self._random_profile(rng, math.isinf(r)), self._random_profile(rng, math.isinf(r)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            pairs.append((-pairs[0][0], *pairs[0][1:]))  # the first pair cancels exactly
+            value, err = norms._pair_integral(pairs, r)
+            with mpmath.workdps(50):
+                want = mpmath.fsum(
+                    mpmath.mpf(w.numerator) / w.denominator * _mp_radial_moment(g, h, m, r)
+                    for w, m, g, h in pairs
+                )
+                assert abs(mpmath.mpf(value) - want) <= err, (case, pairs, r)
+
+    def test_single_terms_closed_forms(self):
+        # int_0^1 rho^2 d rho = 1/3 and int_0^inf rho e^(-rho^2) d rho = 1/2
+        one = Profile([(1, 0, 0)])
+        assert norms._pair_integral([(1, 2, one, one)], 1.0)[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        gauss = Profile([(1, 0, Fraction(1, 2))])
+        assert norms._pair_integral([(1, 1, gauss, gauss)], math.inf)[0] == pytest.approx(
+            0.5, rel=1e-15)
+
+    def test_zero_profile(self):
+        assert norms._pair_integral([(1, 3, Profile([]), Profile([(1, 0, 1)]))], 1.0) == (0.0, 0.0)
+
+    def test_non_decaying_pair_on_half_line_rejected(self):
+        with pytest.raises(ValueError, match="decaying"):
+            norms._pair_integral(
+                [(1, 2, Profile([(1, 0, 0)]), Profile([(1, 2, 1), (1, 0, 0)]))], math.inf)
+
+    @pytest.mark.parametrize("r", [math.nan, -1.0, 0.0])
+    def test_radius_not_positive_rejected(self, r):
+        # a NaN radius would otherwise never end the incomplete-gamma series
+        gauss = Profile([(1, 0, 1)])
+        with pytest.raises(ValueError, match="need r > 0"):
+            norms._pair_integral([(1, 2, gauss, gauss)], r)
+
+    def test_overflowing_radius_is_nan(self):
+        # r^s beyond the float range is inf in both terms of (1 - rho^2) rho^2: inf - inf
+        pair = (1, 2, Profile([(1, 0, 0), (-1, 2, 0)]), Profile([(1, 0, 0)]))
+        value, err = norms._pair_integral([pair], 1e300)
+        assert math.isnan(value) and not math.isfinite(err)
+
+
 class TestOverflow:
     BIG = Profile([(10**200, 0, 1)])
     BIG_MIXED = Profile([(10**200, 0, 1), (-(10**200), 2, 1)])
@@ -1365,9 +1472,10 @@ class TestOverflow:
         assert norms._gauss_envelope([(Profile([(10**400, 0, 1)]), 1, 0)], 1.0)[0] == math.inf
 
     def test_closed_form_overflow_is_nan_not_an_error(self):
-        # the pair contributions overflow to +inf and -inf
-        value, err = quad.radial_moment(self.BIG_MIXED, self.BIG_MIXED, 1, 1.0)
-        assert math.isnan(value) and err == math.inf
+        # the terms of BIG_MIXED^2 overflow to +inf and -inf; their sum is NaN, and so is its
+        # rounding bound, whose last addend is eps times that sum
+        value, err = norms._pair_integral([(1, 1, self.BIG_MIXED, self.BIG_MIXED)], 1.0)
+        assert math.isnan(value) and not math.isfinite(err)
         nv = _corot_lhs_detail(CorotField(2, self.BIG_MIXED), 1, 1.0)
         assert not math.isfinite(nv.value)
 
@@ -1609,6 +1717,30 @@ SCAN_FALLBACK_ERR_REFS = [
 ]
 
 
+# the p = 2 quadratic forms (norms._form_square) of all order-n derivatives, orders n >= 1 of the
+# definition route and of the corotational norm: (matrix, d, n, label, r, ref), ref the form
+# |S^(d-1)| sum_(a,b) A_ab int_0^r rho^(d-1+deg_a+deg_b) D^(j_a)f D^(j_b)f over a builtin corpus
+# profile, from tests/make_err_refs.py.  The seed06 rows at n = 3 cancel: their terms' absolute
+# values sum to over 1000 times the form
+FORM_MATRICES = {"angular": angular_matrix, "corot": corot_angular_matrix}
+FORM_ERR_REFS = [
+    ("angular", 2, 1, "seed01", 1.0, "19.1756114129590948627348573345"),
+    ("angular", 3, 2, "seed09", 1.0, "69.0861845355610297016050726001"),
+    ("angular", 4, 1, "seed05", 1.1, "1.49934440330470460380733584385"),
+    ("angular", 3, 2, "seed13", 1.1, "1118.44838878697529922653555092"),
+    ("angular", 3, 1, "seed03", math.inf, "74.5269586590410002343859522745"),
+    ("angular", 4, 2, "seed15", math.inf, "464.26193590266078384422733181"),
+    ("angular", 5, 3, "seed06", math.inf, "52882.8241035129037471575875813"),
+    ("corot", 2, 1, "seed11", 1.0, "1.47145256090785511291837180781"),
+    ("corot", 3, 2, "seed17", 1.0, "9.92325927629373142425267061705"),
+    ("corot", 3, 1, "seed00", 1.1, "4.2039114513405979102648235545"),
+    ("corot", 2, 2, "seed09", 1.1, "352.803432448257114387102283389"),
+    ("corot", 2, 1, "seed14", math.inf, "13.7690115520615156779495542033"),
+    ("corot", 3, 2, "seed18", math.inf, "8750.88683752164535165886043026"),
+    ("corot", 4, 3, "seed06", math.inf, "93699.8541138884179758147125339"),
+]
+
+
 def err_route_integral(
     label: str, route: str, j: int, p: float, r: float, s: float | None, d: int = ERR_D
 ):
@@ -1661,6 +1793,34 @@ class TestErrCoversTrueError:
             assert {row[2:5] for row in P2_ERR_REFS if row[1] == route} == {
                 (d, j, r) for d in (3, 4) for j in (0, 2) for r in (1.0, math.inf)
             } | {(3, j, 1.1) for j in (0, 2)}
+
+    @pytest.mark.parametrize(
+        "matrix, d, n, label, r, ref", FORM_ERR_REFS,
+        ids=[f"{row[0]}-d{row[1]}-n{row[2]}-{row[3]}-r{row[4]:g}" for row in FORM_ERR_REFS],
+    )
+    def test_p2_form_within_err(self, matrix, d, n, label, r, ref):
+        f = {e.label: e.profile for e in builtin_corpus()}[label]
+        value, err = norms._form_square(FORM_MATRICES[matrix](d, n), f, r)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(value) - mpmath.mpf(ref)) <= err
+
+    def test_form_rows_cover_matrices_radii_orders_and_cancellation(self):
+        assert {(row[0], row[4]) for row in FORM_ERR_REFS} == {
+            (matrix, r) for matrix in FORM_MATRICES for r in (1.0, 1.1, math.inf)
+        }
+        assert {row[2] for row in FORM_ERR_REFS} == {1, 2, 3}
+        for matrix, d, n, label, r, ref in FORM_ERR_REFS:
+            # the same form on the absolute values of the entries and of the profile's terms
+            f = {e.label: e.profile for e in builtin_corpus()}[label]
+            mat = FORM_MATRICES[matrix](d, n)
+            radial = [Profile([(abs(c), a, b) for c, a, b in d_op(f, j).terms]) for j in mat.js]
+            pairs = [
+                (abs(mat.entries[a][b]) * (2 - (a == b)), d - 1 + mat.degrees[a] + mat.degrees[b],
+                 radial[a], radial[b])
+                for a in range(len(radial)) for b in range(a, len(radial))
+            ]
+            size = sphere_area(d) * norms._pair_integral(pairs, r)[0]
+            assert (size > 1000 * float(ref)) == (label == "seed06" and n == 3), (matrix, d, n, label)
 
     def test_rows_cover_p_r_and_kinks(self):
         assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
@@ -1745,6 +1905,55 @@ class TestScanFallback:
         assert res.value == pytest.approx(297.1121323121322, rel=1e-15)
         assert abs(Fraction(res.value) - exact) <= res.error_estimate <= 1e-14 * exact
         assert norms._sign_changes(SCAN_FALLBACK_PROFILES["rho2m1_sq"], 2.0) is None
+
+
+class TestScanExits:
+    """The sign-change scan's ways out other than certified roots, on real profiles."""
+
+    def test_zero_without_a_sign_change_is_no_root(self):
+        # (rho^2 - 1)(rho^2 - 1 - 1e-9) > 0 on (0, 1), yet rounds to 0.0 at scan points below 1
+        prof = SCAN_FALLBACK_PROFILES["rho2m1_close_pair"]
+        roots = norms._sign_changes.__wrapped__(prof, 1.0)
+        true = (1.0, math.sqrt(1.0 + 1e-9))
+        assert roots is None or all(min(abs(x - t) for t in true) <= 4 * 2.0**-52 for x in roots)
+
+    def test_too_many_open_cells_give_up(self, monkeypatch):
+        # D seed10 has two sign changes, which the scan certifies within its default budget
+        g = d_op({e.label: e.profile for e in builtin_corpus()}["seed10"], 1)
+        assert len(norms._sign_changes.__wrapped__(g, 8.0)) == 2
+        monkeypatch.setattr(norms, "_SCAN_MAX_CELLS", 16)
+        assert norms._sign_changes.__wrapped__(g, 8.0) is None
+
+    def test_non_finite_first_grid_gives_up(self):
+        # rho^2 overflows at the end of the first grid
+        prof = Profile([(1, 0, 0), (-1, 2, 0)])
+        _, _, curve, slope = norms._factored(prof)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(curve.values(np.array([1e200]))[0]).all()
+            assert norms._scan_cells(curve, slope, 1e200) is None
+        assert norms._sign_changes.__wrapped__(prof, 1e200) is None
+
+    def test_non_finite_after_a_bisection_gives_up(self, monkeypatch):
+        # 1e300 rho^100 e^(-25 rho^2 / 8) - 1 peaks at rho = 4 at about 3e338: finite on the
+        # first grid 0, 8, 16, it overflows at the midpoint 4 of the first bisection
+        monkeypatch.setattr(norms, "_SCAN_CELLS", 1)
+        prof = Profile([(10**300, 100, Fraction(25, 8)), (-1, 0, 0)])
+        _, _, curve, slope = norms._factored(prof)
+        with np.errstate(all="ignore"):
+            assert np.isfinite(curve.values(np.array([0.0, 8.0, 16.0]))[0]).all()
+            assert not np.isfinite(curve.values(np.array([4.0]))[0]).all()
+            assert norms._scan_cells(curve, slope, 16.0) is None
+        assert norms._sign_changes.__wrapped__(prof, 16.0) is None
+
+    def test_bracket_root_falls_back_to_g_where_prof_underflows(self):
+        # prof = rho^2075 (1 - 100 rho^2 / 49) underflows to -5e-324 and -1e-323 at the ends of a
+        # bracket of its root 0.7, where g = 1 - 100 rho^2 / 49 changes sign
+        prof = Profile([(1, 2075, 0), (-Fraction(100, 49), 2077, 0)])
+        m, g, _, _ = norms._factored(prof)
+        lo, hi = 0.6995, 0.7005
+        assert m == 2075 and float(g.eval(lo)) > 0 > float(g.eval(hi))
+        assert float(prof.eval(lo)) < 0 and float(prof.eval(hi)) < 0
+        assert norms._bracket_root(prof, m, g, lo, hi, 1.0) == pytest.approx(0.7, rel=4 * 2.0**-52)
 
 
 def _mp_lp_power(g, p, gamma, upper, points):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from radsob import quad
-from radsob.profile import Profile
 from radsob.quad import (
     QuadResult,
     SphereSampler,
@@ -16,7 +15,6 @@ from radsob.quad import (
     composite_nodes,
     integrate_1d,
     integrate_power_weight,
-    radial_moment,
     sphere_area,
     sphere_moment_ratio,
     sphere_monomial_moment,
@@ -369,79 +367,6 @@ class TestCompositeNodes:
         assert float(weights @ nodes**6) == pytest.approx(2.0**7 / 7, rel=1e-13)
 
 
-def _mp_radial_moment(g, h, m, r):
-    """The integral of rho^m g h over (0, r) by mpmath quadrature at 50 digits."""
-    with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for c1, a1, b1 in g.terms:
-            for c2, a2, b2 in h.terms:
-                c = mpmath.mpf(c1.numerator * c2.numerator) / (c1.denominator * c2.denominator)
-                b = mpmath.mpf(b1.numerator * b2.denominator + b2.numerator * b1.denominator) / (
-                    b1.denominator * b2.denominator
-                )
-                s = m + a1 + a2 + 1
-                upper = mpmath.inf if math.isinf(r) else mpmath.mpf(r)
-                # split at the peak of the integrand so the quadrature sees a smooth bump
-                peak = mpmath.sqrt((s - 1) / (2 * b)) if b and s > 1 else mpmath.mpf(0)
-                points = [0, peak, upper] if 0 < peak < upper else [0, upper]
-                total += c * mpmath.quad(lambda x: x ** (s - 1) * mpmath.exp(-b * x * x), points)
-        return total
-
-
-class TestRadialMoment:
-    DECAYS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4)]
-
-    def _random_profile(self, rng, decaying):
-        decays = self.DECAYS[1:] if decaying else self.DECAYS
-        return Profile(
-            [
-                (Fraction(rng.randrange(-40, 41) or 1, rng.choice([1, 2, 3, 8])), rng.randrange(0, 13),
-                 rng.choice(decays))
-                for _ in range(rng.randint(1, 3))
-            ]
-        )
-
-    def test_matches_mpmath_within_bound(self):
-        rng = random.Random(7)
-        for case in range(60):
-            r = rng.choice([0.3, 1.0, 1.7, 3.0, math.inf])
-            g = self._random_profile(rng, math.isinf(r))
-            h = self._random_profile(rng, math.isinf(r))
-            m = rng.randrange(0, 13)
-            value, err = radial_moment(g, h, m, r)
-            want = _mp_radial_moment(g, h, m, r)
-            assert abs(mpmath.mpf(value) - want) <= err, (case, g, h, m, r)
-            # the bound is a rounding bound, not a loose quadrature estimate
-            scale, _ = radial_moment(
-                Profile([(abs(c), a, b) for c, a, b in g.terms]),
-                Profile([(abs(c), a, b) for c, a, b in h.terms]),
-                m,
-                r,
-            )
-            assert err <= 1e-12 * scale
-
-    def test_single_terms_closed_forms(self):
-        # int_0^1 rho^2 d rho = 1/3 and int_0^inf rho e^(-rho^2) d rho = 1/2
-        one = Profile([(1, 0, 0)])
-        assert radial_moment(one, one, 2, 1.0)[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
-        gauss = Profile([(1, 0, Fraction(1, 2))])
-        assert radial_moment(gauss, gauss, 1, math.inf)[0] == pytest.approx(0.5, rel=1e-15)
-
-    def test_zero_profile(self):
-        assert radial_moment(Profile([]), Profile([(1, 0, 1)]), 3, 1.0) == (0.0, 0.0)
-
-    def test_non_decaying_pair_on_half_line_rejected(self):
-        with pytest.raises(ValueError, match="decaying"):
-            radial_moment(Profile([(1, 0, 0)]), Profile([(1, 2, 1), (1, 0, 0)]), 2, math.inf)
-
-    @pytest.mark.parametrize("r", [math.nan, -1.0, 0.0])
-    def test_radius_not_positive_rejected(self, r):
-        # a NaN radius would otherwise never end the incomplete-gamma series
-        gauss = Profile([(1, 0, 1)])
-        with pytest.raises(ValueError, match="need r > 0"):
-            radial_moment(gauss, gauss, 2, r)
-
-
 class TestGaussMoment:
     """The one moment kernel: int_0^r x^(s-1) exp(-b x^q) dx at real s and q in {1, 2}."""
 
@@ -496,8 +421,6 @@ class TestGaussMoment:
         assert quad._gauss_moment(3, Fraction(1), 1e300)[0] == full
         assert quad._gauss_moment(3, Fraction(0), 1e300)[0] == math.inf
         assert quad._gauss_moment(400.5, Fraction(1, 2), math.inf)[0] == math.inf
-        value, err = radial_moment(Profile([(1, 0, 0), (-1, 2, 0)]), Profile([(1, 0, 0)]), 2, 1e300)
-        assert math.isnan(value) and not math.isfinite(err)
 
     def test_non_decaying_half_line_rejected(self):
         with pytest.raises(ValueError, match="decaying"):
