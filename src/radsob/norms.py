@@ -170,76 +170,10 @@ def _gauss_envelope(parts, p: float) -> tuple[float, int, float]:
     return c * 2 ** max(p - 1.0, 0.0), power, rate
 
 
-_ROOT_XTOL = 1e-15
-_ROOT_RTOL = 4 * _EPS
-_ROOT_MAXITER = 100
-
-
-def _brent_root(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Brent's method (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4) as in the common ``brentq`` formulation:
-    inverse quadratic interpolation or secant steps, falling back to
-    bisection, until the bracket is shorter than _ROOT_XTOL + _ROOT_RTOL |x|.
-    Raises ``ValueError`` for a bad bracket or a NaN value and
-    ``RuntimeError`` when _ROOT_MAXITER steps do not converge; it never
-    returns an unconverged root.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise ValueError("the function value is NaN")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)  # 0 by underflow on tiny values: bisect
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise ValueError("the function value is NaN")
-    raise RuntimeError(
-        f"Brent root finder did not converge in {_ROOT_MAXITER} steps on [{a}, {b}]"
-    )
-
-
 _SCAN_CELLS = 64  # first grid of the sign-change scan
 _SCAN_DEPTH = 40  # bisections of a cell before the scan gives up on it
 _SCAN_MAX_CELLS = 1024  # open cells of one bisection level beyond which it gives up
+_ROOT_STEPS = 64  # Newton or bisection steps of a root's refinement before it stops
 
 
 class _TermTable(NamedTuple):
@@ -335,32 +269,10 @@ def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _bracket_root(prof, m: int, g, lo: float, hi: float, v_lo: float) -> float:
-    """The one root in (lo, hi) of prof, where g = prof / x^m (``_factored``) is monotone
-    and the scan found g(lo), of sign v_lo, and g(hi) to differ in sign.
-
-    The root is prof's own, from ``prof.eval``, wherever its ends do not share a sign (an
-    end where prof is exactly zero is the root); otherwise, where prof underflows, it is g's."""
-    if lo == 0.0 and m:
-        # prof vanishes at 0: halve toward the root until the bracket leaves 0
-        for _ in range(64):
-            mid = 0.5 * hi
-            v_mid = float(g.eval(mid))
-            if v_mid == 0.0:
-                return mid
-            if _sign(v_mid) == _sign(v_lo):
-                lo = mid
-                break
-            hi = mid
-    try:
-        return _brent_root(prof.eval, lo, hi)
-    except ValueError:  # prof's ends share a sign: it underflows there
-        return _brent_root(g.eval, lo, hi)
-
-
 def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
-    """The exact-zero edges and the sign-change brackets of the scan of ``_sign_changes``, or
-    None where it does not resolve; ``curve`` and ``slope`` are the tables of ``_factored``."""
+    """The exact-zero edges and the sign-change brackets (lo, hi, g(lo)) of the scan of
+    ``_sign_changes``, or None where it does not resolve; ``curve`` and ``slope`` are the tables
+    of ``_factored``.  g is monotone on each bracket, with one root in it."""
     margin = 1.0 + 1e-12  # over the rounding of the bounds themselves
     # the first cells' edges and midpoints in one evaluation
     points = np.linspace(0.0, upper, 2 * _SCAN_CELLS + 1)
@@ -405,22 +317,52 @@ def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
     return None
 
 
+def _refine_roots(curve: _TermTable, brackets) -> list[float]:
+    """The root of g in each of the scan's brackets (lo, hi, g(lo)), all refined at once on the
+    table (g, g') of ``_factored``.
+
+    Each starts at its bracket's midpoint x.  The bracket shrinks to x on the side of g(x)'s
+    sign, and x moves by a Newton step x - g/g' where that stays inside the bracket, else to
+    the bracket's midpoint.  The root is x where |g(x)| is within the table's rounding bound,
+    or the new x once a step moves it by at most 4 eps |x|, or after _ROOT_STEPS steps;
+    ``_root_window`` certifies it either way.
+    """
+    lo, hi, v_lo = np.array(brackets).T
+    x = 0.5 * (lo + hi)
+    roots = x.copy()
+    live = np.arange(len(x))
+    for _ in range(_ROOT_STEPS):
+        (v, d), (noise, _) = curve.values(x)
+        at_root = np.abs(v) <= noise
+        left = (v < 0) == (v_lo < 0)  # x lies on lo's side of the root
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        step = x - v / d
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        roots[live] = np.where(at_root, x, step)
+        keep = ~at_root & (np.abs(step - x) > 4 * _EPS * np.abs(x))
+        if not keep.any():
+            break
+        live, x, lo, hi, v_lo = live[keep], step[keep], lo[keep], hi[keep], v_lo[keep]
+    return roots.tolist()
+
+
 @lru_cache(maxsize=8192)
 def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
     """Interior sign changes of a term-list function on (0, upper), certified; None if unresolved.
 
     These are the kinks of |prof|^p for odd or fractional p, and the ends of the pieces on
     which the closed form integrates (+-prof)^p, where a missed pair of roots would be a
-    silent sign error.  The scan works on g = prof / x^m (``_factored``) from a grid of
+    silent sign error.  The scan (``_scan_cells``) works on g = prof / x^m (``_factored``),
+    which has prof's roots on (0, upper) and does not underflow where x^m does, from a grid of
     _SCAN_CELLS cells.  A cell [lo, hi] of width h is
       * root-free when |g(mid)| > L1 h / 2, with L1 = sum |c'| hi^a' exp(-b lo^q) over the
         terms of g', a bound on |g'| on the cell;
       * monotone, with at most one root, when |g'(mid)| > L2 h / 2, L2 built alike from g'';
     each left side net of its rounding bound (``_TermTable.values``).  A monotone cell whose
-    ends differ in sign holds one root, which ``_brent_root`` finds on prof; a scan point where
-    g is exactly zero is a root where g differs in sign on either side (12 - 12 x^2 at x = 1, a
-    grid point of (0, 2)), else no cell ending there is monotone.  Other cells are bisected.
-    A cell unresolved after _SCAN_DEPTH bisections (at a double root,
+    ends differ in sign holds one root, which ``_refine_roots`` finds on the same table of g; a
+    scan point where g is exactly zero is a root where g differs in sign on either side (12 -
+    12 x^2 at x = 1, a grid point of (0, 2)), else no cell ending there is monotone.  Other
+    cells are bisected.  A cell unresolved after _SCAN_DEPTH bisections (at a double root,
     say), a non-finite value, or more than _SCAN_MAX_CELLS open cells make the result None.
     Each edge value is computed once and handed to both cells that share the edge, so a root
     within rounding of an edge counts once.  Terms of one sign need no scan.
@@ -429,15 +371,14 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
         return ()  # terms of one sign: their sum keeps it on (0, inf)
     with np.errstate(all="ignore"):
         try:
-            m, g, curve, slope = _factored(prof)
-            found = _scan_cells(curve, slope, upper)
-            if found is None:
-                return None
-            zeros, brackets = found
-            roots = zeros + [_bracket_root(prof, m, g, *bracket) for bracket in brackets]
-        except (OverflowError, RuntimeError, ValueError):
-            # a coefficient beyond the float range, or a root search that did not converge
+            _, _, curve, slope = _factored(prof)
+        except OverflowError:  # a coefficient beyond the float range
             return None
+        found = _scan_cells(curve, slope, upper)
+        if found is None:
+            return None
+        zeros, brackets = found
+        roots = zeros + (_refine_roots(curve, brackets) if brackets else [])
     return tuple(sorted(set(roots)))
 
 
@@ -767,46 +708,45 @@ def _expansion_sums(
     return acc
 
 
+def _mc_samples(terms: Sequence[tuple[MonomialPoly, Profile, int]], pts: np.ndarray) -> np.ndarray:
+    """The poly_t of the (poly_t, g_t, deg_t) ``terms`` at the sample directions ``pts``, one
+    column per summand: the same for every rule."""
+    return np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
+
+
 def _mc_columns(
     terms, nodes: np.ndarray, weights: np.ndarray, d: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The radial columns rho^deg_t g_t(rho) at the nodes, one row per summand, and the weights
-    times rho^(d-1)."""
-    S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
-    return S, weights * nodes ** (d - 1)
+    times rho^(d-1).  A power or product beyond the float range is inf, and the norm flagged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
+        return S, weights * nodes ** (d - 1)
 
 
-def _mc_integrals(
-    terms: Sequence[tuple[MonomialPoly, Profile, int]],
-    pts: np.ndarray,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    d: int,
-    p: float,
-) -> np.ndarray:
+def _mc_integrals(V: np.ndarray, S: np.ndarray, wt: np.ndarray, p: float) -> np.ndarray:
     """Per-sample radial integrals of rho^(d-1) |sum_t rho^deg_t g_t(rho) poly_t(omega)|^p.
 
-    ``terms`` are the (poly_t, g_t, deg_t) and ``pts`` the sample directions omega.  One
-    summand factors into one Gauss sum of |rho^deg g(rho)|^p times |poly(omega)|^p.  Two
-    summands at integer p up to 8 take ``_expansion_sums``, in O(samples + nodes) sums.
-    Otherwise the samples x nodes grid is summed in blocks of samples, so memory does not grow
-    with their number.  The result does not depend on the block size (two or more): no block
-    has one sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
+    ``V`` is ``_mc_samples`` of the summands (poly_t, g_t, deg_t) and (S, wt) is
+    ``_mc_columns`` of a rule; neither is written to, as both are shared.  One summand
+    factors into one Gauss sum of |rho^deg g(rho)|^p times |poly(omega)|^p.  Two summands at
+    integer p up to 8 take ``_expansion_sums``, in O(samples + nodes) sums.  Otherwise the
+    samples x nodes grid is summed in blocks of samples, so memory does not grow with their
+    number.  The result does not depend on the block size (two or more): no block has one
+    sample (numpy multiplies a one-row block by BLAS gemv, not gemm, which rounds
     differently), and einsum, unlike gemv, sums every row alike.
     """
     # a power or product beyond the float range is inf (inf * 0 is NaN): the norm is flagged
     with np.errstate(over="ignore", invalid="ignore"):
-        S, wt = _mc_columns(terms, nodes, weights, d)
-        if len(terms) == 1:
-            return float(wt @ _abs_pow(S[0], p)) * _abs_pow(terms[0][0].eval_many(pts), p)
-        V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
-        if _expands(terms, p):
+        if len(S) == 1:
+            return float(wt @ _abs_pow(S[0].copy(), p)) * _abs_pow(V[:, 0].copy(), p)
+        if _expands(S, p):
             return _expansion_sums(V, *S, wt, int(p))
         acc = np.empty(len(V))
         # one buffer for every block and one for its |.|^p: a block of 64 samples x 480 nodes
         # (240 KB) lies above glibc's mmap threshold, and allocated afresh for each block it
         # made the heap trim and regrow; the last block takes up to _MC_SAMPLE_BLOCK + 1 samples
-        block = np.empty((min(_MC_SAMPLE_BLOCK + 1, len(V)), len(nodes)))
+        block = np.empty((min(_MC_SAMPLE_BLOCK + 1, len(V)), len(wt)))
         scratch = np.empty_like(block)
         edges = [*range(0, len(V) - 1, _MC_SAMPLE_BLOCK), len(V)]
         for lo, hi in zip(edges, edges[1:]):
@@ -816,13 +756,10 @@ def _mc_integrals(
 
 
 def _mc_rounding(
-    terms: Sequence[tuple[MonomialPoly, Profile, int]],
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    d: int,
-    p: float,
+    terms: Sequence[tuple[MonomialPoly, Profile, int]], S: np.ndarray, wt: np.ndarray, p: float
 ) -> float:
-    """A bound on the rounding of every sample's sum by ``_expansion_sums``, 0 for the others.
+    """A bound on the rounding of every sample's sum by ``_expansion_sums``, 0 for the others;
+    (S, wt) is ``_mc_columns`` of the summands ``terms`` on the rule.
 
     A sample's sum is off by at most 4 (p + 8) eps |v|^p sum_n wt_n |(a_n, b_n)|^p.  By
     Cauchy-Schwarz |v|^p |(a, b)|^p bounds (|v1 a| + |v2 b|)^p, the size of every term the
@@ -836,8 +773,7 @@ def _mc_rounding(
     if not _expands(terms, p):
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        (a, b), wt = _mc_columns(terms, nodes, weights, d)
-        size = float(wt @ np.hypot(a, b) ** p)
+        size = float(wt @ np.hypot(*S) ** p)
     v_max = math.hypot(*(float(sum(map(abs, poly.coeffs.values()))) for poly, _, _ in terms))
     return 4 * (p + 8) * _EPS * size * v_max**p
 
@@ -881,7 +817,8 @@ def _ball_def_mc(
         for terms in alphas:
             # the tail is relative to a one-panel estimate on [0, 2] of the sample-mean integrand;
             # on the unit sphere |poly| is at most its absolute coefficient sum
-            scale = float(_mc_integrals(terms, pts, *panel, d, p).mean())
+            V = _mc_samples(terms, pts)
+            scale = float(_mc_integrals(V, *_mc_columns(terms, *panel, d), p).mean())
             parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
             T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
             R = max(R, T)
@@ -892,10 +829,12 @@ def _ball_def_mc(
     acc = np.zeros(samples)
     quad_err = tail_total
     for terms in alphas:
-        acc_alpha = _mc_integrals(terms, pts, *fine, d, p)
-        acc_coarse = _mc_integrals(terms, pts, *coarse, d, p)
+        V = _mc_samples(terms, pts)  # once for both rules
+        S, wt = _mc_columns(terms, *fine, d)
+        acc_alpha = _mc_integrals(V, S, wt, p)
+        acc_coarse = _mc_integrals(V, *_mc_columns(terms, *coarse, d), p)
         quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
-        quad_err += _mc_rounding(terms, *fine, d, p)
+        quad_err += _mc_rounding(terms, S, wt, p)
         acc += acc_alpha
 
     area = sphere_area(d)

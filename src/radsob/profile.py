@@ -423,8 +423,8 @@ def load_corpus(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus file written by :func:`save_corpus` (or by hand).
 
     Coefficients and decay rates may be JSON numbers or "p/q" strings, and must be finite;
-    powers are integers.  A malformed entry is a ValueError naming its label, or its
-    position when it has none.
+    powers are integers, and no term number is a JSON boolean.  A malformed entry is a
+    ValueError naming its label, or its position when it has none.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
@@ -438,6 +438,8 @@ def load_corpus(path: str | Path) -> list[CorpusEntry]:
             terms = item["terms"]
             if not (isinstance(terms, list) and all(isinstance(t, list) for t in terms)):
                 raise ValueError('"terms" must be a list of [c, a, b] lists')
+            if any(isinstance(v, bool) for term in terms for v in term):
+                raise ValueError("a term number must not be a boolean")  # Fraction(True) is 1
             if any(isinstance(v, float) and not math.isfinite(v) for term in terms for v in term):
                 raise ValueError("every term number must be finite")
             profile = Profile([(Fraction(c), a, Fraction(b)) for c, a, b in terms])

@@ -335,11 +335,22 @@ class TestFactoredMonteCarlo:
         return out
 
     @staticmethod
-    def unfactored(terms, pts, nodes, weights, d, p):
-        """(weights nodes^(d-1)) @ |S @ V|^p over the whole nodes x samples grid at once."""
-        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms], axis=1)
-        V = np.stack([poly.eval_many(pts) for poly, _, _ in terms])
-        return (weights * nodes ** (d - 1)) @ np.abs(S @ V) ** p
+    def unfactored(V, S, wt, p):
+        """wt @ |S^T V^T|^p over the whole nodes x samples grid at once."""
+        return wt @ np.abs(S.T @ V.T) ** p
+
+    @staticmethod
+    def grid(terms, pts, nodes, weights, d):
+        """The kernel's arguments (V, S, wt) for one rule, built here without its helpers."""
+        V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
+        S = np.stack([g.eval(nodes) * nodes**deg for _, g, deg in terms])
+        return V, S, weights * nodes ** (d - 1)
+
+    @staticmethod
+    def kernel(terms, pts, nodes, weights, d, p):
+        return norms._mc_integrals(
+            norms._mc_samples(terms, pts), *norms._mc_columns(terms, nodes, weights, d), p
+        )
 
     RULES = [
         quad.composite_nodes(0.0, 1.0, norms._MC_FINE_PANELS),
@@ -357,11 +368,22 @@ class TestFactoredMonteCarlo:
                 if len(terms) > 1:
                     continue
                 for rule in self.RULES:
-                    got = norms._mc_integrals(terms, pts, *rule, d, p)
-                    want = self.unfactored(terms, pts, *rule, d, p)
+                    got = self.kernel(terms, pts, *rule, d, p)
+                    want = self.unfactored(*self.grid(terms, pts, *rule, d), p)
                     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), entry.label
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_kernel_does_not_write_to_its_shared_arguments(self, p):
+        # the fine rule's columns go on to _mc_rounding, and the samples to the coarse rule
+        pts = SphereSampler(3, 11, self.SAMPLES).points
+        for terms in [t for n in (1, 2, 4) for t in self.alpha_terms(GAUSS, 3, n)]:
+            V = norms._mc_samples(terms, pts)
+            S, wt = norms._mc_columns(terms, *self.RULES[0], 3)
+            kept = V.copy(), S.copy(), wt.copy()
+            norms._mc_integrals(V, S, wt, p)
+            assert all(np.array_equal(a, b) for a, b in zip((V, S, wt), kept))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("r", [1.0, math.inf])
@@ -369,21 +391,27 @@ class TestFactoredMonteCarlo:
     def test_only_multi_summand_alphas_reach_the_kernel_with_samples(
         self, corpus, monkeypatch, d, n, r, p
     ):
-        """Each alpha gets one kernel call per rule and on the half-line scale panel.  A
-        one-summand alpha sums no samples x nodes grid, nor does a two-summand one at integer p;
-        the others sum it in blocks of samples."""
-        calls, blocks = [], []
-        real_kernel, real_einsum = norms._mc_integrals, np.einsum
+        """Each alpha gets one kernel call per rule and on the half-line scale panel, and its
+        sample polynomials are evaluated once for both rules.  A one-summand alpha sums no
+        samples x nodes grid, nor does a two-summand one at integer p; the others sum it in
+        blocks of samples."""
+        calls, blocks, samples = [], [], []
+        real_kernel, real_samples, real_einsum = norms._mc_integrals, norms._mc_samples, np.einsum
 
-        def kernel(terms, pts, nodes, weights, d, p):
-            calls.append((len(terms), len(nodes)))
-            return real_kernel(terms, pts, nodes, weights, d, p)
+        def kernel(V, S, wt, p):
+            calls.append((len(S), len(wt)))
+            return real_kernel(V, S, wt, p)
+
+        def sample_values(terms, pts):
+            samples.append(len(terms))
+            return real_samples(terms, pts)
 
         def einsum(spec, U, wt):
             blocks.append((len(calls) - 1, U.shape))
             return real_einsum(spec, U, wt)
 
         monkeypatch.setattr(norms, "_mc_integrals", kernel)
+        monkeypatch.setattr(norms, "_mc_samples", sample_values)
         monkeypatch.setattr(np, "einsum", einsum)
         entries = [e for e in corpus if e.profile.decays] if math.isinf(r) else corpus
         if n == 4:
@@ -393,6 +421,7 @@ class TestFactoredMonteCarlo:
             norms._ball_def_mc(RadialField(d, entry.profile), [n], p, r, 1, self.SAMPLES)
             alphas += len(self.alpha_terms(entry.profile, d, n))
         assert len(calls) == (3 if math.isinf(r) else 2) * alphas
+        assert len(samples) == (2 if math.isinf(r) else 1) * alphas
         for i, (count, nodes) in enumerate(calls):
             shapes = [shape for call, shape in blocks if call == i]
             if count == 1 or (count == 2 and p == int(p)):
@@ -422,9 +451,9 @@ class TestFactoredMonteCarlo:
                     continue
                 for rule in self.RULES:
                     monkeypatch.setattr(norms, "_MC_SAMPLE_BLOCK", default)
-                    want = norms._mc_integrals(terms, pts, *rule, d, p)
+                    want = self.kernel(terms, pts, *rule, d, p)
                     monkeypatch.setattr(norms, "_MC_SAMPLE_BLOCK", 7)
-                    assert np.array_equal(norms._mc_integrals(terms, pts, *rule, d, p), want)
+                    assert np.array_equal(self.kernel(terms, pts, *rule, d, p), want)
                 checked += 1
         assert checked > 0
 
@@ -461,15 +490,14 @@ class TestFactoredMonteCarlo:
                 if len(terms) != 2:
                     continue
                 for rule in self.RULES:
-                    got = norms._mc_integrals(terms, pts, *rule, d, p)
-                    want = self.unfactored(terms, pts, *rule, d, p)
-                    V = np.stack([poly.eval_many(pts) for poly, _, _ in terms], axis=1)
-                    (a, b), wt = norms._mc_columns(terms, *rule, d)
+                    got = self.kernel(terms, pts, *rule, d, p)
+                    V, (a, b), wt = self.grid(terms, pts, *rule, d)
+                    want = self.unfactored(V, np.stack([a, b]), wt, p)
                     bound = self.rounding_bound(V, a, b, wt, p)
                     assert np.all(np.abs(got - want) <= bound), entry.label
                     assert rel_diff(got.mean(), want.mean()) <= 1e-14, entry.label
                     # the err term bounds every sample's, and stays far below a Monte Carlo error
-                    err_term = norms._mc_rounding(terms, *rule, d, p)
+                    err_term = norms._mc_rounding(terms, *norms._mc_columns(terms, *rule, d), p)
                     assert bound.max() <= err_term <= 1e-8 * want.mean()
                 checked += 1
         assert checked > 0
@@ -477,7 +505,7 @@ class TestFactoredMonteCarlo:
     def test_only_the_expansion_has_a_rounding_bound(self):
         for n, p in ((1, 3.0), (2, 1.5), (2, 3.0), (2, 9.0), (4, 3.0)):
             for terms in self.alpha_terms(GAUSS, 3, n):
-                bound = norms._mc_rounding(terms, *self.RULES[0], 3, p)
+                bound = norms._mc_rounding(terms, *norms._mc_columns(terms, *self.RULES[0], 3), p)
                 assert (bound > 0) == (len(terms) == 2 and p == 3.0)
 
     # nodes with a = b = 0, with b = 0 (a of either sign, b = -0.0 too), with a = 0, and two
@@ -1138,9 +1166,12 @@ class TestCorpusTable:
     # (both times only err fields moved), and when p = 3 came to be integrated in closed
     # form: every value moved by at most 1.1e-15 relative, within the combined err, the
     # errs rose from at most 8.7e-15 to at most 8.0e-14 of the value, and the ratio
-    # bounds moved in the last digits
-    EQUIVALENCE_SHA = "a0b51b0d7ec5dd8f9ab34dfc9d0515a1ce7a6dec5e5b648357d7661da23b8757"
-    BOUNDEDNESS_SHA = "24b8040eec279e7d7693e7d137e1b442740f7d1854efb912d3dfd88492b53b62"
+    # bounds moved in the last digits; and when the sign scan came to refine its roots by
+    # Newton steps on g = prof / x^m: two values moved by at most 6.7e-16 relative, within
+    # 0.022 of the combined err, their errs by at most 1.4e-15 relative, and the ratio bounds
+    # by at most 7.3e-16 relative
+    EQUIVALENCE_SHA = "26842a62070bf1223c08c712f9d4c83809eedf67d296a4aa7dc1e47e00b3b91e"
+    BOUNDEDNESS_SHA = "229f1ec1c81406eac599f1cf189896458c5a2719af57099df9d812a54c95bf1a"
     # corot: JSON with every err set to 0, and the errs themselves (the closed-form
     # p = 2 errs now go through _pth_root, which rounds them differently in the last bits);
     # re-taken when each quadratic form came to be one exact term sum: one value moved by
@@ -1513,44 +1544,41 @@ class TestOverflow:
             "label": "x", "route": "a", "value": 1.0, "err": None, "method": "m"}
 
 
-def _scan_brackets(prof, upper, monkeypatch):
-    """The brackets the kink scan of ``_sign_changes`` hands to the root finder, with its roots."""
-    found = []
-    solve = norms._brent_root
-
-    def recording(f, a, b):
-        root = solve(f, a, b)
-        found.append((float(a), float(b), root))
-        return root
-
-    with monkeypatch.context() as m:
-        m.setattr(norms, "_brent_root", recording)
-        norms._sign_changes.__wrapped__(prof, upper)
-    return found
-
-
 def _kink_candidates(f):
     """The term lists whose sign changes the D and squared routes split at, up to order 3."""
     ft = to_squared(f)
     return [d_op(f, j) for j in range(4)] + [ft.derivative(j) for j in range(4)]
 
 
-class TestBrentRoot:
-    def _assert_matches_reference(self, prof, brackets):
-        from scipy.optimize import brentq
+def _mp_root(prof, x: float):
+    """The root nearest x of prof's exact terms, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpf(c.numerator) / c.denominator, a,
+                  mpmath.mpf(b.numerator) / b.denominator) for c, a, b in prof.terms]
+        return mpmath.findroot(
+            lambda y: mpmath.fsum(c * y**a * mpmath.exp(-b * y**prof._q) for c, a, b in terms),
+            mpmath.mpf(x),
+        )
 
-        for a, b, root in brackets:
-            assert root == brentq(prof.eval, a, b, xtol=1e-15)
-            assert a <= root <= b
 
-    def test_matches_reference_on_builtin_corpus_brackets(self, corpus, monkeypatch):
-        total = 0
-        for entry in corpus:
-            for prof in _kink_candidates(entry.profile):
-                for upper in (1.0, 2.0):
-                    brackets = _scan_brackets(prof, upper, monkeypatch)
-                    self._assert_matches_reference(prof, brackets)
-                    total += len(brackets)
+class TestRootRefinement:
+    """Each sign change the scan refines lies within ``_root_window``'s delta of the exact root."""
+
+    @staticmethod
+    def certified_roots(prof, upper) -> int:
+        roots = norms._sign_changes.__wrapped__(prof, upper)
+        for x in roots or ():
+            window = norms._root_window(prof, x)
+            assert window is not None, (prof, upper, x)
+            with mpmath.workdps(50):
+                assert abs(_mp_root(prof, x) - x) <= window[0], (prof, upper, x)
+        return len(roots or ())
+
+    def test_builtin_corpus_roots(self, corpus):
+        total = sum(
+            self.certified_roots(g, upper)
+            for entry in corpus for g in _kink_candidates(entry.profile) for upper in (1.0, 2.0)
+        )
         assert total > 100
 
     @settings(max_examples=60, deadline=None)
@@ -1566,54 +1594,34 @@ class TestBrentRoot:
         ),
         st.sampled_from([1.0, 2.0, 3.0]),
     )
-    # a bracket where a loosened step-acceptance rule changes the last bit
-    @example([(Fraction(1), 2, Fraction(1)), (Fraction(1), 6, Fraction(2))], 1.0)
-    def test_matches_reference_on_drawn_profiles(self, terms, upper):
-        prof = Profile(terms)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            for g in _kink_candidates(prof):
-                self._assert_matches_reference(g, _scan_brackets(g, upper, monkeypatch))
+    def test_drawn_profile_roots(self, terms, upper):
+        for g in _kink_candidates(Profile(terms)):
+            self.certified_roots(g, upper)
 
-    @pytest.mark.parametrize(
-        "f, a, b",
-        [
-            (lambda x: math.cos(x) - x, 0.0, 1.0),
-            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-            (lambda x: x**9 - 1e-4, 0.0, 1.0),
-            (lambda x: math.expm1(20 * (x - 0.7)), 0.0, 1.0),
-            (lambda x: math.atan(x - 0.3), -5.0, 20.0),
-            # values so small that the interpolation denominator underflows to zero
-            (lambda x: 1e-120 * (x * x - 0.5), 0.0, 1.0),
-        ],
-    )
-    def test_same_steps_as_reference(self, f, a, b):
-        from scipy.optimize import brentq
+    @staticmethod
+    def assert_closed_form(prof, root):
+        res = norms._closed_lp_power.__wrapped__(prof, 3, 0.0, 1.0)
+        assert res is not None
+        want = _mp_lp_power(prof, 3, 0.0, 1.0, [root])
+        assert abs(res.value - want) <= res.error_estimate
 
-        ours, theirs = [], []
+    @pytest.mark.parametrize("m", [2070, 2075])
+    def test_root_where_prof_underflows(self, m):
+        # rho^m (1 - 100 rho^2 / 49) underflows near its root 0.7: to 0.0 at m = 2070, and to
+        # values of the wrong sign at m = 2075; g = 1 - 100 rho^2 / 49 does not
+        prof = Profile([(1, m, 0), (-Fraction(100, 49), m + 2, 0)])
+        assert norms._sign_changes.__wrapped__(prof, 1.0) == pytest.approx((0.7,), rel=4 * 2.0**-52)
+        self.assert_closed_form(prof, mpmath.mpf(7) / 10)
 
-        def logged(log):
-            return lambda x: log.append(x) or f(x)
-
-        assert norms._brent_root(logged(ours), a, b) == brentq(logged(theirs), a, b, xtol=1e-15)
-        assert ours == theirs
-
-    def test_endpoint_root_and_exact_roots(self):
-        assert norms._brent_root(lambda x: x - 0.5, 0.5, 1.0) == 0.5
-        assert norms._brent_root(lambda x: x * x - 2.0, 1.0, 2.0) == pytest.approx(
-            math.sqrt(2.0), rel=4 * 2.0**-52
-        )
-
-    def test_bad_bracket_and_nan_rejected(self):
-        with pytest.raises(ValueError):
-            norms._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            norms._brent_root(lambda x: math.nan, 0.0, 1.0)
-
-    def test_unconverged_search_raises(self):
-        # at a triple root the bracket shrinks too slowly to meet the tolerance
-        # in 100 steps; the reference solver fails on it the same way
-        with pytest.raises(RuntimeError):
-            norms._brent_root(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+    def test_tiny_root_to_relative_precision(self):
+        # rho^30 - 1.54108e20 rho^32: an absolute tolerance of 1e-15 misses its root 8.06e-11
+        prof = Profile([(1, 30, 0), (-154108 * 10**15, 32, 0)])
+        (root,) = norms._sign_changes.__wrapped__(prof, 1.0)
+        with mpmath.workdps(50):
+            exact = 1 / mpmath.sqrt(154108 * 10**15)
+            assert abs(root - exact) <= 4 * 2.0**-52 * exact
+        assert root == pytest.approx(8.0554055e-11, rel=1e-8)
+        self.assert_closed_form(prof, exact)
 
 
 # The err audit of the adaptive 1-D integrals over builtin corpus profiles, in d = 3: each row is
@@ -1944,16 +1952,6 @@ class TestScanExits:
             assert not np.isfinite(curve.values(np.array([4.0]))[0]).all()
             assert norms._scan_cells(curve, slope, 16.0) is None
         assert norms._sign_changes.__wrapped__(prof, 16.0) is None
-
-    def test_bracket_root_falls_back_to_g_where_prof_underflows(self):
-        # prof = rho^2075 (1 - 100 rho^2 / 49) underflows to -5e-324 and -1e-323 at the ends of a
-        # bracket of its root 0.7, where g = 1 - 100 rho^2 / 49 changes sign
-        prof = Profile([(1, 2075, 0), (-Fraction(100, 49), 2077, 0)])
-        m, g, _, _ = norms._factored(prof)
-        lo, hi = 0.6995, 0.7005
-        assert m == 2075 and float(g.eval(lo)) > 0 > float(g.eval(hi))
-        assert float(prof.eval(lo)) < 0 and float(prof.eval(hi)) < 0
-        assert norms._bracket_root(prof, m, g, lo, hi, 1.0) == pytest.approx(0.7, rel=4 * 2.0**-52)
 
 
 def _mp_lp_power(g, p, gamma, upper, points):

@@ -355,6 +355,9 @@ class TestCorpus:
         ('[{"label": "flat", "terms": [1, 2, 3]}]', "corpus entry 'flat': \"terms\" must be a list"),
         ('[{"label": "pair", "terms": [[1, 2]]}]', "corpus entry 'pair': not enough values"),
         ('[{"label": "obj", "terms": [[{}, 2, 1]]}]', "corpus entry 'obj': "),
+        # Fraction(True) is 1: these loaded as the constant 1 and as rho^1
+        ('[{"label": "flag", "terms": [[true, 0, false]]}]', "corpus entry 'flag': a term number"),
+        ('[{"label": "power", "terms": [[1, true, 0]]}]', "corpus entry 'power': a term number"),
     ])
     def test_malformed_entry_is_a_value_error_naming_it(self, tmp_path, doc, message):
         path = tmp_path / "corpus.json"
