@@ -1623,6 +1623,50 @@ class TestRootRefinement:
         assert root == pytest.approx(8.0554055e-11, rel=1e-8)
         self.assert_closed_form(prof, exact)
 
+    @staticmethod
+    def refine(prof, brackets):
+        """``_refine_roots`` of prof on the (lo, hi) brackets, each handed g(lo) as the scan does."""
+        _, _, curve, _ = norms._factored(prof)
+        with np.errstate(all="ignore"):
+            (v_lo, _), _ = curve.values(np.array([lo for lo, _ in brackets]))
+            return norms._refine_roots(curve, [(lo, hi, v) for (lo, hi), v in zip(brackets, v_lo)])
+
+    def test_newton_step_outside_the_bracket_bisects(self):
+        # (rho^2 - 1) e^(-rho^2) on (0, 6): beyond sqrt(2) it falls toward 0 as rho grows, so a
+        # Newton step from the midpoint 3 heads off to infinity; the refinement bisects to
+        # 1.5 and 0.75 instead, and Newton takes over toward the root 1
+        prof = Profile([(1, 2, 1), (-1, 0, 1)])
+        (root,) = self.refine(prof, [(0.0, 6.0)])
+        assert abs(root - 1.0) <= 4 * 2.0**-52
+
+    def test_brackets_refined_together_keep_their_order(self):
+        # (rho^2 - 0.09)(rho^2 - 0.36)(rho^2 - 0.81): roots 0.3, 0.6 and 0.9; the narrow first
+        # bracket converges steps before the wide ones, and all come back in bracket order
+        prof = Profile([
+            (1, 6, 0), (-Fraction(126, 100), 4, 0),
+            (Fraction(3969, 10000), 2, 0), (-Fraction(26244, 1000000), 0, 0),
+        ])
+        roots = self.refine(prof, [(0.3 - 1e-9, 0.3 + 1e-9), (0.45, 0.7), (0.85, 0.99)])
+        for root, exact in zip(roots, (0.3, 0.6, 0.9), strict=True):
+            assert abs(root - exact) <= 4 * 2.0**-52 * exact
+
+    def test_capped_refinement_is_certified_or_refused(self, monkeypatch):
+        # one step leaves each root short of convergence: it stays in its bracket, and
+        # _root_window either certifies it against the exact root or returns None
+        monkeypatch.setattr(norms, "_ROOT_STEPS", 1)
+        prof = Profile([(1, 8, 0), (-Fraction(9, 10) ** 8, 0, 0)])
+        brackets = [(0.0, 1.0), (0.85, 0.95), (0.89, 0.91)]
+        refused = 0
+        for (lo, hi), root in zip(brackets, self.refine(prof, brackets), strict=True):
+            assert lo < root < hi
+            window = norms._root_window(prof, root)
+            if window is None:
+                refused += 1
+            else:
+                with mpmath.workdps(50):
+                    assert abs(_mp_root(prof, root) - root) <= window[0]
+        assert refused >= 1  # the wide bracket's first step is a bisection to 0.75
+
 
 # The err audit of the adaptive 1-D integrals over builtin corpus profiles, in d = 3: each row is
 # (label, route, j, p, r, s, reference, interior sign changes of the integrand).  The route names
