@@ -55,6 +55,7 @@ from .quad import (
     _gauss_moment,
     composite_nodes,
     integrate_1d,
+    integrate_power_edge,
     integrate_power_weight,
     rough_scale,
     sphere_area,
@@ -408,7 +409,14 @@ def _weighted_lp_power(
     Adaptive quadrature: the route pieces at fractional p, the fallback of the
     closed form, and the independent oracle of ``verify identities``.  The
     interval is split at the sign changes of prof, the kinks of |prof|^p for
-    odd or fractional p (none where the scan does not certify them).
+    odd or fractional p (none where the scan does not certify them).  The
+    piece from 0 takes the x^gamma weight in ``integrate_power_weight``.  At
+    fractional p, where |prof|^p behaves like |x - root|^p at a sign change,
+    a piece ending at one is integrated from it in x = root +- h u^2
+    (``integrate_power_edge``), in which the integrand is smooth; a piece with
+    a sign change at both ends, or from 0 to one, is first split at its
+    midpoint.  At integer p, |prof|^p = +-prof^p is smooth up to the
+    pieces' ends, which stay whole.
     Memoised: routes and checks that need the same integral share one quadrature.
     """
     if prof.is_zero:
@@ -419,6 +427,9 @@ def _weighted_lp_power(
 
     def weighted(x):
         return x ** max(gamma, 0.0) * core(x)
+
+    def inner(x):  # the integrand away from 0
+        return x**gamma * core(x)
 
     # a power beyond the float range is inf, and a zero weight times inf NaN: reports flag the norm
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,17 +444,30 @@ def _weighted_lp_power(
         abs_tol = rel_tol * scale
         kinks = () if p % 2 == 0 else _sign_changes(prof, upper) or ()
         edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
+        # (a, b, mapped): a piece from a to b; a mapped piece starts at a sign change a and is
+        # integrated in x = a + (b - a) u^2
+        spans = []
+        fractional = p != int(p)
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            if hi - lo <= 1e-15 * upper:
+                continue
+            at_lo, at_hi = fractional and i > 0, fractional and i < len(edges) - 2
+            if at_hi:
+                mid = 0.5 * (lo + hi)
+                spans += [(lo, mid, at_lo), (hi, mid, True)]
+            else:
+                spans.append((lo, hi, at_lo))
         total = err = 0.0
         panels = 0
         converged = True
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo <= 1e-15 * upper:
-                continue
-            piece_tol = abs_tol * (hi - lo) / upper
-            if lo == 0.0:
-                res = integrate_power_weight(core, gamma, hi, piece_tol)
+        for a, b, mapped in spans:
+            piece_tol = abs_tol * abs(b - a) / upper
+            if mapped:
+                res = integrate_power_edge(inner, a, b, piece_tol)
+            elif a == 0.0:
+                res = integrate_power_weight(core, gamma, b, piece_tol)
             else:
-                res = integrate_1d(lambda x: x**gamma * core(x), lo, hi, piece_tol)
+                res = integrate_1d(inner, a, b, piece_tol)
             total += res.value
             err += res.error_estimate
             panels += res.subdivisions
@@ -947,8 +971,8 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
         back = s - gamma  # the rounding error of s, exactly (Knuth's TwoSum)
         exponents.append((s, b, abs((gamma - (s - back)) + (a1 - back))))
 
-    def moments(x: float, kernel=_gauss_moment):
-        return [kernel(s, b, x, q, s_err) for s, b, s_err in exponents]
+    def moments(x: float):
+        return [_gauss_moment(s, b, x, q, s_err) for s, b, s_err in exponents]
 
     at_upper = moments(upper)
     tail = 0.0
@@ -968,9 +992,7 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
         if roots is None:
             return None
     edges = [0.0, *roots, upper]
-    # a sign change is an edge of no other integral: its moments bypass the kernel's cache
-    at_edges = [[(0.0, 0.0)] * len(terms), *(moments(x, _gauss_moment.__wrapped__) for x in roots),
-                at_upper]
+    at_edges = [[(0.0, 0.0)] * len(terms), *map(moments, roots), at_upper]
     signs = [1] * (len(edges) - 1)
     if p % 2:
         # the last piece's sign is taken within the scanned range

@@ -1,12 +1,14 @@
 """Deterministic numerical integration and sphere integrals.
 
 Provides adaptive 1D quadrature on intervals (composite 15-node
-Gauss-Legendre panels with bisection refinement), rigorous truncation of
-half-line integrals from analytic envelopes, one closed-form moment kernel
-(the incomplete gamma integral of x^(s-1) exp(-b x^q), q = 1 or 2, with an
-explicit rounding bound), exact surface areas and monomial moments of the
-unit sphere, and seeded uniform samples of the sphere for exponents without
-a closed angular form.
+Gauss-Legendre panels with bisection refinement), two substitutions that
+smooth an algebraic singularity at an end of the interval (x = u^m for a
+weight x^gamma at 0, x = edge + h u^2 for |x - edge|^p), rigorous
+truncation of half-line integrals from analytic envelopes, one closed-form
+moment kernel (the incomplete gamma integral of x^(s-1) exp(-b x^q), q = 1
+or 2, with an explicit rounding bound), exact surface areas and monomial
+moments of the unit sphere, and seeded uniform samples of the sphere for
+exponents without a closed angular form.
 """
 
 from __future__ import annotations
@@ -185,6 +187,32 @@ def integrate_power_weight(
         return m * u**expo * g(u**m)
 
     return integrate_1d(substituted, 0.0, upper ** (1.0 / m), tol, max_depth)
+
+
+def integrate_power_edge(
+    g: Callable,
+    edge: float,
+    end: float,
+    tol: float = 1e-10,
+    max_depth: int = 40,
+) -> QuadResult:
+    """Integral of g over the interval between ``edge`` and ``end``, for g that behaves like
+    |x - edge|^p at ``edge`` (|prof|^p at a sign change of prof, at fractional p >= 1).
+
+    The substitution x = edge + (end - edge) u^2, u in [0, 1], turns |x - edge|^p dx into
+    2 h^(p+1) u^(2p+1) du with h = |end - edge|: a polynomial at half-integer p and at least
+    C^3 for every p >= 1, where in x the derivatives of order above p are unbounded at ``edge``
+    and plain panels bisect toward it.  Plain adaptive quadrature then applies in u, as in
+    ``integrate_power_weight``.
+    """
+    if not (math.isfinite(edge) and math.isfinite(end) and edge != end):
+        raise ValueError(f"bad interval from {edge} to {end}")
+    h = end - edge
+
+    def substituted(u):
+        return (2.0 * abs(h)) * u * g(edge + h * (u * u))
+
+    return integrate_1d(substituted, 0.0, 1.0, tol, max_depth)
 
 
 def truncation_point(

@@ -992,7 +992,7 @@ class TestWeightedIntegralMemo:
 
     def test_hardy_and_boundary_share_their_quadratures_at_fractional_p(self, monkeypatch):
         calls = []
-        for name in ("integrate_power_weight", "integrate_1d"):
+        for name in ("integrate_power_weight", "integrate_power_edge", "integrate_1d"):
             real = getattr(norms, name)
 
             def spy(*args, _real=real, **kwargs):
@@ -1003,7 +1003,9 @@ class TestWeightedIntegralMemo:
         norms._weighted_lp_power.cache_clear()
         hardy_check(self.F, 1.5, 1.0, 0.5)
         after_hardy = len(calls)
-        assert after_hardy == 3  # f in two pieces (split at its sign change), f' in one
+        # f in three: split at its sign change, and its first piece at its midpoint, so that the
+        # halves next to the sign change are integrated in a variable smooth there; f' in one
+        assert after_hardy == 4
         boundary_check(self.F, 1.5, 1.0, 0.5)
         assert len(calls) == after_hardy
 
@@ -1014,6 +1016,58 @@ class TestWeightedIntegralMemo:
             lp_radial(RadialField(3, self.F), p, 1.0)
             info = memo.cache_info()
             assert (info.hits, info.misses) == (1, 2), p
+
+
+class TestSignChangeMaps:
+    """At fractional p each piece next to a certified sign change is integrated in x = root +-
+    h u^2 (quad.integrate_power_edge), where |g|^p is smooth; other pieces are as at integer p."""
+
+    # (1 - 3 x^2 + x^4) e^(-x^2), with sign changes at 0.618 and 1.618
+    G = Profile([(1, 0, 1), (-3, 2, 1), (1, 4, 1)])
+
+    def spans(self, monkeypatch, p, g=G):
+        calls = []
+        for name in ("integrate_power_weight", "integrate_power_edge", "integrate_1d"):
+            real = getattr(norms, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, *args[1:3]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(norms, name, spy)
+        norms._weighted_lp_power.__wrapped__(g, p, 2.0, 2.0, 1e-10)
+        return calls
+
+    def test_pieces_at_fractional_p(self, monkeypatch):
+        r1, r2 = norms._sign_changes(self.G, 2.0)
+        m1, m2 = 0.5 * r1, 0.5 * (r1 + r2)
+        assert self.spans(monkeypatch, 1.5) == [
+            ("integrate_power_weight", 2.0, m1),  # gamma, upper
+            ("integrate_power_edge", r1, m1),  # edge, end
+            ("integrate_power_edge", r1, m2),
+            ("integrate_power_edge", r2, m2),
+            ("integrate_power_edge", r2, 2.0),
+        ]
+
+    def test_pieces_at_integer_p_and_without_certified_sign_changes(self, monkeypatch):
+        r1, r2 = norms._sign_changes(self.G, 2.0)
+        assert self.spans(monkeypatch, 3.0) == [
+            ("integrate_power_weight", 2.0, r1), ("integrate_1d", r1, r2), ("integrate_1d", r2, 2.0)
+        ]
+        monkeypatch.undo()
+        # a double root: the scan gives up, and the one piece takes no map
+        double = SCAN_FALLBACK_PROFILES["rho2m1_sq"]
+        assert norms._sign_changes(double, 2.0) is None
+        assert self.spans(monkeypatch, 1.5, double) == [("integrate_power_weight", 2.0, 2.0)]
+
+    def test_kinked_half_line_integral_takes_fewer_panels(self):
+        # seed10's D f changes sign twice on the half-line.  Plain panels bisected toward both
+        # sign changes: 181 panels before the pieces next to them were mapped, 19 after
+        g, p, gamma, upper = err_route_integral("seed10", "D", 1, 1.5, math.inf, None)
+        res = norms._weighted_lp_power.__wrapped__(g, p, gamma, upper, 1e-10)
+        assert len(norms._sign_changes(g, 8.0)) == 2
+        assert res.converged
+        assert res.subdivisions <= 40
 
 
 class TestBoundary:
@@ -1707,6 +1761,16 @@ ERR_REFS = [
     ("gauss", "def", 0, 3.0, 1.0, None, "0.983744142420247794433607594001", 0),
     ("seed14", "def", 0, 3.0, math.inf, None, "1.44275965069589612846726698672", 1),
     ("rho4_gauss2", "def", 0, 1.0, math.inf, None, "5.53697224654303819135218023243", 0),
+    # fractional p: pieces between two sign changes, from 0 to one, and from one to r or to the
+    # half-line's truncation point, each integrated in a variable smooth at the sign change
+    ("seed10", "D", 1, 1.5, math.inf, None, "1.4704302288090244925935282877", 2),
+    ("seed10", "D", 1, 1.5, 2.0, None, "0.904523503929074971551140232945", 2),
+    ("seed08", "squared", 1, 1.5, math.inf, None, "14.1079560317438818202504521781", 2),
+    ("seed09", "squared", 2, 1.5, 1.0, None, "0.508237629798140825617524950623", 2),
+    ("seed10", "D", 1, 1.3, math.inf, None, "1.79938142503729505788242290198", 2),
+    ("seed09", "D", 2, 1.3, 1.0, None, "1.41870806780198151212400425098", 2),
+    ("seed04", "squared", 1, 1.3, math.inf, None, "3.11876810303926361421998778829", 1),
+    ("seed08", "D", 0, 1.3, 1.0, None, "0.0516239601635439387102375430251", 1),
 ]
 
 
@@ -1875,7 +1939,14 @@ class TestErrCoversTrueError:
             assert (size > 1000 * float(ref)) == (label == "seed06" and n == 3), (matrix, d, n, label)
 
     def test_rows_cover_p_r_and_kinks(self):
-        assert {row[3] for row in ERR_REFS} == {1.0, 1.5, 3.0}
+        assert {row[3] for row in ERR_REFS} == {1.0, 1.3, 1.5, 3.0}
+        for p in (1.5, 1.3):
+            rows = [row for row in ERR_REFS if row[3] == p]
+            # a D piece between two sign changes, a half-line's last piece from one, and the
+            # squared route across one
+            assert any(row[1] == "D" and row[7] >= 2 for row in rows), p
+            assert any(math.isinf(row[4]) and row[7] > 0 for row in rows), p
+            assert any(row[1] == "squared" and row[7] > 0 for row in rows), p
         assert {1.0, math.inf} <= {row[4] for row in ERR_REFS}
         assert {row[7] > 0 for row in ERR_REFS} == {True, False}
         p_r = {(p, r) for p in (1.0, 3.0) for r in (1.0, math.inf)}

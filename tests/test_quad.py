@@ -14,6 +14,7 @@ from radsob.quad import (
     _panel_pair,
     composite_nodes,
     integrate_1d,
+    integrate_power_edge,
     integrate_power_weight,
     sphere_area,
     sphere_moment_ratio,
@@ -226,6 +227,39 @@ class TestPowerWeight:
         monkeypatch.setattr(quad, "integrate_1d", spy)
         integrate_power_weight(lambda x: x, gamma, 4.0)
         assert seen == [4.0 ** (1.0 / m)]
+
+
+class TestPowerEdge:
+    @pytest.mark.parametrize("p", [1.5, 1.3, 2.5, 7.5])
+    @pytest.mark.parametrize("edge, end", [(0.3, 1.0), (0.3, -0.2)])
+    def test_power_at_either_end(self, p, edge, end):
+        # |x - edge|^p over the interval from edge to end, with end on either side of edge
+        res = integrate_power_edge(lambda x: np.abs(x - edge) ** p, edge, end, tol=1e-13)
+        assert res.converged
+        assert res.value == pytest.approx(abs(end - edge) ** (p + 1) / (p + 1), rel=1e-13)
+
+    def test_half_integer_power_is_a_polynomial_in_u(self):
+        # 2 h^(p+1) u^(2p+1) at p = 1.5 is u^4: the first bisection meets the tolerance, where
+        # plain panels bisect toward the edge
+        g = lambda x: (x - 0.25) ** 1.5  # noqa: E731
+        mapped = integrate_power_edge(g, 0.25, 1.0, tol=1e-13)
+        plain = integrate_1d(g, 0.25, 1.0, tol=1e-13)
+        assert mapped.subdivisions == 3
+        assert plain.subdivisions > 10 * mapped.subdivisions
+        assert mapped.value == pytest.approx(0.75**2.5 / 2.5, rel=1e-14)
+
+    def test_smooth_factor_times_power(self):
+        # e^x |x - 1|^1.3 from 1 down to 0 against mpmath
+        res = integrate_power_edge(lambda x: np.exp(x) * np.abs(x - 1.0) ** 1.3, 1.0, 0.0, 1e-13)
+        with mpmath.workdps(30):
+            want = mpmath.quad(lambda x: mpmath.exp(x) * (1 - x) ** mpmath.mpf(1.3), [0, 1])
+        assert res.converged
+        assert abs(res.value - float(want)) <= max(res.error_estimate, 1e-15)
+
+    @pytest.mark.parametrize("edge, end", [(1.0, 1.0), (math.inf, 0.0), (0.0, math.nan)])
+    def test_bad_interval(self, edge, end):
+        with pytest.raises(ValueError):
+            integrate_power_edge(np.ones_like, edge, end)
 
 
 class TestHalfline:
