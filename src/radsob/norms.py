@@ -48,6 +48,7 @@ from .derivcalc import (
 )
 from .indexpoly import MonomialPoly, enumerate_multi
 from .profile import CorpusEntry, Profile, RadialField, SquaredProfile, d_op, to_squared
+from .profile import _TermTable, _term_table
 from .quad import (
     QuadResult,
     QuadratureConvergenceError,
@@ -177,88 +178,12 @@ _SCAN_MAX_CELLS = 1024  # open cells of one bisection level beyond which it give
 _ROOT_STEPS = 64  # Newton or bisection steps of a root's refinement before it stops
 
 
-class _TermTable(NamedTuple):
-    """Two term lists f1, f2 in floats, for evaluating both at many points at once.
-
-    Each (power, rate) pair of either list is a column, and ``coef`` holds f1's
-    coefficients in its first row and f2's in its second (zero where a list has no such
-    term).  A coefficient is the float of an exact one, or the float sum of those whose rates
-    round to one float, within eps of its entry of ``size``, the sum of their absolute
-    values; so ``bound_coef`` is at least the absolute value of the exact coefficient.
-    ``rounding`` is, per row, n + 6 for its n terms, and ``rate_max`` its largest rate.
-    """
-
-    coef: np.ndarray  # (2, columns)
-    size: np.ndarray
-    bound_coef: np.ndarray
-    powers: np.ndarray  # (distinct powers, 1), and the row of each column's power in it
-    power_of: np.ndarray
-    rates: np.ndarray  # likewise for the rates
-    rate_of: np.ndarray
-    rounding: np.ndarray  # (2, 1)
-    rate_max: np.ndarray
-    q: int
-
-    def columns(self, x_pow, x_decay):
-        """x_pow^a exp(-b x_decay^q) for each column (a, b), at each point: one power per
-        distinct a and one exp per distinct b."""
-        decay = x_decay * x_decay if self.q == 2 else x_decay
-        return (x_pow**self.powers)[self.power_of] * np.exp(-self.rates * decay)[self.rate_of]
-
-    def values(self, x):
-        """Both rows' values at the points x, and bounds on their rounding errors.
-
-        A term c x^a e^(-b x^q) rounds to within (4 + 1.5 b x^q) eps of itself (the
-        exponent's 1.5 eps relative error grows by b x^q in exp), and the sum of n terms
-        adds n eps / 2 of their absolute sum; with the coefficients' own rounding the
-        bound is (``rounding`` + 2 b_max x^q) eps times the sizes' sum.
-        """
-        terms = self.columns(x, x)
-        factor = self.rounding + 2.0 * self.rate_max * (x * x if self.q == 2 else x)
-        return self.coef @ terms, _EPS * factor * (self.size @ terms)
-
-    def bounds(self, lo, hi):
-        """sum |c| hi^a exp(-b lo^q) per row, c the exact coefficients: a bound of |f1| and of
-        |f2| over each [lo, hi]."""
-        return self.bound_coef @ self.columns(hi, lo)
-
-
-def _rounded_terms(f) -> dict:
-    """The terms of f as {(a, b): (c, size)} in floats, c merged from the terms whose rates
-    round to one float b, and size the sum of their absolute values."""
-    out: dict = {}
-    for c, a, b in f.terms:  # not f._float_terms(), which would keep the floats on f
-        key, c = (a, float(b)), float(c)
-        c0, s0 = out.get(key, (0.0, 0.0))
-        out[key] = (c0 + c, s0 + abs(c))
-    return out
-
-
-def _term_table(f1, f2) -> _TermTable:
-    """The _TermTable of the exact term lists f1 and f2."""
-    rows = _rounded_terms(f1), _rounded_terms(f2)
-    keys = sorted({*rows[0], *rows[1]})
-    coef, size = np.array(
-        [[[f.get(key, (0.0, 0.0))[i] for key in keys] for f in rows] for i in (0, 1)]
-    ).reshape(2, 2, -1)
-    powers, power_of = np.unique(np.array([a for a, _ in keys], dtype=float), return_inverse=True)
-    rates, rate_of = np.unique(np.array([b for _, b in keys], dtype=float), return_inverse=True)
-    return _TermTable(
-        coef, size, np.abs(coef) + _EPS * size,
-        powers.reshape(-1, 1), power_of, rates.reshape(-1, 1), rate_of,
-        np.array([[len(f) + 6.0] for f in rows]),
-        np.array([[max((b for _, b in f), default=0.0)] for f in rows]), f1._q,
-    )
-
-
 @lru_cache(maxsize=64)
 def _factored(prof) -> tuple[int, object, _TermTable, _TermTable]:
     """(m, g, (g, g'), (g', g'')): the smallest power m of prof, g = prof / x^m, and the
-    ``_TermTable`` of g and g', which the scan evaluates, and of g' and g'', which it bounds.
-
-    g has the interior roots of prof and none at 0, where prof's zero of order m would keep
-    the cells next to 0 from ever being certified.  Its derivatives are the exact, memoised
-    ``derivative`` of the term algebra, converted to floats once.
+    ``_TermTable`` of g and g', which the scan evaluates as ``eval`` does, and of g' and g'',
+    which it bounds.  g has the interior roots of prof and none at 0, where prof's zero of
+    order m would keep the cells next to 0 from ever being certified.
     """
     m = min(a for _, a, _ in prof.terms)
     g = type(prof)([(c, a - m, b) for c, a, b in prof.terms]) if m else prof
@@ -1229,11 +1154,14 @@ def homogeneous_norm(
     Returns (value_def_k_only, value_D, value_squared).  The definition
     route sums only the derivatives of order exactly k; the 1D routes carry
     the sphere-area constants, so at k = 0 all three coincide exactly.
-    Requires every profile term to decay.
+    Requires every profile term to decay, and a RadialField in dimension d.
     """
     _check_domain(d, k, p, method=method)
-    prof = f.profile if isinstance(f, RadialField) else f
-    detail = _homogeneous_detail(prof, d, k, p, math.inf, method, seed, samples, tol)
+    if isinstance(f, RadialField):
+        if f.d != d:
+            raise ValueError(f"the field is in dimension {f.d}, not d = {d}")
+        f = f.profile
+    detail = _homogeneous_detail(f, d, k, p, math.inf, method, seed, samples, tol)
     return _converged_values("homogeneous_norm", *detail)
 
 
@@ -1347,22 +1275,21 @@ def _corot_lhs_detail(F: CorotField, k: int, r: float) -> NormValue:
     return _form_norm(corot_angular_matrix, F.d, range(k + 1), F.profile, r)
 
 
-def corot_lhs(F: CorotField, k: int, r: float, tol: float = 1e-10) -> float:
+def corot_lhs(F: CorotField, k: int, r: float) -> float:
     """H^k norm over the ball of the corotational map (p = 2 only).
 
     The component derivatives of each order form a quadratic form in the
     radial derivations of the profile: an exact angular matrix times
-    closed-form radial moments.  ``tol`` is accepted for signature
-    compatibility; the value is accurate to rounding.
+    closed-form radial moments, accurate to rounding.
     """
     _check_domain(k=k, r=r)
     return _corot_lhs_detail(F, k, r).value
 
 
-def corot_rhs(f: Profile, d: int, k: int, r: float, tol: float = 1e-10) -> float:
+def corot_rhs(f: Profile, d: int, k: int, r: float) -> float:
     """H^k norm over the ball in dimension d + 2 of the radial extension of f."""
     _check_domain(d, k, r=r)
-    return _ball_def_exact(RadialField(d + 2, f), range(k + 1), 2.0, r, tol).value
+    return _form_norm(angular_matrix, d + 2, range(k + 1), f, r).value
 
 
 # ---------------------------------------------------------------------------
@@ -1535,7 +1462,6 @@ def corot_report(
     d: int,
     k: int,
     r: float,
-    tol: float = 1e-10,
 ) -> NormReport:
     """Corotational H^k norms against the (d+2)-dimensional radial norms.
 
@@ -1546,9 +1472,9 @@ def corot_report(
 
     def routes(entry: CorpusEntry):
         lhs = _corot_lhs_detail(CorotField(d, entry.profile), k, r)
-        rhs = _ball_def_exact(RadialField(d + 2, entry.profile), range(k + 1), 2.0, r, tol)
+        rhs = _form_norm(angular_matrix, d + 2, range(k + 1), entry.profile, r)
         return [("lhs", "exact-angular", lhs), ("rhs", "exact-angular", rhs)]
 
-    params = {"report": "corot", "d": d, "k": k, "p": 2, "r": r, "tol": tol}
+    params = {"report": "corot", "d": d, "k": k, "p": 2, "r": r}
     pairs = [("lhs/rhs", "lhs", "rhs", 1), ("(lhs/rhs)^2", "lhs", "rhs", 2)]
     return _corpus_table(params, corpus, routes, pairs)

@@ -4,8 +4,8 @@ This term class is closed under differentiation, multiplication, the
 squared-argument substitution s = rho^2, and (on even profiles) the radial
 derivation f -> f'(rho) / rho.  That closure is what lets every numeric
 route in the package be cross-checked against an exact symbolic value.
-Coefficients c and decay rates b are Fractions; floats appear only in
-``eval``.
+Coefficients c and decay rates b are Fractions; floats appear only in a
+``_TermTable``, the one float form of term lists (``eval``, the sign scan).
 
 A profile is *even* when every power a is even; even profiles extend to
 smooth radial functions of x through f(|x|) and carry a squared-argument
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from ._lazy import np
-from .quad import QuadratureConvergenceError, integrate_1d, rough_scale
+from .quad import _EPS, QuadratureConvergenceError, integrate_1d, rough_scale
 
 Term = tuple[Fraction, int, Fraction]  # (coefficient, power, decay rate)
 
@@ -54,11 +54,11 @@ def _canonical_terms(terms: Iterable[Sequence]) -> tuple[Term, ...]:
 class _TermSum:
     """Sums of terms c * x^a * exp(-b * x^q); each subclass fixes the argument power q.
 
-    Subclasses bind ``eval`` and ``derivative`` in their own namespace, where
-    the benchmark tracer wraps them per class.
+    ``eval`` is the row of the sum's own ``_TermTable``.  Subclasses bind ``eval`` and
+    ``derivative`` in their own namespace, where the benchmark tracer wraps them per class.
     """
 
-    __slots__ = ("terms", "_floats", "_hash")
+    __slots__ = ("terms", "_table", "_hash")
 
     def __init__(self, terms: Iterable[Sequence] = ()):
         object.__setattr__(self, "terms", _canonical_terms(terms))
@@ -142,34 +142,19 @@ class _TermSum:
 
     __rmul__ = __mul__
 
-    def _float_terms(self) -> tuple[tuple[float, int, float], ...]:
-        """The terms with float c and b, converted on first use: a coefficient beyond the
-        float range raises OverflowError from ``eval``, not from the constructor."""
-        try:
-            return self._floats
-        except AttributeError:
-            floats = tuple((float(c), a, float(b)) for c, a, b in self.terms)
-            object.__setattr__(self, "_floats", floats)
-            return floats
-
     def _eval(self, x):
-        """Value at x; accepts a float or an ndarray and matches the input shape."""
+        """Value at x, a float or an ndarray, in x's shape: the value row of the sum's own
+        ``_TermTable``, built on first use (so a coefficient beyond the float range raises
+        OverflowError here, not in the constructor)."""
+        try:
+            table = self._table
+        except AttributeError:
+            table = _term_table(self)
+            object.__setattr__(self, "_table", table)
         arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        decay = {}  # b -> exp(-b x^q), shared by the terms of one decay rate
-        for c, a, b in self._float_terms():
-            term = c * arr**a if a else np.full_like(arr, c)
-            if b:
-                if b not in decay:
-                    arg = -b * arr  # -b x^q as (-b x) x ..., one rounding per factor
-                    for _ in range(1, self._q):
-                        arg = arg * arr
-                    decay[b] = np.exp(arg)
-                term = term * decay[b]
-            out = out + term
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        points = arr.reshape(-1)
+        out = table.rows(*table.factors(points, points))[0].reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
 
     @lru_cache(maxsize=4096)
     def _derivative(self, j: int = 1):
@@ -192,6 +177,94 @@ class _TermSum:
             if b:
                 terms.append((-q * b * c, a + q - 1, b))
         return type(self)(terms)
+
+
+class _TermTable(NamedTuple):
+    """Term lists f_1, ..., f_R in floats: the one form in which radsob evaluates them.
+
+    ``eval`` is the row of a list's own table; the sign scan evaluates (g, g') in one table
+    and bounds (g', g'') with another.  Each exact (power, rate) pair is a column, in term
+    order; row i of ``coef`` holds f_i's float coefficients (0 where it has no such term).
+    A row's value at x is the sum from 0.0, in column order, of (c x^a) exp((-b x) x ...),
+    with one x^a per distinct power and one exp per distinct rate: the same in every table
+    where the other rows' terms are finite, and at each point whatever the call's other
+    points.  ``size`` is |coef| (1 + eps), at least the exact coefficients' absolute values;
+    ``rounding``, ``growth`` and ``floor`` are the parts of a row's rounding bound (``values``).
+    """
+
+    coef: np.ndarray  # (rows, columns, 1)
+    size: np.ndarray  # (rows, columns)
+    powers: tuple[int, ...]  # the distinct powers, and the index of each column's power in them
+    power_of: tuple[int, ...]
+    neg_rates: np.ndarray  # (distinct rates, 1) negated, and the row of each column's rate in it
+    rate_of: np.ndarray
+    rounding: np.ndarray  # (rows, 1)
+    growth: np.ndarray
+    floor: np.ndarray
+    q: int
+
+    def factors(self, x_pow, x_decay):
+        """x_pow^a and exp(-b x_decay^q) for each column (a, b), at each point."""
+        powered = [x_pow**a for a in self.powers]
+        arg = self.neg_rates * x_decay  # -b x^q as (-b x) x ..., one rounding per factor
+        for _ in range(1, self.q):
+            arg *= x_decay
+        decay = np.exp(arg, out=arg)
+        if not self.neg_rates[0, 0]:
+            decay[0] = 1.0  # a rate of 0 multiplies by nothing, even at x = inf
+        return np.array([powered[i] for i in self.power_of]), decay[self.rate_of]
+
+    def rows(self, powered, decay):
+        """The rows' values at the points of ``factors``, one row per term list."""
+        terms = self.coef * powered  # (rows, columns, points)
+        terms *= decay
+        # numpy adds the columns to 0.0 in order at each of several points, but pairwise at a
+        # lone one, where add.accumulate keeps the order (+ 0.0 turns -0.0 into 0.0, as 0.0 +)
+        if terms.shape[2] > 1:
+            return terms.sum(axis=1, initial=0.0)
+        return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+
+    def values(self, x):
+        """``rows`` at the 1-D array of points x, and bounds on their rounding errors.
+
+        A term (c x^a) e^(-b x^q) rounds to within (4 + 1.5 b x^q) eps of itself (the
+        exponent's 1.5 eps relative error grows by b x^q in exp), and the sum of n terms
+        adds n eps / 2 of their absolute sum; with the coefficients' own rounding the
+        bound is ``rounding`` + ``growth`` x^q = (n + 6 + 2 b_max x^q) eps times the sizes'
+        sum.  Where the exp underflows it errs by up to 2^-1074, which adding 2^-1022 to it
+        covers in that sum (the factor is at least 6 eps), and where x^a or a term underflows
+        it errs by up to 2^-1074 |c| or 2^-1075: ``floor`` is 2^-1072 (sum |c| + n).
+        """
+        powered, decay = self.factors(x, x)
+        factor = self.rounding + self.growth * (x * x if self.q == 2 else x)
+        noise = factor * (self.size @ (powered * (decay + 2.0**-1022))) + self.floor
+        return self.rows(powered, decay), noise
+
+    def bounds(self, lo, hi):
+        """sum |c| hi^a exp(-b lo^q) per row, c the exact coefficients: a bound of each row's
+        absolute value over each [lo, hi]."""
+        powered, decay = self.factors(hi, lo)
+        return self.size @ (powered * decay)
+
+
+def _term_table(*lists: _TermSum) -> _TermTable:
+    """The _TermTable of the exact term lists ``lists``, all of one class; a list with no
+    terms is a row of zeros."""
+    keys = sorted({(a, b) for f in lists for _, a, b in f.terms}) or [(0, Fraction(0))]
+    coef = np.zeros((len(lists), len(keys)))
+    for i, f in enumerate(lists):
+        for c, a, b in f.terms:
+            coef[i, keys.index((a, b))] = float(c)  # OverflowError beyond the float range
+    powers, column_rates = sorted({a for a, _ in keys}), [float(b) for _, b in keys]
+    rates, size = sorted(set(column_rates)), np.abs(coef) * (1.0 + _EPS)
+    n = np.array([[len(f.terms)] for f in lists])
+    b_max = np.array([[float(max((b for _, _, b in f.terms), default=0))] for f in lists])
+    return _TermTable(
+        coef[:, :, None], size, tuple(powers), tuple(powers.index(a) for a, _ in keys),
+        -np.array(rates).reshape(-1, 1), np.array([rates.index(b) for b in column_rates]),
+        _EPS * (n + 6.0), 2 * _EPS * b_max, 2.0**-1072 * (size.sum(axis=1, keepdims=True) + n),
+        lists[0]._q,
+    )
 
 
 class Profile(_TermSum):

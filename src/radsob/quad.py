@@ -246,7 +246,7 @@ def truncation_point(
     Tq = 2.0 * math.log(K / bound) / rate
     # sqrt is correctly rounded, pow need not be
     T = max(math.sqrt(Tq) if q == 2 else Tq ** (1.0 / q), 1.0)
-    # -(r/2) T^q rounded as (-(r/2) T) T ..., as a term's eval rounds it
+    # -(r/2) T^q rounded as (-(r/2) T) T ..., as a term list's float table rounds -b x^q
     return T, K * math.exp(-half * T ** (q - 1) * T)
 
 

@@ -148,10 +148,7 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
 
     def test_hardy_single_s_output_is_pinned(self, capsys):
-        # sha256 of the output when each check ran its own two quadratures, re-taken when
-        # params came to hold only the suite's flags (every check stayed byte-identical), and
-        # when integer p came to be integrated in closed form: the same 480 names and passes,
-        # and 18 error fields moved between 0 and at most 2.3e-16 in magnitude
+        # re-taken only after a field-by-field comparison, recorded in CHANGES.md
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5"])
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -452,60 +449,8 @@ class TestExitCodes:
 
 
 class TestPinnedOutputs:
-    """sha256 of stdout before the routes were composed from shared pieces.
-
-    The two equiv pins were re-taken when each adaptive panel's error estimate
-    got its rounding floor, which moved only ``err`` fields.  The Monte Carlo
-    pin was re-taken again when one-summand d^alpha f came to be integrated as
-    |P(omega)|^p times one Gauss sum, which changes only the order of rounding:
-    ``def`` values moved by at most 1.3e-16 relative, the ratio rows stayed
-    identical, and the constant profile's ``def`` err went from 4.0e-18 to
-    9.3e-17 (its fine and coarse rule means differ at the rounding level).
-    It was re-taken once more when each radial column came to be evaluated
-    once per rule and the grid summed in blocks of samples, again only a new
-    order of rounding: ``def`` values moved by at most 1.7e-16 relative, the
-    ratio rows stayed identical, the constant profile's err went from 9.3e-17
-    to 1.8e-16 and the other errs moved by at most 1.5e-13 relative.  It was
-    re-taken when |U|^p came to be formed by products and a sqrt at half-integer
-    p and the grid summed in blocks of 64 samples: ``def`` values moved by at
-    most 1.7e-16 relative, their errs by at most 4.1e-14 relative, and the
-    ratio rows and every other entry stayed identical.  The first and the
-    Monte Carlo pin were re-taken when each adaptive 1-D integral's err got a
-    floor of 8 eps of its value: only the ``err`` fields of ``D`` and
-    ``squared`` entries moved, each by at most 4.4e-16 of its value.  The
-    first was re-taken when the p = 2 ``D`` and squared routes became closed
-    form: their values moved by at most 3.6e-16 relative, each within the
-    combined err, their errs fell from at most 3.7e-12 to at most 2.1e-13 of
-    the value, the ratio bounds moved in the last digits, and the ``def``
-    entries, params and degenerate list stayed identical.  The Monte Carlo pin
-    was re-taken when the p = 3 ``D`` and squared routes became closed form:
-    their values moved by at most 9.7e-15 relative, each within the combined
-    err, their errs rose from at most 2.3e-13 to at most 2.8e-12 of the value
-    (a rounding bound in place of a quadrature estimate), the ratio bounds
-    moved in the last digits, and the ``def`` entries stayed identical.  The
-    first was re-taken when the p = 2 ``D`` and squared pieces came to be taken
-    by the one integer-p closed form (the exact power g^2, and the squared
-    pieces in s itself): their values moved by at most 9.9e-16 relative, each
-    within 0.004 of the combined err, their errs by 0.69 to 1.25 times, the
-    ratio bounds moved in the last digits (by at most 9.8e-16 relative), and
-    the ``def`` entries, params and degenerate list stayed identical.  The
-    Monte Carlo pin was re-taken when two-summand d^alpha f at integer p came
-    to be summed by the expansion of U^p over nodes sorted by direction: the
-    ``def`` values moved by at most 1.8e-16 relative, their errs by at most
-    2.8e-11 relative (the expansion's rounding bound joins them), and the
-    ratio rows and every other entry stayed identical.  The first two were
-    re-taken when each p = 2 quadratic form came to be one exact term sum
-    times |S^(d-1)|: the ``def``, ``lhs`` and ``rhs`` values moved by at most
-    4.6e-15 relative, each within 0.018 of the combined err, their errs by
-    0.67 to 1.87 times, the ratio bounds by at most 2.3e-15 relative, and the
-    ``D`` and squared entries stayed identical.  The Monte Carlo pin was
-    re-taken when the sign scan came to refine its roots by Newton steps on
-    g = prof / x^m in place of Brent's method on prof: 14 ``D`` and squared
-    values moved by at most 1.8e-14 relative, each within 0.016 of the
-    combined err, their errs by at most 5.8e-14 relative, the ratio bounds by
-    at most 2.9e-15 relative, and the ``def`` entries, params and degenerate
-    list stayed identical.
-    """
+    """sha256 of stdout.  A pin is re-taken only after a field-by-field comparison of the old
+    and new output, recorded in CHANGES.md."""
 
     # each id names its command, so re-taking a pin keeps the test's name
     PINS = [
@@ -513,11 +458,11 @@ class TestPinnedOutputs:
                      "5d320e323d832a88c842392621e4108c944a39d30641f7b7eb199853a53e2063",
                      id="equiv-d4-k2-inf"),
         pytest.param(["corot", "--dim", "3", "--k", "2"],
-                     "de23e6e5fc1ad5aa64de9e3a52b74d58f50299fcf93de79cf40bcfd1d7e80cf6",
+                     "e974c730d5f4de42beb6bd07a3ead9a34e13c5f31cb81aef123b967e5439d7cd",
                      id="corot-d3-k2"),
         pytest.param(["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
                       "--samples", "500", "--seed", "1"],
-                     "83fdccfc4fbae068c4cc021566cfe2d096f30f8747c9ec087f96029eef7b3249",
+                     "69de6d279a0f51a425a015f8ad58289b4b47aaeba1ecde9b7939500db2fa4a9c",
                      id="equiv-d3-k2-p3-mc500-seed1"),
     ]
 

@@ -869,6 +869,10 @@ class TestHomogeneous:
         assert v_def == pytest.approx(want, rel=1e-10)
         assert v_d == pytest.approx(want, rel=1e-10)
         assert v_sq == pytest.approx(want, rel=1e-10)
+        # a RadialField gives its profile's values in its own dimension, and no other
+        assert homogeneous_norm(RadialField(2, GAUSS), 2, 0, 2) == (v_def, v_d, v_sq)
+        with pytest.raises(ValueError, match="dimension 3, not d = 5"):
+            homogeneous_norm(RadialField(3, GAUSS), 5, 0, 2.0)
 
     def test_k1_gaussian_closed_forms(self):
         v_def, v_d, v_sq = homogeneous_norm(GAUSS, 3, 1, 2)
@@ -1229,8 +1233,9 @@ class TestCorpusTable:
     # corot: JSON with every err set to 0, and the errs themselves (the closed-form
     # p = 2 errs now go through _pth_root, which rounds them differently in the last bits);
     # re-taken when each quadratic form came to be one exact term sum: one value moved by
-    # 1.7e-16 relative, within 0.006 of the combined err, and the errs by 0.92 to 1.85 times
-    COROT_SHA = "a813ba6c6e7363fbfcd80776db51eb953f8716b87d00bd85b294b3a5d883ba4e"
+    # 1.7e-16 relative, within 0.006 of the combined err, and the errs by 0.92 to 1.85 times;
+    # and when the report's params lost the tol that no corot value reads (nothing else moved)
+    COROT_SHA = "29617b783ae3f3c9a9ed702443b4ce07d3b98a44417eaaba4a8d1b434cb6bb2e"
     COROT_ERRS = (
         "0x1.076f411ad56dep-47", "0x1.aa844a84c1455p-48", "0x1.3b638e7d01064p-47",
         "0x1.7b7efe77a01c6p-47", "0x1.17c73d7f844e3p-47", "0x1.01532257104f4p-47",
@@ -1613,6 +1618,46 @@ def _mp_root(prof, x: float):
             lambda y: mpmath.fsum(c * y**a * mpmath.exp(-b * y**prof._q) for c, a, b in terms),
             mpmath.mpf(x),
         )
+
+
+class TestTableRoundingBound:
+    """The rounding bound of ``_TermTable.values``, which every certified cell and root window
+    rests on, against mpmath at 50 digits."""
+
+    RHO = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 6.0, 40), np.linspace(6.5, 40.0, 30)])
+
+    def test_bound_covers_the_error_of_g_and_its_derivative(self, corpus):
+        worst, underflowed = 0.0, 0
+        for entry in corpus:
+            for j in range(4):
+                f = d_op(entry.profile, j)
+                # the squared form in s = rho^2, up to s = 1600, where e^(-s / 2) underflows too
+                for prof, x in ((f, self.RHO), (to_squared(f), self.RHO * self.RHO)):
+                    if prof.is_zero:
+                        continue
+                    _, g, curve, _ = norms._factored(prof)
+                    with np.errstate(all="ignore"):
+                        values, noises = curve.values(x)
+                    for row, h in enumerate((g, g.derivative())):
+                        # the table's rows are Profile.eval, bit for bit: the bound covers it
+                        assert values[row].tobytes() == h.eval(x).tobytes(), h
+                        with mpmath.workdps(50):
+                            terms = [(mpmath.mpf(c.numerator) / c.denominator, a,
+                                      mpmath.mpf(b.numerator) / b.denominator)
+                                     for c, a, b in h.terms]
+                            for v, noise, xi in zip(values[row], noises[row], x.tolist()):
+                                y = mpmath.mpf(xi)
+                                exact = mpmath.fsum(
+                                    c * y**a * mpmath.exp(-b * y**h._q) for c, a, b in terms
+                                )
+                                err = abs(mpmath.mpf(float(v)) - exact)
+                                assert err <= noise, (h, xi, v, noise)
+                                if err:
+                                    worst = max(worst, float(err / noise))
+                                underflowed += 0 < abs(exact) < 2.0**-1022
+        assert underflowed > 1000  # exact values below the normal range: 2817
+        # 0.20, at x = 5.69 (seen when the bound's test was written)
+        assert worst < 0.5
 
 
 class TestRootRefinement:
@@ -2057,10 +2102,11 @@ class TestScanExits:
         assert norms._sign_changes.__wrapped__(prof, 1e200) is None
 
     def test_non_finite_after_a_bisection_gives_up(self, monkeypatch):
-        # 1e300 rho^100 e^(-25 rho^2 / 8) - 1 peaks at rho = 4 at about 3e338: finite on the
-        # first grid 0, 8, 16, it overflows at the midpoint 4 of the first bisection
+        # 1.6e308 + 1.1e307 rho e^(-rho^2 / 32) - rho^2: each term is finite up to rho = 16,
+        # and so is their sum on the first grid 0, 8, 16 (at most 1.72e308), but the sum
+        # overflows at the midpoint 4 of the first bisection, where the second term is 2.7e307
         monkeypatch.setattr(norms, "_SCAN_CELLS", 1)
-        prof = Profile([(10**300, 100, Fraction(25, 8)), (-1, 0, 0)])
+        prof = Profile([(16 * 10**307, 0, 0), (11 * 10**306, 1, Fraction(1, 32)), (-1, 2, 0)])
         _, _, curve, slope = norms._factored(prof)
         with np.errstate(all="ignore"):
             assert np.isfinite(curve.values(np.array([0.0, 8.0, 16.0]))[0]).all()
