@@ -24,7 +24,7 @@ from ._lazy import np
 from .derivcalc import BudgetExceededError, gram_matrix, recover_Dn
 from .indexpoly import enumerate_multi
 from .profile import RadialField, d_op, rational_to_json, to_squared, whitney_derivative
-from .quad import QuadratureConvergenceError, sphere_area, sphere_monomial_moment
+from .quad import _EPS, QuadratureConvergenceError, sphere_area, sphere_monomial_moment
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -142,18 +142,20 @@ def _suite_identities(args, checks: list) -> None:
 
 def _suite_hardy(args, checks: list) -> None:
     corpus = _load_corpus(args.corpus)
-    slack_tol = max(args.tol, 1e-10)
+    tol = min(args.tol, 1e-12)
     p_grid = (1.0, 2.0, 3.0)
     r_grid = (0.5, 1.0, 2.0)
 
     def check(name: str, inequality, *args) -> None:
         try:
-            rep = inequality(*args)
+            rep = inequality(*args, tol=tol)
         except OverflowError as exc:
             raise OverflowError(f"{name}: a value overflowed the float range") from exc
-        if not rep.converged:
+        if not (rep.converged and math.isfinite(rep.quad_err)):
             raise QuadratureConvergenceError(f"{name}: a quadrature missed its tol", rep.quad_err)
-        checks.append({"name": name, "pass": rep.slack >= -slack_tol, "error": min(rep.slack, 0.0)})
+        # slack short of 0 by at most its integrals' err and its own rounding refutes nothing
+        allowed = rep.quad_err + 4 * _EPS * (abs(rep.lhs) + abs(rep.rhs))
+        checks.append({"name": name, "pass": rep.slack >= -allowed, "error": min(rep.slack, 0.0)})
 
     if args.s is not None and args.s <= -1.0 / max(p_grid):
         # a configuration error (exit 2) for some p of the grid, found before any quadrature runs

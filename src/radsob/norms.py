@@ -191,10 +191,6 @@ def _factored(prof) -> tuple[int, object, _TermTable, _TermTable]:
     return m, g, _term_table(g, g1), _term_table(g1, g2)
 
 
-def _sign(v: float) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _scan_cells(curve: _TermTable, slope: _TermTable, upper: float):
     """The exact-zero edges and the sign-change brackets (lo, hi, g(lo)) of the scan of
     ``_sign_changes``, or None where it does not resolve; ``curve`` and ``slope`` are the tables
@@ -272,24 +268,65 @@ def _refine_roots(curve: _TermTable, brackets) -> list[float]:
     return roots.tolist()
 
 
+def _dominant(prof) -> tuple:
+    """The term (c, a, b) of least rate b and, among those, largest power a, (0, 0, 0) if none:
+    it outgrows every other term as x grows, so prof has the sign of c past its last root."""
+    return min(prof.terms, key=lambda t: (t[2], -t[1]), default=(0, 0, 0))
+
+
+def _root_bound(prof) -> float | None:
+    """A point B past which prof has no root; None where B is not finite or is capped.
+
+    With (c0, a0, b0) the ``_dominant`` term, prof = c0 x^a0 e^(-b0 x^q) (1 + sum_i h_i),
+    h_i = (c_i / c0) x^(a_i - a0) e^(-(b_i - b0) x^q).  Each |h_i| decreases past
+    x_i = ((a_i - a0) / (q (b_i - b0)))^(1/q) where a_i > a0 (then b_i > b0), and everywhere
+    otherwise.  B is the first of the largest x_i (or 1) times powers of 2^(1/4) where
+    sum |h_i| <= 1/2, summed in logs (the 1/2 covers their rounding): on [B, inf) the sum
+    stays below 1, and prof keeps the sign of c0.  The cap: where the terms' envelope
+    max(B, 1)^P e^(-b0 B^q) (P the largest power) is below 2^-1022, prof / x^m nears its
+    table's rounding floor before B, and the part of int x^gamma |prof|^p past that point is
+    not negligible for every weight gamma.  Such a profile gets no certified roots; its
+    integrals take adaptive quadrature, whose half-line cut bounds its own tail.
+    """
+    c0, a0, b0 = _dominant(prof)
+    q = prof._q
+    ratios = [(abs(c / c0), a - a0, float(b - b0)) for c, a, b in prof.terms if (a, b) != (a0, b0)]
+    # ln of each ratio from its integer parts, which may lie beyond the float range
+    others = [(math.log(r.numerator) - math.log(r.denominator), d, rate) for r, d, rate in ratios]
+
+    def excess(x: float) -> float:  # sum |h_i(x)|, or inf where a term exceeds 1
+        log_x, xq = math.log(x), x ** (q - 1) * x
+        logs = [lr + d * log_x - (rate and rate * xq) for lr, d, rate in others]
+        return math.inf if max(logs) > 0.0 else math.fsum(map(math.exp, logs))
+
+    x = max([(d / (q * rate)) ** (1.0 / q) for _, d, rate in others if d > 0] or [1.0])
+    while excess(x) > 0.5:
+        x *= 2.0**0.25
+        if math.isinf(x):
+            return None
+    envelope = prof.max_power * math.log(max(x, 1.0)) - float(b0) * x ** (q - 1) * x  # in logs
+    return x if envelope >= -1022 * math.log(2.0) else None
+
+
 @lru_cache(maxsize=8192)
-def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
-    """Interior sign changes of a term-list function on (0, upper), certified; None if unresolved.
+def _sign_changes(prof) -> tuple[float, ...] | None:
+    """All sign changes of a term-list function on (0, inf), certified; None if unresolved.
 
     These are the kinks of |prof|^p for odd or fractional p, and the ends of the pieces on
     which the closed form integrates (+-prof)^p, where a missed pair of roots would be a
-    silent sign error.  The scan (``_scan_cells``) works on g = prof / x^m (``_factored``),
-    which has prof's roots on (0, upper) and does not underflow where x^m does, from a grid of
-    _SCAN_CELLS cells.  A cell [lo, hi] of width h is
+    silent sign error.  None lie past prof's ``_root_bound`` B, so one scan of (0, B) serves
+    every range and weight; callers keep the roots below their upper end.  The scan
+    (``_scan_cells``) works on g = prof / x^m (``_factored``), which has prof's roots and does
+    not underflow where x^m does, from a grid of _SCAN_CELLS cells.  A cell [lo, hi] of width h is
       * root-free when |g(mid)| > L1 h / 2, with L1 = sum |c'| hi^a' exp(-b lo^q) over the
         terms of g', a bound on |g'| on the cell;
       * monotone, with at most one root, when |g'(mid)| > L2 h / 2, L2 built alike from g'';
     each left side net of its rounding bound (``_TermTable.values``).  A monotone cell whose
     ends differ in sign holds one root, which ``_refine_roots`` finds on the same table of g; a
     scan point where g is exactly zero is a root where g differs in sign on either side (12 -
-    12 x^2 at x = 1, a grid point of (0, 2)), else no cell ending there is monotone.  Other
+    12 x^2 at x = 1 on a scan of (0, 2)), else no cell ending there is monotone.  Other
     cells are bisected.  A cell unresolved after _SCAN_DEPTH bisections (at a double root,
-    say), a non-finite value, or more than _SCAN_MAX_CELLS open cells make the result None.
+    say), a non-finite value, more than _SCAN_MAX_CELLS open cells or no B make the result None.
     Each edge value is computed once and handed to both cells that share the edge, so a root
     within rounding of an edge counts once.  Terms of one sign need no scan.
     """
@@ -300,7 +337,8 @@ def _sign_changes(prof, upper: float) -> tuple[float, ...] | None:
             _, _, curve, slope = _factored(prof)
         except OverflowError:  # a coefficient beyond the float range
             return None
-        found = _scan_cells(curve, slope, upper)
+        bound = _root_bound(prof)
+        found = None if bound is None else _scan_cells(curve, slope, bound)
         if found is None:
             return None
         zeros, brackets = found
@@ -367,7 +405,7 @@ def _weighted_lp_power(
         scale = max(rough_scale(weighted, 0.0, upper), rough_scale(weighted, 0.0, upper / 4.0),
                     _TINY)
         abs_tol = rel_tol * scale
-        kinks = () if p % 2 == 0 else _sign_changes(prof, upper) or ()
+        kinks = () if p % 2 == 0 else _sign_changes(prof) or ()
         edges = [0.0] + [k for k in kinks if 0.0 < k < upper] + [upper]
         # (a, b, mapped): a piece from a to b; a mapped piece starts at a sign change a and is
         # integrated in x = a + (b - a) u^2
@@ -862,15 +900,6 @@ def _root_window(prof, x: float) -> tuple[float, float, int] | None:
     return float(delta), float(lip[0]), m
 
 
-@lru_cache(maxsize=4096)
-def _scan_cut(g, p: int, extra_power: int, tol: float) -> tuple[float, float]:
-    """``_halfline_cut`` of the integral of x^extra_power |g|^p at tol, with T raised to a
-    power of 2^(1/4), so that the sign-change scans of many weights and p share one range
-    (a power of two could double T, where e^(-b T^2) underflows)."""
-    T, tail = _halfline_cut([(g, 1, 0)], p, extra_power, g._q, tol)
-    return 2.0 ** (math.ceil(4.0 * math.log2(T)) / 4.0), tail
-
-
 @lru_cache(maxsize=1024)
 def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None:
     """Integral of x^gamma |g(x)|^p over (0, upper) in closed form, for an integer p >= 1.
@@ -879,14 +908,14 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
     p) |g|^p = +-g^p, and each term c x^a e^(-b x^q) of the exact power g^p integrates over
     a piece (lo, hi) to c (G(hi) - G(lo)), G the ``_gauss_moment`` kernel at s = gamma + a +
     1; a ``SquaredProfile`` (q = 1) is integrated in s itself, so no root of a squared
-    radius is taken.  A piece takes the sign of g at its midpoint.  err adds the bound of
-    ``_moment_sum`` on each piece, the rounding of the sum of the pieces, and for each sign
-    change the integral over the strip between it and the true one (``_root_window``), twice.  A
-    decaying g at odd p is scanned for sign changes only up to the power of 2^(1/4) at or
-    past the truncation point T of ``_halfline_cut``, with the signed integral's eps as its
-    tolerance, and err then adds twice the tail bound past T.  None, at odd p only, when
-    the sign changes are not certified (``_sign_changes``) or a value is not finite.
-    Memoised, as the Hardy and boundary checks take the same integrals.
+    radius is taken.  ``_sign_changes`` certifies every root of g on (0, inf), so past the
+    last one g has the sign of its ``_dominant`` term, and it flips at each root: the sign of
+    a piece is that sign times -1 per root at or past the piece's end, and a half-line's last
+    piece runs to inf exactly.  err adds the bound of ``_moment_sum`` on each piece, the
+    rounding of the sum of the pieces, and for each sign change the integral over the strip
+    between it and the true one (``_root_window``), twice.  None, at odd p only, when the
+    sign changes are not certified.  Memoised, as the Hardy and boundary checks take the
+    same integrals.
     """
     q = g._q
     terms = _power_terms(g, p)
@@ -899,39 +928,17 @@ def _closed_lp_power(g, p: int, gamma: float, upper: float) -> QuadResult | None
     def moments(x: float):
         return [_gauss_moment(s, b, x, q, s_err) for s, b, s_err in exponents]
 
-    at_upper = moments(upper)
-    tail = 0.0
-    roots: tuple[float, ...] = ()
-    if p % 2:
-        scan_upper = upper
-        if upper > 1.0 and g.decays:  # the truncation point is at least 1
-            signed = abs(_fsum([c * v for (c, _, _), (v, _) in zip(terms, at_upper)]))
-            if not math.isfinite(signed):
-                return None
-            # a power of 256 at most eps of the signed integral, which is at most the value
-            tol = math.ldexp(1.0, 8 * ((math.frexp(_EPS * max(signed, _TINY))[1] - 1) // 8))
-            T, cut_tail = _scan_cut(g, p, max(0, math.ceil(gamma)), tol)
-            if T < upper:
-                scan_upper, tail = T, cut_tail
-        roots = _sign_changes(g, scan_upper)
-        if roots is None:
-            return None
-    edges = [0.0, *roots, upper]
-    at_edges = [[(0.0, 0.0)] * len(terms), *map(moments, roots), at_upper]
-    signs = [1] * (len(edges) - 1)
-    if p % 2:
-        # the last piece's sign is taken within the scanned range
-        mids = [0.5 * (lo + min(hi, scan_upper)) for lo, hi in zip(edges, edges[1:])]
-        with np.errstate(all="ignore"):
-            at_mids = g.eval(np.array(mids))
-        if not np.isfinite(at_mids).all():
-            return None
-        signs = [_sign(v) for v in at_mids.tolist()]
+    found = _sign_changes(g) if p % 2 else ()  # |g|^p = g^p at even p
+    if found is None:
+        return None
+    roots = tuple(x for x in found if x < upper)
+    last = (1 if p % 2 == 0 or _dominant(g)[0] > 0 else -1) * (-1) ** (len(found) - len(roots))
+    at_edges = [[(0.0, 0.0)] * len(terms), *map(moments, roots), moments(upper)]
     pieces = []
-    err = 2 * tail
-    for j, sign in enumerate(signs):
+    err = 0.0
+    for j in range(len(roots) + 1):  # g flips sign at each of the len(roots) - j roots past piece j
         piece, err = _moment_sum(terms, at_edges[j], at_edges[j + 1], err)
-        pieces.append(sign * piece)
+        pieces.append(last * (-1) ** (len(roots) - j) * piece)
     for x in roots:
         window = _root_window(g, x)
         if window is None:
@@ -1213,7 +1220,7 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
     Passing r = math.inf selects the boundary-free half-line variant, which
     requires a decaying function.  ``f`` may be a Profile or a
     SquaredProfile.  Returns the evaluated sides; slack >= 0 up to
-    the error of its integrals.
+    quad_err, the error of its integrals, and the rounding of the sides.
     """
     lhs_res, grad_res, converged = _hardy_integrals(f, p, r, s, tol)
     const = p / (p * s + 1.0)
@@ -1224,19 +1231,10 @@ def hardy_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequali
         boundary = const * r ** (p * s + 1.0) * abs(f.eval(r)) ** p
         variant = "hardy-interval"
     gradient = const**p * grad_res.value
-    rhs = boundary + gradient
-    return InequalityReport(
-        name=variant,
-        p=p,
-        r=r,
-        s=s,
-        lhs=lhs_res.value,
-        terms=(boundary, gradient),
-        rhs=rhs,
-        slack=rhs - lhs_res.value,
-        quad_err=lhs_res.error_estimate + const**p * grad_res.error_estimate,
-        converged=converged,
-    )
+    rhs, lhs = boundary + gradient, lhs_res.value
+    quad_err = lhs_res.error_estimate + const**p * grad_res.error_estimate
+    return InequalityReport(variant, p, r, s, lhs, (boundary, gradient), rhs, rhs - lhs, quad_err,
+                            converged)
 
 
 def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> InequalityReport:
@@ -1248,23 +1246,16 @@ def boundary_check(f, p: float, r: float, s: float, tol: float = 1e-12) -> Inequ
     if math.isinf(r):
         raise ValueError("the boundary estimate needs a finite radius")
     zeroth_res, grad_res, converged = _hardy_integrals(f, p, r, s, tol)
-    front = 2.0 ** (p - 1.0) / r ** (p * s + 1.0)
+    scale = r ** (p * s + 1.0)
+    if scale == 0.0:  # the constants' quotient overflows the float range
+        raise OverflowError(f"r^(ps+1) = {r}^{p * s + 1.0} underflows to 0")
+    front = 2.0 ** (p - 1.0) / scale
     zeroth = front * (s + 1.0) ** p * zeroth_res.value
     gradient = front * grad_res.value
-    lhs = abs(f.eval(r)) ** p
-    rhs = zeroth + gradient
-    return InequalityReport(
-        name="boundary",
-        p=p,
-        r=r,
-        s=s,
-        lhs=lhs,
-        terms=(zeroth, gradient),
-        rhs=rhs,
-        slack=rhs - lhs,
-        quad_err=front * ((s + 1.0) ** p * zeroth_res.error_estimate + grad_res.error_estimate),
-        converged=converged,
-    )
+    lhs, rhs = abs(f.eval(r)) ** p, zeroth + gradient
+    quad_err = front * ((s + 1.0) ** p * zeroth_res.error_estimate + grad_res.error_estimate)
+    return InequalityReport("boundary", p, r, s, lhs, (zeroth, gradient), rhs, rhs - lhs, quad_err,
+                            converged)
 
 
 # ---------------------------------------------------------------------------

@@ -227,27 +227,34 @@ def truncation_point(
     The integrand is assumed bounded by env_coeff * (1 + u^env_power) *
     exp(-rate * u^q) with rate > 0 and q >= 1 (q = 2 for profiles in rho,
     q = 1 for squared-argument profiles).  Returns (T, tail) with the
-    analytic tail bound tail <= tol / 2, or (1, inf) when the envelope
-    overflows and no bound is known.
+    analytic tail bound tail <= tol / 2, or (1, inf) when env_coeff is inf
+    and no bound is known.
     """
     if rate <= 0:
         raise ValueError("decay rate must be > 0")
     if env_coeff < 0:
         raise ValueError("envelope coefficient must be >= 0")
-    half = rate / 2.0
-    # int_T^inf u^m e^(-r u^q) du <= e^(-r T^q / 2) Gamma((m+1)/q) / (q (r/2)^((m+1)/q))
-    moments = [math.gamma((m + 1) / q) / (q * half ** ((m + 1) / q)) for m in (0, env_power)]
-    K = env_coeff * sum(moments)
-    bound = tol / 2.0
-    if K <= bound or env_coeff == 0:
-        return 1.0, min(K, bound)
-    if math.isinf(K):
+    if env_coeff == 0:
+        return 1.0, 0.0
+    if env_coeff == math.inf:
         return 1.0, math.inf
-    Tq = 2.0 * math.log(K / bound) / rate
+    half = rate / 2.0
+    # int_T^inf u^m e^(-r u^q) du <= e^(-r T^q / 2) Gamma((m+1)/q) / (q (r/2)^((m+1)/q)), in
+    # logs, where Gamma or the power leaves the float range; K sums it over m = 0 and env_power
+    l0, l1 = (math.lgamma((m + 1) / q) - math.log(q) - (m + 1) / q * math.log(half)
+              for m in (0, env_power))
+    log_K = math.log(env_coeff) + max(l0, l1) + math.log1p(math.exp(-abs(l0 - l1)))
+    log_bound = math.log(tol / 2.0)
+    if log_K <= log_bound:
+        return 1.0, math.exp(log_K)
+    # the gap widened by 2^-44 of the logs' size covers the rounding of the logs, of T and of
+    # the tail's exponent, so that the tail stays within the bound
+    gap = log_K - log_bound + 2.0**-44 * (1.0 + abs(log_K) + abs(log_bound))
+    Tq = 2.0 * gap / rate
     # sqrt is correctly rounded, pow need not be
     T = max(math.sqrt(Tq) if q == 2 else Tq ** (1.0 / q), 1.0)
     # -(r/2) T^q rounded as (-(r/2) T) T ..., as a term list's float table rounds -b x^q
-    return T, K * math.exp(-half * T ** (q - 1) * T)
+    return T, math.exp(log_K - half * T ** (q - 1) * T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -170,6 +169,49 @@ class TestVerify:
         assert rc == 4
         assert out == ""
         assert err == "error: hardy p=2 s=-0.25 r=0.5 big: a value overflowed the float range\n"
+
+    def test_hardy_underflow_names_the_check(self, capsys):
+        # r^(ps + 1) = 0.5^1000001 underflows to 0, so the boundary constants' quotient overflows
+        rc, out, err = run_cli(capsys, ["verify", "hardy", "--s", "1e6"])
+        assert rc == 4
+        assert out == ""
+        assert err == "error: boundary p=1 s=1e+06 r=0.5 one: a value overflowed the float range\n"
+
+    def test_hardy_large_s_passes_within_err(self, capsys):
+        # at s = 100 the p = 1 checks of monotone profiles of one sign, equalities, miss 0 by
+        # up to 1e-16 of their sides (-3.65e47 for gauss, whose err is 6.69e48), and the
+        # half-line tail bounds of p = 3 need factors beyond the float range
+        rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "100"])
+        assert rc == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_hardy_violation_beyond_its_err_fails(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text('[{"terms": [[1, 0, 1]], "label": "gauss"}]')
+        real = norms.hardy_check
+
+        def short(*args, **kwargs):  # slack below 0 by twice what the pass test allows
+            rep = real(*args, **kwargs)
+            allowed = rep.quad_err + 4 * 2.0**-52 * (abs(rep.lhs) + abs(rep.rhs))
+            gap = max(rep.slack, 0.0) + 2 * allowed
+            return dataclasses.replace(rep, rhs=rep.rhs - gap, slack=rep.slack - gap)
+
+        monkeypatch.setattr(norms, "hardy_check", short)
+        rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5", "--corpus", str(path)])
+        assert rc == 1
+        checks = json.loads(out)["checks"]
+        assert all(c["pass"] == c["name"].startswith("boundary") for c in checks)
+
+    def test_hardy_scans_each_profile_once(self, capsys, monkeypatch):
+        # one certified root set per profile serves every (p, s, r) of the grid
+        norms._sign_changes.cache_clear()
+        norms._closed_lp_power.cache_clear()
+        norms._weighted_lp_power.cache_clear()
+        real, seen = norms._sign_changes, []
+        monkeypatch.setattr(norms, "_sign_changes", lambda prof: seen.append(prof) or real(prof))
+        rc, _, _ = run_cli(capsys, ["verify", "hardy"])
+        assert rc == 0
+        assert real.cache_info().misses == len(set(seen)) == 47 < len(seen)
 
     def test_whitney_tolerance_is_relative(self, capsys, tmp_path):
         # an integrand of size 1e6 rounds at ~1e-10, the default tol taken as absolute
@@ -377,14 +419,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: lp-identity ") and "quadrature missed its tol" in err
 
-    def test_unconverged_inequality_is_numerical_failure(self, capsys, monkeypatch):
-        # the suite's quadratures run at a fixed tol (--tol sets only the slack
-        # threshold), so an unmeetable one is forced here
-        monkeypatch.setattr(norms, "hardy_check", functools.partial(norms.hardy_check, tol=1e-30))
-        rc, out, err = run_cli(capsys, ["verify", "hardy"])
+    def test_unconverged_inequality_is_numerical_failure(self, capsys):
+        # the suite's quadratures run at min(--tol, 1e-12), which 1e-30 makes unmeetable
+        rc, out, err = run_cli(capsys, ["verify", "hardy", "--tol", "1e-30"])
         assert rc == 4
         assert out == ""
         assert err.startswith("error: hardy ") and "quadrature missed its tol" in err
+
+    def test_inequality_without_finite_err_is_numerical_failure(self, capsys, monkeypatch):
+        # an integral whose err is inf (a tail without a bound) gives no verdict
+        real = norms.hardy_check
+        monkeypatch.setattr(norms, "hardy_check",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), quad_err=math.inf))
+        rc, out, err = run_cli(capsys, ["verify", "hardy"])
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error: hardy p=1 ") and "quadrature missed its tol" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -462,7 +512,7 @@ class TestPinnedOutputs:
                      id="corot-d3-k2"),
         pytest.param(["equiv", "--dim", "3", "--k", "2", "--p", "3", "--method", "monte-carlo",
                       "--samples", "500", "--seed", "1"],
-                     "69de6d279a0f51a425a015f8ad58289b4b47aaeba1ecde9b7939500db2fa4a9c",
+                     "5b45524bcca788841d3d5eacf039de974ea33f38aa73c7217e466a646f00faa7",
                      id="equiv-d3-k2-p3-mc500-seed1"),
     ]
 

@@ -314,7 +314,19 @@ class TestHalfline:
         assert tail <= rest.value * math.exp(T) * 1e3
 
     def test_overflowing_envelope_has_no_bound(self):
-        assert truncation_point(1e-10, 1.0, 1e308, 6, 2) == (1.0, math.inf)
+        assert truncation_point(1e-10, 1.0, math.inf, 6, 2) == (1.0, math.inf)
+
+    @pytest.mark.parametrize("coeff, power, rate", [(1e308, 6, 1.0), (1.0, 324, 1.5)])
+    def test_overflowing_moment_factor_keeps_a_bound(self, coeff, power, rate):
+        # the tail factor K overflows the float range while the envelope is finite: at 1e308
+        # times 38.9, and at Gamma(162.5) / 0.75^162.5
+        T, tail = truncation_point(1e-10, rate, coeff, power, 2)
+        assert math.isfinite(T) and tail <= 5e-11
+        with mpmath.workdps(30):
+            rest = mpmath.quad(
+                lambda u: coeff * (1 + u**power) * mpmath.exp(-rate * u * u), [T, mpmath.inf]
+            )
+        assert 0 < rest <= tail
 
 
 class TestSphere:
