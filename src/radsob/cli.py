@@ -151,6 +151,9 @@ def _suite_hardy(args, checks: list) -> None:
             rep = inequality(*args, tol=tol)
         except OverflowError as exc:
             raise OverflowError(f"{name}: a value overflowed the float range") from exc
+        if not (math.isfinite(rep.lhs) and math.isfinite(rep.rhs)):
+            # an integral beyond the float range, which no quadrature can meet either
+            raise OverflowError(f"{name}: a value overflowed the float range")
         if not (rep.converged and math.isfinite(rep.quad_err)):
             raise QuadratureConvergenceError(f"{name}: a quadrature missed its tol", rep.quad_err)
         # slack short of 0 by at most its integrals' err and its own rounding refutes nothing

@@ -4,9 +4,9 @@ The forward direction expands any partial derivative of f(|x|) into a finite
 sum of polynomial factors times powers of the radial derivation applied to f;
 summed over all derivatives of one order, the squared factors integrate over
 the sphere to an exact rational angular matrix of the p = 2 norm.
-The backward direction inverts that expansion: an exact rational Gram matrix
-over all coordinate tuples of a given length, summed per multi-index with
-multiplicity n!/alpha!, yields recovery coefficients q_alpha with
+The backward direction inverts that expansion: an exact rational Gram matrix,
+defined as a sum over all coordinate tuples of a given length and taken in
+closed form, yields recovery coefficients q_alpha with
 
     |x|^n (D^n f)(|x|) = sum over |alpha| = n of q_alpha(x/|x|) d^alpha f(|x|).
 
@@ -278,8 +278,9 @@ class GramMatrix:
 
     ``entries[i][j]`` sums, over all d**n coordinate tuples I, the products of
     the i-th and j-th scaled repeated Laplacians of the coordinate-product
-    monomial evaluated at the last basis vector.  The inverse is exact and
-    satisfies entries @ inverse == identity in rational arithmetic.
+    monomial evaluated at the last basis vector; ``_gram`` takes that sum in
+    closed form.  The inverse is exact and satisfies entries @ inverse ==
+    identity in rational arithmetic.
     """
 
     d: int
@@ -300,44 +301,37 @@ class GramMatrix:
         return np.array([[float(v) for v in row] for row in self.entries])
 
 
-def _p_vector_at_basis(d: int, alpha: MultiIndex, jmax: int) -> tuple[Fraction, ...]:
-    """(p^0, ..., p^jmax) of the monomial x^alpha evaluated at e_d, exactly.
-
-    Evaluation at the basis vector picks out the coefficient of the pure
-    x_d power in each repeated Laplacian.
-    """
-    n = sum(alpha)
-    poly = MonomialPoly.monomial(d, alpha)
-    values = []
-    for j in range(jmax + 1):
-        key = (0,) * (d - 1) + (n - 2 * j,)
-        coeff = poly.coeffs.get(key, Fraction(0))
-        values.append(coeff * Fraction(1, 2**j * math.factorial(j)))
-        poly = poly.laplacian()
-    return tuple(values)
-
-
 @lru_cache(maxsize=None)
 def _gram(d: int, n: int) -> GramMatrix:
-    # the coordinate tuples collapsing to alpha all give the monomial x^alpha;
-    # there are n!/alpha! of them
+    """The Gram matrix of (d, n) in closed form, without enumerating a multi-index.
+
+    entries[i][j] sums n!/alpha! p^i(alpha) p^j(alpha) over |alpha| = n, with p^j(alpha) the
+    coefficient of x_d^(n-2j) in Laplacian^j x^alpha / (2^j j!).  That coefficient is zero
+    unless alpha = (2m_1, ..., 2m_(d-1), n - 2M) with M = sum m_l <= j, where it is
+    prod_l (2m_l - 1)!! c_M(j - M), c_M(t) = C(n - 2M, 2t) (2t - 1)!! and (-1)!! = 1.  Over
+    the m_l of one M, n!/alpha! prod_l (2m_l - 1)!!^2 sums to n!/(n - 2M)! times
+    sum prod_l C(2m_l, m_l) / 4^m_l, the coefficient of x^M in (1 - x)^(-(d-1)/2).  So the
+    matrix is V diag(w) V^T, w_M = n!/(n - 2M)! ((d - 1)/2)_M / M!, with V[i][M] = c_M(i - M)
+    unit lower triangular: positive definite for every (d, n), its k-th leading minor
+    w_0 ... w_(k-1).
+    """
     size = n // 2 + 1
-    nfact = math.factorial(n)
-    acc = [[Fraction(0)] * size for _ in range(size)]
-    for alpha in enumerate_multi(d, n):
-        vec = _p_vector_at_basis(d, alpha, size - 1)
-        weight = nfact // multi_factorial(alpha)
-        for i, vi in enumerate(vec):
-            if vi:  # the whole vector is zero unless every coordinate but the last has even order
-                for j, vj in enumerate(vec):
-                    acc[i][j] += weight * vi * vj
-    entries = tuple(tuple(row) for row in acc)
+    w = [Fraction(math.perm(n, 2 * m) * math.prod(range(d - 1, d - 1 + 2 * m, 2)),
+                  2**m * math.factorial(m)) for m in range(size)]
+    V = [[math.comb(n - 2 * m, 2 * (i - m)) * math.prod(range(1, 2 * (i - m), 2))
+          for m in range(i + 1)] for i in range(size)]
+    entries = tuple(
+        tuple(sum((w[m] * V[i][m] * V[j][m] for m in range(min(i, j) + 1)), Fraction(0))
+              for j in range(size))
+        for i in range(size)
+    )
     inverse, minors = _invert_exact(entries, f"Gram matrix for (d={d}, n={n})")
     return GramMatrix(d, n, entries, inverse, minors)
 
 
 def _check_order(d: int, n: int, budget: int) -> None:
-    """Reject d < 2 or n < 1, and raise :class:`BudgetExceededError` when d**n exceeds ``budget``."""
+    """Reject d < 2 or n < 1, and raise :class:`BudgetExceededError` when d**n, the tuples of
+    the Gram matrix's defining sum (the closed form enumerates none), exceeds ``budget``."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if n < 1:
@@ -350,9 +344,9 @@ def _check_order(d: int, n: int, budget: int) -> None:
 def gram_matrix(d: int, n: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> GramMatrix:
     """Exact Gram matrix for dimension d >= 2 and derivative order n >= 1.
 
-    The d**n coordinate tuples are summed as the binomial(n + d - 1, d - 1)
-    multi-indices they collapse to, each weighted by its n!/alpha! tuples;
-    raises :class:`BudgetExceededError` when d**n exceeds ``budget``.
+    The sum over the d**n coordinate tuples is taken in closed form (``_gram``), at a
+    cost that does not depend on d; raises :class:`BudgetExceededError` when d**n
+    exceeds ``budget``.
     """
     _check_order(d, n, budget)
     return _gram(d, n)

@@ -786,43 +786,39 @@ def _ball_def_mc(
     check_multi_indices(d, max(orders))
     pts = _sphere_points(d, seed, samples)
 
+    def rules(R: float):
+        return composite_nodes(0.0, R, _MC_FINE_PANELS), composite_nodes(0.0, R, _MC_COARSE_PANELS)
+
+    if math.isinf(r):
+        panel = composite_nodes(0.0, 2.0, 1)
+    else:
+        fine, coarse = rules(r)
+    acc = np.zeros(samples)
+    quad_err = 0.0
     # each d^alpha f, alpha of every order n, as its nonzero summands poly(x) (D^j f)(|x|)
     # with poly homogeneous of degree 2j - n
-    alphas = []
     for n in orders:
         for alpha in enumerate_multi(d, n):
             terms = [(poly, d_op(f, j), 2 * j - n) for j, poly in forward_terms(d, tuple(alpha))
                      if not d_op(f, j).is_zero]
-            if terms:
-                alphas.append(terms)
-
-    tail_total = 0.0
-    R = r
-    if math.isinf(r):
-        R = 1.0
-        panel = composite_nodes(0.0, 2.0, 1)
-        for terms in alphas:
-            # the tail is relative to a one-panel estimate on [0, 2] of the sample-mean integrand;
-            # on the unit sphere |poly| is at most its absolute coefficient sum
-            V = _mc_samples(terms, pts)
-            scale = float(_mc_integrals(V, *_mc_columns(terms, *panel, d), p).mean())
-            parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
-            T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
-            R = max(R, T)
-            tail_total += tail
-
-    fine = composite_nodes(0.0, R, _MC_FINE_PANELS)
-    coarse = composite_nodes(0.0, R, _MC_COARSE_PANELS)
-    acc = np.zeros(samples)
-    quad_err = tail_total
-    for terms in alphas:
-        V = _mc_samples(terms, pts)  # once for both rules
-        S, wt = _mc_columns(terms, *fine, d)
-        acc_alpha = _mc_integrals(V, S, wt, p)
-        acc_coarse = _mc_integrals(V, *_mc_columns(terms, *coarse, d), p)
-        quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
-        quad_err += _mc_rounding(terms, S, wt, p)
-        acc += acc_alpha
+            if not terms:
+                continue
+            V = _mc_samples(terms, pts)  # once for every rule
+            if math.isinf(r):
+                # cut at this alpha's own T, its tail relative to a one-panel estimate on [0, 2]
+                # of its sample-mean integrand; on the unit sphere |poly| is at most its
+                # absolute coefficient sum
+                scale = float(_mc_integrals(V, *_mc_columns(terms, *panel, d), p).mean())
+                parts = [(g, sum(map(abs, poly.coeffs.values())), deg) for poly, g, deg in terms]
+                T, tail = _halfline_cut(parts, p, d - 1, f._q, 1e-10 * max(scale, _TINY))
+                fine, coarse = rules(T)
+                quad_err += tail
+            S, wt = _mc_columns(terms, *fine, d)
+            acc_alpha = _mc_integrals(V, S, wt, p)
+            acc_coarse = _mc_integrals(V, *_mc_columns(terms, *coarse, d), p)
+            quad_err += abs(float(acc_alpha.mean()) - float(acc_coarse.mean()))
+            quad_err += _mc_rounding(terms, S, wt, p)
+            acc += acc_alpha
 
     area = sphere_area(d)
     pow_mean = area * float(acc.mean())

@@ -60,11 +60,15 @@ class TraceExtPair:
                    seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                    tol: float = 1e-10) -> float:
         _check_domain(self.d, self.k, self.p, self.r, method)
+        if field.d != self.d:
+            raise ValueError(f"the field is in dimension {field.d}, not d = {self.d}")
         nv = _ball_def_detail(field, range(self.k + 1), self.p, self.r, method, seed, samples, tol)
         return _converged_values("TraceExtPair.field_norm", nv)[0]
 
     def interval_norm(self, ft: SquaredProfile, tol: float = 1e-10) -> float:
         """Weighted interval norm on (0, r^2) in its p-power form."""
+        if _square_overflows(ft, self.r):
+            raise OverflowError(f"r^2 = {self.r}^2 overflows the float range")
         nv = _profile_squared_detail(
             ft, self.d, range(self.k + 1), self.p, self.r * self.r, "p-power", tol
         )

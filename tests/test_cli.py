@@ -61,6 +61,16 @@ class TestGram:
             "92a72ee08afd63dc893663f4a2f2db77841dc4d43ca3bd9c7d1242933fe5448c"
         )
 
+    @pytest.mark.parametrize("d, n, sha", [
+        (2, 20, "bc3aff767985532240ee27a557214456f70344c7cfb6f0567508614f742dcf13"),
+        (3, 14, "bed6915c4b79ad1bd07651f9d00f6590bc0c8d1d2f7a8a5492c511465fa50899"),
+    ])
+    def test_outputs_are_pinned(self, capsys, d, n, sha):
+        # sha256 of the outputs of the multi-index build
+        rc, out, _ = run_cli(capsys, ["gram", "--dim", str(d), "--order", str(n)])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, ["gram", "--dim", "4", "--order", "4"])
         _, out2, _ = run_cli(capsys, ["gram", "--dim", "4", "--order", "4"])
@@ -176,6 +186,13 @@ class TestVerify:
         assert rc == 4
         assert out == ""
         assert err == "error: boundary p=1 s=1e+06 r=0.5 one: a value overflowed the float range\n"
+
+    def test_hardy_overflowing_integral_names_the_check(self, capsys):
+        # int_0^inf x^1000 e^(-x^2) = Gamma(500.5) / 2 lies beyond the float range
+        rc, out, err = run_cli(capsys, ["verify", "hardy", "--s", "1e3"])
+        assert rc == 4
+        assert out == ""
+        assert err == "error: hardy-halfline p=1 s=1000 gauss: a value overflowed the float range\n"
 
     def test_hardy_large_s_passes_within_err(self, capsys):
         # at s = 100 the p = 1 checks of monotone profiles of one sign, equalities, miss 0 by

@@ -10,6 +10,7 @@ from radsob.derivcalc import (
     BudgetExceededError,
     _angular_form,
     _corot_forward_terms,
+    _gram,
     _invert_exact,
     _orbits,
     angular_matrix,
@@ -126,7 +127,7 @@ def leibniz_det(rows):
 
 
 class TestGram:
-    @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (4, 5), (5, 4), (2, 11), (3, 7), (7, 3)])
     def test_entries_equal_the_tuple_sum(self, d, n):
         # the defining sum over all d**n coordinate tuples, evaluated exactly at e_d
         e_d = (0,) * (d - 1) + (1,)
@@ -138,6 +139,14 @@ class TestGram:
                 for j in range(size):
                     want[i][j] += vec[i] * vec[j]
         assert gram_matrix(d, n).entries == tuple(tuple(row) for row in want)
+
+    def test_closed_form_walks_no_laplacian(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the Gram matrix took a Laplacian")
+
+        _gram.cache_clear()
+        monkeypatch.setattr(MonomialPoly, "laplacian", refuse)
+        assert gram_matrix(4, 6).entries[0][0] == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", range(1, 9))

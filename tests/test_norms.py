@@ -392,7 +392,7 @@ class TestFactoredMonteCarlo:
         self, corpus, monkeypatch, d, n, r, p
     ):
         """Each alpha gets one kernel call per rule and on the half-line scale panel, and its
-        sample polynomials are evaluated once for both rules.  A one-summand alpha sums no
+        sample polynomials are evaluated once for all of them.  A one-summand alpha sums no
         samples x nodes grid, nor does a two-summand one at integer p; the others sum it in
         blocks of samples."""
         calls, blocks, samples = [], [], []
@@ -421,7 +421,7 @@ class TestFactoredMonteCarlo:
             norms._ball_def_mc(RadialField(d, entry.profile), [n], p, r, 1, self.SAMPLES)
             alphas += len(self.alpha_terms(entry.profile, d, n))
         assert len(calls) == (3 if math.isinf(r) else 2) * alphas
-        assert len(samples) == (2 if math.isinf(r) else 1) * alphas
+        assert len(samples) == alphas
         for i, (count, nodes) in enumerate(calls):
             shapes = [shape for call, shape in blocks if call == i]
             if count == 1 or (count == 2 and p == int(p)):

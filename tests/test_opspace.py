@@ -129,3 +129,17 @@ class TestPair:
             pair.field_norm(RadialField(3, GAUSS), method="typo")
         with pytest.raises(ValueError, match="exact-angular"):
             pair.field_norm(RadialField(3, GAUSS))
+
+    def test_field_norm_rejects_a_field_of_another_dimension(self):
+        pair = TraceExtPair(3, 1, 2.0, 1.0)
+        assert pair.field_norm(RadialField(3, GAUSS)) == pytest.approx(2.0285838941888943, rel=1e-9)
+        with pytest.raises(ValueError, match="^the field is in dimension 2, not d = 3$"):
+            pair.field_norm(RadialField(2, GAUSS))
+
+    def test_interval_norm_names_an_overflowing_square_of_r(self):
+        pair = TraceExtPair(3, 1, 2.0, 1e200)
+        with pytest.raises(OverflowError, match=r"^r\^2 = 1e\+200\^2 overflows the float range$"):
+            pair.interval_norm(to_squared(ONE))
+        # a decaying profile has vanished long before r^2: its half-line value is its value
+        halfline = TraceExtPair(3, 1, 2.0, math.inf)
+        assert pair.interval_norm(to_squared(GAUSS)) == halfline.interval_norm(to_squared(GAUSS))
