@@ -16,10 +16,9 @@ Everything up to final evaluation is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .indexpoly import MonomialPoly, MultiIndex, enumerate_multi, multi_factorial
@@ -138,8 +137,7 @@ def profile_derivative_from_partials(field: RadialField, j: int, x: Sequence[flo
 # Angular matrices of the p = 2 quadratic form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AngularMatrix:
+class AngularMatrix(NamedTuple):
     """Angular factor of the squared L^2 norm of all derivatives of one order.
 
     For expansions d^alpha u = sum_j P_j(x) (D^j f)(|x|) with P_j homogeneous
@@ -272,8 +270,7 @@ def _invert_exact(
     return tuple(tuple(row[k:]) for row in aug), tuple(minors)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Exact rational Gram matrix of the scaled-Laplacian coefficient vectors.
 
     ``entries[i][j]`` sums, over all d**n coordinate tuples I, the products of
@@ -287,7 +284,7 @@ class GramMatrix:
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
     inverse: tuple[tuple[Fraction, ...], ...]
-    _minors: tuple[Fraction, ...] = dataclass_field(repr=False, compare=False)
+    minors: tuple[Fraction, ...]
 
     @property
     def size(self) -> int:
@@ -295,7 +292,7 @@ class GramMatrix:
 
     def leading_minors(self) -> list[Fraction]:
         """Determinants of the leading principal blocks (all positive for SPD)."""
-        return list(self._minors)
+        return list(self.minors)
 
     def as_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
@@ -377,8 +374,7 @@ def solve_linear_system(
 # Recovery coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecoveryCoeffs:
+class RecoveryCoeffs(NamedTuple):
     """Map alpha -> q_alpha with |x|^n (D^n f)(|x|) = sum q_alpha(x/|x|) d^alpha f(|x|).
 
     Each q_alpha is a homogeneous polynomial: of degree 2n for even n and

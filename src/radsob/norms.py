@@ -29,11 +29,9 @@ radial comparison norm in dimension d + 2.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -1172,8 +1170,7 @@ def homogeneous_norm(
 # Hardy-type inequality checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """One evaluated weighted inequality: rhs terms, slack = rhs - lhs.
 
     ``converged`` is False when a quadrature behind either side missed tol.
@@ -1288,8 +1285,7 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     label: str
     route: str
     value: float
@@ -1297,7 +1293,6 @@ class ReportEntry:
     method: str
 
 
-@dataclass
 class NormReport:
     """Per-(profile, route) values with pairwise ratio summaries.
 
@@ -1306,10 +1301,11 @@ class NormReport:
     non-finite entry value or err; CSV writes the entries table only.
     """
 
-    params: dict
-    entries: list[ReportEntry] = dataclass_field(default_factory=list)
-    ratios: list[dict] = dataclass_field(default_factory=list)
-    degenerate: list[dict] = dataclass_field(default_factory=list)
+    def __init__(self, params: dict):
+        self.params = params
+        self.entries: list[ReportEntry] = []
+        self.ratios: list[dict] = []
+        self.degenerate: list[dict] = []
 
     def to_json_dict(self) -> dict:
         return {
@@ -1332,6 +1328,8 @@ class NormReport:
         return _json_dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
+        import csv  # only CSV output needs it; a fresh `import radsob.cli` stays without it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "route", "method", "value", "err"])

@@ -10,8 +10,7 @@ interval norms stay in a bounded, refinement-stable interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .norms import (
     DEFAULT_SAMPLES,
@@ -38,17 +37,22 @@ def extend(ft: SquaredProfile, d: int) -> RadialField:
     return RadialField(d, from_squared(ft))
 
 
-@dataclass(frozen=True)
-class TraceExtPair:
-    """The trace/extension pair at fixed (d, k, p, r), with norm accessors."""
-
+class _TraceExtPairFields(NamedTuple):
     d: int
     k: int
     p: float
     r: float
 
-    def __post_init__(self):
-        _check_domain(self.d, self.k, self.p, self.r)
+
+class TraceExtPair(_TraceExtPairFields):
+    """The trace/extension pair at fixed (d, k, p, r), with norm accessors."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
+
+    def __new__(cls, d: int, k: int, p: float, r: float):
+        _check_domain(d, k, p, r)
+        return super().__new__(cls, d, k, p, r)
 
     def forward(self, field: RadialField) -> SquaredProfile:
         return trace(field)

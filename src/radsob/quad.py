@@ -14,10 +14,9 @@ exponents without a closed angular form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._lazy import np
 
@@ -34,8 +33,7 @@ class QuadratureConvergenceError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value of an integral together with its achieved error estimate."""
 
     value: float
@@ -412,23 +410,27 @@ def sphere_moment_ratio(d: int, beta: tuple[int, ...]) -> Fraction:
     return Fraction(num, math.prod(range(d, d + sum(beta), 2)))
 
 
-@dataclass(frozen=True)
-class SphereSampler:
+class _SphereSamplerFields(NamedTuple):
+    d: int
+    seed: int
+    n: int
+
+
+class SphereSampler(_SphereSamplerFields):
     """Reproducible uniform samples on the unit sphere in R^d.
 
     Identical (d, seed, n) always produce the identical sample array;
     points are normalised standard Gaussian vectors.
     """
 
-    d: int
-    seed: int
-    n: int
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-        if self.n < 0:
+    def __new__(cls, d: int, seed: int, n: int):
+        if d < 2:
+            raise ValueError(f"dimension must be >= 2, got {d}")
+        if n < 0:
             raise ValueError("sample count must be >= 0")
+        return super().__new__(cls, d, seed, n)
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -1,11 +1,12 @@
 import argparse
-import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import time
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from radsob import norms
+from radsob import derivcalc, norms, opspace, quad
 from radsob.cli import _build_parser, main
 from radsob.profile import CorpusEntry, Profile, builtin_corpus, save_corpus
 
@@ -122,7 +123,7 @@ class TestVerify:
 
         def broken(*args):
             res = real(*args)
-            return None if res is None else dataclasses.replace(res, value=res.value * (1 + 1e-8))
+            return None if res is None else res._replace(value=res.value * (1 + 1e-8))
 
         monkeypatch.setattr(norms, "_closed_lp_power", broken)
         rc, out, _ = run_cli(capsys, ["verify", "identities"])
@@ -211,7 +212,7 @@ class TestVerify:
             rep = real(*args, **kwargs)
             allowed = rep.quad_err + 4 * 2.0**-52 * (abs(rep.lhs) + abs(rep.rhs))
             gap = max(rep.slack, 0.0) + 2 * allowed
-            return dataclasses.replace(rep, rhs=rep.rhs - gap, slack=rep.slack - gap)
+            return rep._replace(rhs=rep.rhs - gap, slack=rep.slack - gap)
 
         monkeypatch.setattr(norms, "hardy_check", short)
         rc, out, _ = run_cli(capsys, ["verify", "hardy", "--s", "0.5", "--corpus", str(path)])
@@ -447,7 +448,7 @@ class TestExitCodes:
         # an integral whose err is inf (a tail without a bound) gives no verdict
         real = norms.hardy_check
         monkeypatch.setattr(norms, "hardy_check",
-                            lambda *a, **k: dataclasses.replace(real(*a, **k), quad_err=math.inf))
+                            lambda *a, **k: real(*a, **k)._replace(quad_err=math.inf))
         rc, out, err = run_cli(capsys, ["verify", "hardy"])
         assert rc == 4
         assert out == ""
@@ -777,6 +778,23 @@ class TestExactPathWithoutNumpy:
         proc = self.run_without_numpy("import radsob.cli")
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_dataclasses_inspect_or_csv(self):
+        proc = _run_python(
+            "import sys, radsob.cli\nprint(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_csv_output_keeps_its_bytes(self):
+        proc = self.run_without_numpy(
+            "import radsob.cli\n"
+            "assert radsob.cli.main(['equiv', '--dim', '2', '--k', '1', '--format', 'csv']) == 0"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "b8cf3bfe9d67ab98d32514681c0683d65c280ac6f40ada5062509d6985c039f3"
+        )
+
     @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
     def test_command_loads_no_numpy(self, argv):
         proc = self.run_without_numpy(f"import radsob.cli\nassert radsob.cli.main({argv!r}) == 0")
@@ -803,6 +821,58 @@ class TestExactPathWithoutNumpy:
         )
         assert proc.returncode == 9, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestRecords:
+    """The result records keep their fields read-only, their validation and value equality."""
+
+    GAUSS = Profile([(1, 0, 1)])
+
+    def records(self):
+        return [
+            quad.QuadResult(1.0, 0.0, 1),
+            derivcalc.angular_matrix(3, 2),
+            derivcalc.recovery_coeffs(3, 2),
+            norms.hardy_check(self.GAUSS, 2.0, 1.0, 0.5),
+            norms.ReportEntry("gauss", "def", 1.0, 0.0, "exact-angular"),
+            derivcalc.gram_matrix(3, 4),
+            quad.SphereSampler(3, 0, 5),
+            opspace.TraceExtPair(3, 1, 2.0, 1.0),
+        ]
+
+    def test_fields_are_read_only(self):
+        for record in self.records():
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 2, got 1$"):
+            quad.SphereSampler(1, 0, 5)
+        with pytest.raises(ValueError, match=r"^sample count must be >= 0$"):
+            quad.SphereSampler(3, 0, -1)
+        with pytest.raises(ValueError, match=r"^need r > 0 or r = inf, got -1\.0$"):
+            opspace.TraceExtPair(3, 1, 2.0, -1.0)
+        with pytest.raises(ValueError, match=r"^sample count must be >= 0$"):
+            quad.SphereSampler(3, 0, 5)._replace(n=-1)
+        with pytest.raises(ValueError, match=r"^need r > 0 or r = inf, got -1\.0$"):
+            opspace.TraceExtPair(3, 1, 2.0, 1.0)._replace(r=-1.0)
+
+    def test_equal_values_compare_and_hash_alike(self):
+        a, b = opspace.TraceExtPair(3, 1, 2.0, 1.0), opspace.TraceExtPair(3, 1, 2.0, 1.0)
+        assert a == b and hash(a) == hash(b)
+        built = derivcalc._gram.__wrapped__(3, 4)
+        cached = derivcalc.gram_matrix(3, 4)
+        assert built is not cached
+        assert built == cached and hash(built) == hash(cached)
+        assert quad.QuadResult(1.0, 0.0, 1).converged is True
+
+    def test_binding_sites_the_benchmark_tracer_wraps(self):
+        # bench/tracer.py re-wraps these attributes on their classes and reads .subdivisions
+        assert isinstance(vars(quad.SphereSampler)["points"], functools.cached_property)
+        assert isinstance(vars(derivcalc.GramMatrix)["leading_minors"], types.FunctionType)
+        assert isinstance(vars(norms.NormReport)["to_json"], types.FunctionType)
+        assert quad.integrate_1d(lambda x: x, 0.0, 1.0).subdivisions >= 1
 
 
 class TestRuntimeWithoutScipy:

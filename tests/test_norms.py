@@ -1255,8 +1255,7 @@ class TestCorpusTable:
     def test_corot_bytes_pinned_up_to_err_rounding(self, corpus):
         report = corot_report(corpus[:4], 2, 1, 1.0)
         errs = [e.err for e in report.entries]
-        for e in report.entries:
-            e.err = 0.0
+        report.entries[:] = [e._replace(err=0.0) for e in report.entries]
         assert self.sha(report) == self.COROT_SHA
         for got, want in zip(errs, map(float.fromhex, self.COROT_ERRS), strict=True):
             assert got == pytest.approx(want, rel=4e-16)
