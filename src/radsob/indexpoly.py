@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -37,18 +38,16 @@ def multi_factorial(alpha: MultiIndex) -> int:
 def enumerate_multi(d: int, n: int) -> list[MultiIndex]:
     """All multi-indices with d entries and |alpha| = n, in ascending lexicographic order.
 
-    The list has binomial(n + d - 1, d - 1) elements and no duplicates.
+    The list has binomial(n + d - 1, d - 1) elements and no duplicates.  The partial sums
+    alpha_1 + ... + alpha_i, i < d, of the multi-indices are exactly the nondecreasing (d - 1)-
+    tuples over 0..n, in the same lexicographic order, and the entries are their differences.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
-    if d == 1:
-        return [(n,)]
-    out: list[MultiIndex] = []
-    for first in range(n + 1):
-        out.extend((first, *rest) for rest in enumerate_multi(d - 1, n - first))
-    return out
+    return [tuple(map(operator.sub, (*sums, n), (0, *sums)))
+            for sums in itertools.combinations_with_replacement(range(n + 1), d - 1)]
 
 
 def enumerate_dindex(d: int, n: int) -> Iterator[DIndex]:

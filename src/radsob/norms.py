@@ -453,10 +453,23 @@ def _pth_root(powsum: float, err_pow: float, p: float) -> tuple[float, float]:
     return value, err_pow ** (1.0 / p)
 
 
-def _scale_power(nv: NormValue, c: float, p: float) -> NormValue:
-    """The norm whose p-th power is c > 0 times that of ``nv``, errors included."""
-    root, _ = _pth_root(c, 0.0, p)
-    return NormValue(root * nv.value, root * nv.err, root * nv.mc_se, nv.converged)
+def _norm(
+    parts: Sequence[QuadResult], p: float, aggregation: str = "p-power", scale: float = 1.0
+) -> NormValue:
+    """The norm whose p-th powers, one per derivative order, are ``scale`` times ``parts``.
+
+    A negative part (quadrature noise around zero) counts as zero.  ``p-power`` roots the
+    compensated sum of the parts, ``sum-of-norms`` adds their roots.  The constant enters
+    before the root, so routes whose p-th powers agree give one value.  Converged when every
+    part is.
+    """
+    converged = all(res.converged for res in parts)
+    if aggregation == "p-power":
+        powsum = _fsum([max(res.value, 0.0) for res in parts])
+        value, err = _pth_root(scale * powsum, scale * sum(res.error_estimate for res in parts), p)
+        return NormValue(value, err, 0.0, converged)
+    roots = [_pth_root(scale * res.value, scale * res.error_estimate, p) for res in parts]
+    return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -569,23 +582,18 @@ def _form_norm(
 ) -> NormValue:
     """The p = 2 norm whose square is the sum over n in orders of matrix(d, n)'s form on f."""
     check_multi_indices(d, max(orders))  # before the lower orders' matrices are built
-    squares = [_form_square(matrix(d, n), f, r) for n in orders]
-    return NormValue(*_pth_root(_fsum([v for v, _ in squares]), sum(e for _, e in squares), 2))
+    return _norm([QuadResult(*_form_square(matrix(d, n), f, r), 0) for n in orders], 2)
 
 
 def _ball_def_exact(
     field: RadialField, orders: Sequence[int], p: float, r: float, rel_tol: float
 ) -> NormValue:
-    d = field.d
-    f = field.profile
+    d, f = field.d, field.profile
     if p == 2:
         return _form_norm(angular_matrix, d, orders, f, r)
-    # at p != 2 the domain check admits only order zero, the plain L^p norm:
-    # its angular integral is exact
-    res = _lp_power(f, p, d - 1, r, rel_tol)
-    area = sphere_area(d)
-    value, err = _pth_root(area * res.value, area * res.error_estimate, p)
-    return NormValue(value, err, 0.0, res.converged)
+    # at p != 2 the domain check admits only order zero, the plain L^p norm: its angular
+    # integral is exact, and it is the D route at order zero with the constant |S^(d-1)|
+    return _profile_d_detail(f, d, [0], p, r, "p-power", rel_tol, sphere_area(d))
 
 
 def _abs_pow(u: np.ndarray, p: float, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -965,23 +973,13 @@ def _lp_power(g, p: float, gamma: float, upper: float, rel_tol: float) -> QuadRe
     return _weighted_lp_power(g, p, gamma, upper, rel_tol)
 
 
-def _profile_route(quads: list[QuadResult], p: float, aggregation: str) -> NormValue:
-    """The aggregated norms whose p-th powers are the integrals ``quads``."""
-    converged = all(res.converged for res in quads)
-    if aggregation == "p-power":
-        powsum = sum(max(res.value, 0.0) for res in quads)
-        value, err = _pth_root(powsum, sum(res.error_estimate for res in quads), p)
-        return NormValue(value, err, 0.0, converged)
-    roots = [_pth_root(res.value, res.error_estimate, p) for res in quads]
-    return NormValue(sum(v for v, _ in roots), sum(e for _, e in roots), 0.0, converged)
-
-
 def _profile_d_detail(
-    f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float
+    f: Profile, d: int, orders: Sequence[int], p: float, r: float, aggregation: str, rel_tol: float,
+    scale: float = 1.0,
 ) -> NormValue:
     # the weight is p ((d-1)/p + j), rounded once
     quads = [_lp_power(d_op(f, j), p, float(d - 1 + j * Fraction(p)), r, rel_tol) for j in orders]
-    return _profile_route(quads, p, aggregation)
+    return _norm(quads, p, aggregation, scale)
 
 
 def sobolev_profile_D(
@@ -1006,20 +1004,15 @@ def sobolev_profile_D(
 
 
 def _profile_squared_detail(
-    ft: SquaredProfile,
-    d: int,
-    orders: Sequence[int],
-    p: float,
-    r_squared: float,
-    aggregation: str,
-    rel_tol: float,
+    ft: SquaredProfile, d: int, orders: Sequence[int], p: float, r_squared: float,
+    aggregation: str, rel_tol: float, scale: float = 1.0,
 ) -> NormValue:
     # the weight is p ((d-2)/(2p) + j/2), rounded once
     quads = [
         _lp_power(ft.derivative(j), p, float((d - 2 + j * Fraction(p)) / 2), r_squared, rel_tol)
         for j in orders
     ]
-    return _profile_route(quads, p, aggregation)
+    return _norm(quads, p, aggregation, scale)
 
 
 def sobolev_profile_squared(
@@ -1045,28 +1038,27 @@ def sobolev_profile_squared(
 # L^p identity and homogeneous norms
 # ---------------------------------------------------------------------------
 
-class LpDetail(NamedTuple):
-    value_def: NormValue
-    value_D: NormValue
-    value_squared: NormValue
-
-
 def _route_triple(
     f: Profile, d: int, orders: Sequence[int], p: float, r: float, method: str, seed: int,
-    samples: int, aggregation: str, rel_tol: float,
-) -> LpDetail:
-    """The def, D and squared routes of f(|x|) in R^d over the given derivative orders."""
+    samples: int, aggregation: str, rel_tol: float, constants: bool = False,
+) -> tuple[NormValue, NormValue, NormValue]:
+    """The def, D and squared routes of f(|x|) in R^d over the given derivative orders.
+
+    With ``constants`` the p-th powers of the D and squared routes carry |S^(d-1)| and
+    |S^(d-1)|/2 before the root, which makes all three one norm at k = 0.
+    """
+    if math.isinf(r) and not f.decays:
+        raise ValueError("norms over all of space require strictly positive decay in every term")
+    scale_d, scale_sq = (sphere_area(d), sphere_area(d) / 2.0) if constants else (1.0, 1.0)
 
     def squared() -> NormValue:
         if _square_overflows(f, r):
             return NormValue(math.nan, math.inf)
-        return _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, rel_tol)
+        return _profile_squared_detail(to_squared(f), d, orders, p, r * r, aggregation, rel_tol,
+                                       scale_sq)
 
-    return LpDetail(
-        _ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, rel_tol),
-        _profile_d_detail(f, d, orders, p, r, aggregation, rel_tol),
-        squared(),
-    )
+    return (_ball_def_detail(RadialField(d, f), orders, p, r, method, seed, samples, rel_tol),
+            _profile_d_detail(f, d, orders, p, r, aggregation, rel_tol, scale_d), squared())
 
 
 def _square_overflows(f, r: float) -> bool:
@@ -1076,28 +1068,22 @@ def _square_overflows(f, r: float) -> bool:
     return math.isinf(r * r) and math.isfinite(r) and not f.decays
 
 
-def _lp_detail(field: RadialField, p: float, r: float, rel_tol: float) -> LpDetail:
-    return _homogeneous_detail(
-        field.profile, field.d, 0, p, r, "exact-angular", DEFAULT_SEED, 0, rel_tol
-    )
-
-
 def _lp_oracle(
     field: RadialField, p: float, r: float, rel_tol: float
 ) -> tuple[NormValue, NormValue]:
-    """The D and squared norms of ``_lp_detail`` by adaptive quadrature.
+    """The D and squared norms of ``lp_radial`` by adaptive quadrature.
 
-    At integer p all three routes of ``_lp_detail`` are closed form, and at
+    At integer p all three routes of ``lp_radial`` are closed form, and at
     p = 1 and 2 they reduce to the same incomplete gamma functions; these are
     the independent side that ``verify identities`` checks them against.
     """
     d, f = field.d, field.profile
     area = sphere_area(d)
-    v_d = _profile_route([_weighted_lp_power(f, p, float(d - 1), r, rel_tol)], p, "p-power")
-    v_sq = _profile_route(
-        [_weighted_lp_power(to_squared(f), p, (d - 2) / 2, r * r, rel_tol)], p, "p-power"
+    return (
+        _norm([_weighted_lp_power(f, p, float(d - 1), r, rel_tol)], p, scale=area),
+        _norm([_weighted_lp_power(to_squared(f), p, (d - 2) / 2, r * r, rel_tol)], p,
+              scale=area / 2.0),
     )
-    return _scale_power(v_d, area, p), _scale_power(v_sq, area / 2.0, p)
 
 
 def lp_radial(
@@ -1106,38 +1092,16 @@ def lp_radial(
     """The L^p norm of the field by its three equal-by-identity routes.
 
     Returns (value_def, value_D, value_squared): the k = 0 values of
-    ``sobolev_ball_definition`` (closed form at integer p), ``sobolev_profile_D``
-    times |S^(d-1)|^(1/p) and ``sobolev_profile_squared`` times
-    (|S^(d-1)|/2)^(1/p), which agree up to the combined error.  At integer p
-    all three are closed form, def and D one shared integral; at fractional p
-    def and D share one quadrature and squared is independent.
+    ``sobolev_ball_definition`` (closed form at integer p), and the roots of
+    |S^(d-1)| times the p-th power of ``sobolev_profile_D`` and of |S^(d-1)|/2
+    times that of ``sobolev_profile_squared``, which agree up to the combined
+    error.  def and D are one computation, so they are equal; squared is
+    independent.  At integer p all three are closed form.
     """
     _check_domain(p=p, r=r)
-    return _converged_values("lp_radial", *_lp_detail(field, p, r, tol))
-
-
-def _homogeneous_detail(
-    f: Profile,
-    d: int,
-    k: int,
-    p: float,
-    r: float,
-    method: str,
-    seed: int,
-    samples: int,
-    rel_tol: float,
-) -> LpDetail:
-    """The norms of the order-k derivatives alone, by the three routes.
-
-    Over the ball of radius r, or all of space when r = math.inf (every term
-    must then decay).  The p-th powers of the D and squared routes carry
-    |S^(d-1)| and |S^(d-1)|/2, the constants that make all three equal at k = 0.
-    """
-    if math.isinf(r) and not f.decays:
-        raise ValueError("norms over all of space require strictly positive decay in every term")
-    v_def, v_D, v_sq = _route_triple(f, d, [k], p, r, method, seed, samples, "p-power", rel_tol)
-    area = sphere_area(d)
-    return LpDetail(v_def, _scale_power(v_D, area, p), _scale_power(v_sq, area / 2.0, p))
+    detail = _route_triple(field.profile, field.d, [0], p, r, "exact-angular", DEFAULT_SEED, 0,
+                           "p-power", tol, constants=True)
+    return _converged_values("lp_radial", *detail)
 
 
 def homogeneous_norm(
@@ -1162,7 +1126,8 @@ def homogeneous_norm(
         if f.d != d:
             raise ValueError(f"the field is in dimension {f.d}, not d = {d}")
         f = f.profile
-    detail = _homogeneous_detail(f, d, k, p, math.inf, method, seed, samples, tol)
+    detail = _route_triple(f, d, [k], p, math.inf, method, seed, samples, "p-power", tol,
+                           constants=True)
     return _converged_values("homogeneous_norm", *detail)
 
 

@@ -507,6 +507,19 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: enumeration of binomial(")
         assert "multi-indices exceeds budget 10000000" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--dim", "1100", "--order", "0"],
+        ["equiv", "--dim", "1100", "--k", "0", "--p", "3", "--method", "monte-carlo",
+         "--samples", "10"],
+    ])
+    def test_thousand_dimensions_are_a_numerical_failure(self, capsys, argv):
+        # the one multi-index of order 0 in R^1100 is built without a call per dimension;
+        # |S^1099| then overflows quad.sphere_area's formula, a numerical failure (exit 4)
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", UNREAD_FLAG_ARGV)
     def test_flag_the_command_ignores_is_config_error(self, capsys, argv):
         # argparse refuses it; the message names the flag

@@ -43,6 +43,23 @@ class TestEnumeration:
         assert out == sorted(out)
         assert all(multi_length(a) == n and min(a) >= 0 for a in out)
 
+    def test_order_matches_the_recursive_enumeration(self):
+        def recursive(d, n):  # first entry ascending, the rest recursively
+            if d == 1:
+                return [(n,)]
+            return [(first, *rest) for first in range(n + 1) for rest in recursive(d - 1, n - first)]
+
+        for d in range(1, 8):
+            for n in range(9):
+                assert enumerate_multi(d, n) == recursive(d, n), (d, n)
+
+    def test_many_dimensions_need_no_call_per_dimension(self):
+        # the recursive enumeration exceeds Python's recursion limit here
+        assert enumerate_multi(1100, 0) == [(0,) * 1100]
+        out = enumerate_multi(1100, 1)
+        assert len(out) == 1100
+        assert out[0][-1] == out[-1][0] == 1
+
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 3), (2, 0)])
     def test_dindex_count(self, d, n):
         indices = list(enumerate_dindex(d, n))

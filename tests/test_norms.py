@@ -22,6 +22,7 @@ from radsob.norms import (
     _ball_def_detail,
     _ball_def_exact,
     _corot_lhs_detail,
+    _norm,
     _profile_d_detail,
     _profile_squared_detail,
     _pth_root,
@@ -817,6 +818,41 @@ class TestPthRoot:
         value, err = _pth_root(powsum, err_pow, p)
         assert value == powsum ** (1.0 / p)
         assert err == err_pow * value / (p * powsum)
+
+
+class TestNorm:
+    """norms._norm, the one step from per-order p-th powers to a norm and its err."""
+
+    def test_p_power_sum_is_compensated(self):
+        tiny = QuadResult(2.0**-53, 0.0, 0)
+        parts = [QuadResult(1.0, 0.0, 0), tiny, tiny]
+        assert sum(res.value for res in parts) == 1.0  # a plain sum loses both small parts
+        assert _norm(parts, 1.0) == (1.0 + 2.0**-52, 0.0, 0.0, True)
+
+    def test_scale_enters_before_the_root(self):
+        # a negative part is quadrature noise around zero
+        nv = _norm([QuadResult(2.0, 0.3, 0), QuadResult(-1e-20, 0.1, 0)], 3.0, scale=4.0)
+        assert nv == (*_pth_root(8.0, 4.0 * (0.3 + 0.1), 3.0), 0.0, True)
+        nv = _norm([QuadResult(2.0, 0.3, 0), QuadResult(6.0, 0.1, 0)], 3.0, "sum-of-norms", 4.0)
+        roots = [_pth_root(8.0, 4.0 * 0.3, 3.0), _pth_root(24.0, 4.0 * 0.1, 3.0)]
+        assert nv == (roots[0][0] + roots[1][0], roots[0][1] + roots[1][1], 0.0, True)
+
+    @pytest.mark.parametrize("aggregation", ["p-power", "sum-of-norms"])
+    def test_converged_only_when_every_part_is(self, aggregation):
+        done, missed = QuadResult(1.0, 0.0, 3), QuadResult(1.0, 0.5, 9, False)
+        assert _norm([done, done], 2.0, aggregation).converged
+        assert not _norm([done, missed], 2.0, aggregation).converged
+
+    def test_def_and_d_are_one_computation_at_order_zero(self, corpus, decaying_corpus):
+        # the definition route at k = 0 is the D route's p-th power times |S^(d-1)|, rooted once
+        for d in (2, 3, 5):
+            for p in (1.0, 1.5, 2.0, 3.0):
+                for entry in corpus:
+                    v_def, v_d, _ = lp_radial(RadialField(d, entry.profile), p, 1.0)
+                    assert v_def == v_d, (d, p, entry.label)
+                for entry in decaying_corpus:
+                    v_def, v_d, _ = homogeneous_norm(entry.profile, d, 0, p)
+                    assert v_def == v_d, (d, p, entry.label)
 
 
 class TestUnconvergedQuadratureRaises:
