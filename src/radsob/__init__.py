@@ -50,7 +50,6 @@ from .norms import (
     sobolev_profile_D,
     sobolev_profile_squared,
 )
-from .opspace import TraceExtPair, boundedness_report, extend, trace
 from .profile import (
     CorpusEntry,
     Profile,
@@ -78,3 +77,14 @@ from .quad import (
 )
 
 __version__ = "0.1.0"
+
+# no command calls the trace/extension operators, so their module loads on first use
+_OPSPACE = frozenset({"TraceExtPair", "boundedness_report", "extend", "trace"})
+
+
+def __getattr__(name: str):
+    if name in _OPSPACE:
+        from . import opspace
+
+        return getattr(opspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

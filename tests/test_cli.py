@@ -553,6 +553,23 @@ class TestPinnedOutputs:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
+    @pytest.mark.parametrize("argv, sha", [
+        pytest.param(*PINS[2].values, id=PINS[2].id),
+        pytest.param(["equiv", "--dim", "3", "--k", "2", "--p", "1.5", "--method", "monte-carlo",
+                      "--samples", "500"], None, id="equiv-d3-k2-p1.5-mc500"),
+    ])
+    def test_output_does_not_depend_on_the_blas_thread_count(self, argv, sha):
+        # p = 3 sums the expansion over node directions; p = 1.5 takes np.matmul blocks
+        outs = []
+        for preset in ({"OPENBLAS_NUM_THREADS": "2"}, {}):
+            proc = _run_python(f"import sys, radsob.cli; sys.exit(radsob.cli.main({argv!r}))",
+                               environ=_blas_environ(preset))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        if sha is not None:
+            assert hashlib.sha256(outs[0].encode()).hexdigest() == sha
+
 
 class TestStrictJson:
     def test_empty_ratio_set_is_null(self, capsys, tmp_path):
@@ -756,13 +773,39 @@ sys.meta_path.insert(0, BlockScipy())
 """
 
 
-def _run_python(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
+def _run_python(code: str, timeout: float = 300, environ=None) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ if environ is None else environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def _blas_environ(preset: dict) -> dict:
+    """os.environ without the variables OpenBLAS reads its thread count from, plus preset."""
+    unset = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+    return {key: value for key, value in os.environ.items() if key not in unset} | preset
+
+
+# as bench/job.py::_blas_threads
+_BLAS_THREADS = """
+def blas_threads():
+    # OpenBLAS threads of the numpy in use, or -1 if it cannot be asked
+    import ctypes, glob, os
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return -1
+"""
 
 
 class TestExactPathWithoutNumpy:
@@ -793,7 +836,8 @@ class TestExactPathWithoutNumpy:
 
     def test_import_loads_no_dataclasses_inspect_or_csv(self):
         proc = _run_python(
-            "import sys, radsob.cli\nprint(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+            "import sys, radsob.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'csv', 'radsob.opspace'} & set(sys.modules)))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
@@ -810,7 +854,10 @@ class TestExactPathWithoutNumpy:
 
     @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
     def test_command_loads_no_numpy(self, argv):
-        proc = self.run_without_numpy(f"import radsob.cli\nassert radsob.cli.main({argv!r}) == 0")
+        proc = self.run_without_numpy(
+            f"import radsob.cli\nassert radsob.cli.main({argv!r}) == 0\n"
+            "assert 'radsob.opspace' not in sys.modules"
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
 
@@ -834,6 +881,38 @@ class TestExactPathWithoutNumpy:
         )
         assert proc.returncode == 9, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("preset, threads", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2),
+    ], ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"])
+    def test_array_path_runs_one_blas_thread_unless_the_user_sets_one(self, preset, threads):
+        # the environment after the first numpy use is the one before it
+        proc = _run_python(
+            _BLAS_THREADS + "import contextlib, io, os, radsob.cli\n"
+            "before = dict(os.environ)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert radsob.cli.main(['equiv', '--dim', '2', '--k', '0', '--p', '3']) == 0\n"
+            "print(blas_threads(), dict(os.environ) == before)\n",
+            environ=_blas_environ(preset),
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, kept = proc.stdout.split()
+        if count == "-1":
+            pytest.skip("no OpenBLAS library beside numpy")
+        assert (int(count), kept) == (threads, "True")
+
+    def test_numpy_imported_first_keeps_the_environment(self):
+        # a read-only os.environ: any write by radsob would fail the command
+        proc = _run_python(
+            "import contextlib, io, os, sys, types\n"
+            "import numpy\n"
+            "os.environ = types.MappingProxyType(os.environ)\n"
+            "import radsob.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    sys.exit(radsob.cli.main(['equiv', '--dim', '2', '--k', '0', '--p', '3']))\n",
+            environ=_blas_environ({}),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRecords:

@@ -14,6 +14,24 @@ RHO2 = Profile([(1, 2, 0)])
 GAUSS = Profile([(1, 0, 1)])
 
 
+class TestPackageNames:
+    """The package hands out the operators' names from ``opspace``, which it loads on first use."""
+
+    def test_names_are_the_opspace_names(self):
+        import radsob
+        from radsob import boundedness_report as from_package
+
+        assert from_package is opspace.boundedness_report
+        for name in ("TraceExtPair", "extend", "trace"):
+            assert getattr(radsob, name) is getattr(opspace, name)
+
+    def test_other_names_raise_attribute_error(self):
+        import radsob
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            radsob.no_such_name
+
+
 class TestOperators:
     def test_trace_examples(self):
         assert trace(RadialField(2, RHO2)) == SquaredProfile([(1, 1, 0)])
