@@ -70,13 +70,19 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    d = args.dim
-    derivcalc.check_multi_indices(d, args.order)
+    d, n = args.dim, args.order
+    derivcalc.check_multi_indices(d, n)
+    # each row writes its multi-index's d entries; count them, and ask for the area, first
+    entries, budget = math.comb(n + d - 1, d - 1) * d, derivcalc.DEFAULT_ENUMERATION_BUDGET
+    if entries > budget:
+        what = f"{d} x binomial({n + d - 1}, {d - 1}) = {entries} multi-index entries"
+        raise BudgetExceededError(what, entries, budget)
+    area = sphere_area(d)
     rows = [
         {"beta": list(beta), "value": sphere_monomial_moment(d, beta)}
-        for beta in enumerate_multi(d, args.order)
+        for beta in enumerate_multi(d, n)
     ]
-    doc = {"d": d, "order": args.order, "area": sphere_area(d), "moments": rows}
+    doc = {"d": d, "order": n, "area": area, "moments": rows}
     _emit(norms._json_dumps(doc), args.out)
     return _EXIT_OK
 

@@ -3,7 +3,9 @@
 The forward direction expands any partial derivative of f(|x|) into a finite
 sum of polynomial factors times powers of the radial derivation applied to f;
 summed over all derivatives of one order, the squared factors integrate over
-the sphere to an exact rational angular matrix of the p = 2 norm.
+the sphere to an exact rational angular matrix of the p = 2 norm.  A
+corotational map x f(|x|) is the gradient of a radial field, so its matrix is
+the same expansion's one order up.
 The backward direction inverts that expansion: an exact rational Gram matrix,
 defined as a sum over all coordinate tuples of a given length and taken in
 closed form, yields recovery coefficients q_alpha with
@@ -67,8 +69,9 @@ def forward_terms(d: int, alpha: MultiIndex) -> tuple[tuple[int, MonomialPoly], 
         d^alpha f(|x|) = sum_j P_j(x) * (D^j f)(|x|).
 
     Each P_j is homogeneous of degree 2j - n.  This is the one producer of
-    the P_j: the angular matrices, the Monte Carlo route, the partial
-    derivatives and the recovery coefficients all read them from here.
+    the P_j: the angular matrices (corotational ones too), the Monte Carlo
+    route, the partial derivatives and the recovery coefficients all read
+    them from here.
     """
     n = sum(alpha)
     if len(alpha) != d:
@@ -81,24 +84,6 @@ def forward_terms(d: int, alpha: MultiIndex) -> tuple[tuple[int, MonomialPoly], 
             out.append((n - i, scaled))
         poly = poly.laplacian()
     return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
-def _corot_forward_terms(d: int, alpha: MultiIndex, i: int) -> tuple[tuple[int, MonomialPoly], ...]:
-    """Expansion data for d^alpha of the component F_i(x) = x_i f(|x|) of a corotational map.
-
-    By the product rule d^alpha F_i = x_i d^alpha f(|x|) + alpha_i d^(alpha - e_i) f(|x|),
-    so the pairs (j, Q_j) with Q_j = x_i P_j^alpha + alpha_i P_j^(alpha - e_i)
-    satisfy d^alpha F_i = sum_j Q_j(x) * (D^j f)(|x|).  Each Q_j is
-    homogeneous of degree 2j - n + 1; zero polynomials are dropped.
-    """
-    polys = {j: MonomialPoly.variable(d, i) * poly for j, poly in forward_terms(d, alpha)}
-    ai = alpha[i - 1]
-    if ai:
-        beta = tuple(a - 1 if idx == i - 1 else a for idx, a in enumerate(alpha))
-        for j, poly in forward_terms(d, beta):
-            polys[j] = polys.get(j, MonomialPoly.zero(d)) + ai * poly
-    return tuple((j, poly) for j, poly in sorted(polys.items()) if not poly.is_zero)
 
 
 def partial_derivative(field: RadialField, alpha: MultiIndex, x: Sequence[float]) -> float:
@@ -183,11 +168,11 @@ def _orbits(d: int, n: int):
         yield alpha, count
 
 
-def _angular_form(d: int, n: int, shift: int, expansions, counts=None) -> AngularMatrix:
-    """Sum of the sphere averages of P_j * P_j' over expansions [(j, P_j), ...].
+def _angular_form(d: int, n: int, expansions, counts=None) -> AngularMatrix:
+    """Sum of the sphere averages of P_j * P_j' over expansions [(j, P_j), ...], j ascending.
 
     The k-th expansion counts ``counts[k]`` times (each once when ``counts``
-    is None).  Every P_j of the expansions is homogeneous of degree 2j - n + shift.
+    is None).  Every P_j of the expansions is homogeneous of degree 2j - n.
     """
     js = sorted({j for expansion in expansions for j, _ in expansion})
     pos = {j: a for a, j in enumerate(js)}
@@ -203,7 +188,7 @@ def _angular_form(d: int, n: int, shift: int, expansions, counts=None) -> Angula
         for b in range(a):
             acc[a][b] = acc[b][a]
     return AngularMatrix(
-        d, n, tuple(js), tuple(2 * j - n + shift for j in js), tuple(tuple(row) for row in acc)
+        d, n, tuple(js), tuple(2 * j - n for j in js), tuple(tuple(row) for row in acc)
     )
 
 
@@ -217,7 +202,7 @@ def angular_matrix(d: int, n: int) -> AngularMatrix:
     """
     check_multi_indices(d, n)
     alphas, counts = zip(*_orbits(d, n))
-    return _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in alphas], counts)
+    return _angular_form(d, n, [forward_terms(d, alpha) for alpha in alphas], counts)
 
 
 @lru_cache(maxsize=None)
@@ -225,19 +210,16 @@ def corot_angular_matrix(d: int, n: int) -> AngularMatrix:
     """Angular matrix B(d, n) of the derivatives d^alpha F_i, |alpha| = n, i = 1..d,
     of the corotational map F(x) = x f(|x|).
 
-    A permutation of the coordinates maps (alpha, i) to (sigma alpha, sigma i),
-    so the sum over every component i of the sorted alpha, counted once per
-    multi-index of its orbit, is the sum over all (alpha, i).
+    F is the gradient of the radial G(|x|), G(rho) = int_0^rho s f(s) ds, whose DG = f, so
+    d^alpha F_i = d^(alpha + e_i) G = sum_j P_j^(alpha + e_i)(x) (D^(j-1) f)(|x|), j >= 1.
+    Each beta of order n + 1 is alpha + e_i for one pair (alpha, i) per nonzero entry of beta:
+    B(d, n) is the orbit sum of A(d, n + 1) with that weight, each j lowered by one.
     """
     check_multi_indices(d, n)
-    alphas, counts = zip(*_orbits(d, n))
-    return _angular_form(
-        d,
-        n,
-        1,
-        [_corot_forward_terms(d, alpha, i) for alpha in alphas for i in range(1, d + 1)],
-        [count for count in counts for _ in range(d)],
-    )
+    betas, counts = zip(*_orbits(d, n + 1))
+    weights = [count * (d - beta.count(0)) for beta, count in zip(betas, counts)]
+    form = _angular_form(d, n + 1, [forward_terms(d, beta) for beta in betas], weights)
+    return form._replace(n=n, js=tuple(j - 1 for j in form.js))
 
 
 # ---------------------------------------------------------------------------

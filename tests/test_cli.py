@@ -507,6 +507,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: enumeration of binomial(")
         assert "multi-indices exceeds budget 10000000" in proc.stderr
 
+    @pytest.mark.parametrize("order, rc", [(3, 3), (2, 3), (2, 0)], ids=["d300-n3", "d300-n2", "d200-n2"])
+    def test_moment_entry_budget_exit_code(self, order, rc):
+        # d entries per multi-index: 300 x 4545100 = 1.4e9 and 300 x 45150 = 1.35e7 exceed the
+        # budget (each multi-index count is within it), 200 x 20100 = 4.02e6 does not
+        d = 300 if rc else 200
+        argv = ["moments", "--dim", str(d), "--order", str(order)]
+        proc = _run_python(
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            f"import radsob.cli; sys.exit(radsob.cli.main({argv!r}))", 60
+        )
+        assert proc.returncode == rc, proc.stderr
+        if rc:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"error: enumeration of 300 x binomial({order + 299}, 299) = ")
+            assert "multi-index entries exceeds budget 10000000" in proc.stderr
+        else:
+            assert len(json.loads(proc.stdout)["moments"]) == math.comb(201, 199)
+
     @pytest.mark.parametrize("argv", [
         ["moments", "--dim", "1100", "--order", "0"],
         ["equiv", "--dim", "1100", "--k", "0", "--p", "3", "--method", "monte-carlo",
@@ -545,6 +563,12 @@ class TestPinnedOutputs:
                       "--samples", "500", "--seed", "1"],
                      "5b45524bcca788841d3d5eacf039de974ea33f38aa73c7217e466a646f00faa7",
                      id="equiv-d3-k2-p3-mc500-seed1"),
+        pytest.param(["corot", "--dim", "7", "--k", "5"],
+                     "dd3a2a864e707353fca63e0b69aead2173d29c226a15f5be4858f6041ed8b486",
+                     id="corot-d7-k5"),
+        pytest.param(["corot", "--dim", "4", "--k", "3", "--radius", "inf"],
+                     "0147cea2955013c78a700733322d9331d8f2f4e4f119c054f8172541756edeae",
+                     id="corot-d4-k3-inf"),
     ]
 
     @pytest.mark.parametrize("argv, sha", PINS)

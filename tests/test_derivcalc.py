@@ -9,7 +9,6 @@ from radsob.derivcalc import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     _angular_form,
-    _corot_forward_terms,
     _gram,
     _invert_exact,
     _orbits,
@@ -353,6 +352,29 @@ def corot_expansion(d, alpha, i):
     return out
 
 
+class TestCorotAsGradient:
+    @pytest.mark.parametrize("d, x", [(2, (0.6, -0.35)), (3, (0.45, -0.3, 0.55))])
+    def test_partials_are_those_of_the_potential(self, corpus, d, x):
+        # F = grad G with DG = f, so d^alpha F_i = sum_j P_j^(alpha + e_i)(x) (D^(j-1) f)(|x|); the
+        # left side by the product rule x_i d^alpha f + alpha_i d^(alpha - e_i) f from the stencils
+        rho = math.hypot(*x)
+        checked = 0
+        for entry in corpus[:8]:
+            field = RadialField(d, entry.profile)
+            fd = {alpha: fd_partial_derivative(field, alpha, x)
+                  for n in range(4) for alpha in enumerate_multi(d, n)}
+            for alpha in fd:
+                for i in range(1, d + 1):
+                    lowered = tuple(a - (idx == i - 1) for idx, a in enumerate(alpha))
+                    want = x[i - 1] * fd[alpha] + (alpha[i - 1] * fd[lowered] if alpha[i - 1] else 0.0)
+                    raised = tuple(a + (idx == i - 1) for idx, a in enumerate(alpha))
+                    got = sum(poly.eval(x) * d_op(entry.profile, j - 1).eval(rho)
+                              for j, poly in forward_terms(d, raised))
+                    assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (entry.label, alpha, i)
+                    checked += 1
+        assert checked == 8 * d * math.comb(3 + d, d)
+
+
 class TestAngularMatrix:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -379,15 +401,18 @@ class TestAngularMatrix:
                     area_entry = sphere_area(d) * float(mat.entries[a][b])
                     assert area_entry == pytest.approx(want[j, j2], rel=1e-13, abs=1e-15)
 
-    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (4, 4), (5, 4), (6, 3), (3, 0)])
+    @pytest.mark.parametrize("d, n", [*itertools.product(range(2, 7), range(6)), (7, 4)])
     def test_orbit_sums_equal_the_full_enumeration(self, d, n):
-        # the sum over every multi-index (and component), exactly as Fractions
+        # the sum over every multi-index (and component), exactly as Fractions; the corot
+        # expansions by the product rule, whose P_j have degree 2j - n + 1 = 2j - (n - 1)
         alphas = list(enumerate_multi(d, n))
-        full = _angular_form(d, n, 0, [forward_terms(d, alpha) for alpha in alphas])
+        full = _angular_form(d, n, [forward_terms(d, alpha) for alpha in alphas])
         corot_expansions = [
-            _corot_forward_terms(d, alpha, i) for alpha in alphas for i in range(1, d + 1)
+            [(j, poly) for j, poly in sorted(corot_expansion(d, alpha, i).items()) if not poly.is_zero]
+            for alpha in alphas
+            for i in range(1, d + 1)
         ]
-        full_corot = _angular_form(d, n, 1, corot_expansions)
+        full_corot = _angular_form(d, n - 1, corot_expansions)._replace(n=n)
         assert angular_matrix(d, n) == full
         assert corot_angular_matrix(d, n) == full_corot
 
@@ -421,7 +446,7 @@ class TestTupleSumIdentity:
             for alpha in enumerate_multi(d, n)
             for _ in range(math.factorial(n) // multi_factorial(alpha))
         ]
-        return _angular_form(d, n, 0, expansions)
+        return _angular_form(d, n, expansions)
 
     @staticmethod
     def gap(mat, f, r):

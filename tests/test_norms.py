@@ -12,10 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radsob import norms, opspace, quad
-from radsob.derivcalc import (
-    _corot_forward_terms, angular_matrix, corot_angular_matrix, forward_terms,
-)
-from radsob.indexpoly import enumerate_multi
+from radsob.derivcalc import angular_matrix, corot_angular_matrix, forward_terms
+from radsob.indexpoly import MonomialPoly, enumerate_multi
 from radsob.norms import (
     CorotField,
     NormValue,
@@ -1148,12 +1146,12 @@ class TestCorot:
         assert np.allclose(F.eval(x), x * math.exp(-rho * rho))
 
     def test_expansion_matches_hand_formula(self):
-        # d/dx1 of x1 f(|x|) = f(|x|) + x1^2 (Df)(|x|)
+        # d/dx1 of x1 f(|x|) = f(|x|) + x1^2 (Df)(|x|); F = grad G with DG = f, so it is also
+        # d^(2,0,0) G = sum_j P_j^(2,0,0)(x) (D^(j-1) f)(|x|)
         f = Profile([(1, 2, 1), (Fraction(1, 2), 0, 0)])
-        terms = _corot_forward_terms(3, (1, 0, 0), 1)
         x = np.array([0.4, -0.2, 0.7])
         rho = float(np.linalg.norm(x))
-        got = sum(poly.eval(x) * d_op(f, j).eval(rho) for j, poly in terms)
+        got = sum(poly.eval(x) * d_op(f, j - 1).eval(rho) for j, poly in forward_terms(3, (2, 0, 0)))
         want = f.eval(rho) + x[0] ** 2 * d_op(f, 1).eval(rho)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -1393,6 +1391,17 @@ def quadrature_square(d, expansions, f, r):
     return total
 
 
+def corot_product_rule(d, alpha, i):
+    """[(j, Q_j)] with d^alpha (x_i f(|x|)) = sum_j Q_j(x) (D^j f)(|x|), zeros dropped, by the
+    product rule x_i d^alpha f(|x|) + alpha_i d^(alpha - e_i) f(|x|)."""
+    polys = {j: MonomialPoly.variable(d, i) * poly for j, poly in forward_terms(d, alpha)}
+    if alpha[i - 1]:
+        lowered = tuple(a - (idx == i - 1) for idx, a in enumerate(alpha))
+        for j, poly in forward_terms(d, lowered):
+            polys[j] = polys.get(j, MonomialPoly.zero(d)) + alpha[i - 1] * poly
+    return [(j, poly) for j, poly in sorted(polys.items()) if not poly.is_zero]
+
+
 class TestClosedFormRoute:
     @pytest.mark.parametrize("d, orders, r", [(3, [0, 1, 2], 1.0), (2, [0, 1, 2], 0.7), (4, [1], math.inf)])
     def test_definition_matches_quadrature(self, corpus, d, orders, r):
@@ -1417,7 +1426,7 @@ class TestClosedFormRoute:
             want = sum(
                 quadrature_square(
                     d,
-                    [_corot_forward_terms(d, a, i) for a in enumerate_multi(d, n) for i in range(1, d + 1)],
+                    [corot_product_rule(d, a, i) for a in enumerate_multi(d, n) for i in range(1, d + 1)],
                     f,
                     1.0,
                 )
